@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .engine import (
     PrueferState,
-    ShellSample,
     SolutionPair,
     SubordinacyRecord,
     TrajectoryRecord,
@@ -56,10 +55,7 @@ from .engine import (
     m_function,
     pruefer_step,
     psi_norm_sq,
-    run_trajectory,
-    shell_sample,
     subordinacy_batch,
-    subordinacy_ratio,
     transfer_step,
     wronskian_drift,
 )

@@ -43,20 +43,14 @@ from .errors import (
     SingularShellError,
 )
 from .geometry import GrowthLaw
-from .potentials import EffectiveQuantities, PotentialDistribution, effective_quantities, sample
-from .streams import seed_stream
+from .potentials import PotentialDistribution, effective_quantities, sample
+from .streams import DOMAIN_DENSITY, DOMAIN_DRIFT, DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY, seed_stream
 
 LN2 = math.log(2.0)
 BLOCK = 8192
 # rescale once entries pass 2^256: squares and 2x2 determinants of scaled
 # entries then stay far from the 2^1024 overflow boundary
 RESCALE_EXP = 256
-
-# stream domains, so the same (seed, cell, trial) never reuses randomness
-# across different kinds of passes
-_DOM_TRAJ = 1
-_DOM_SUB = 2
-_DOM_DENSITY = 3
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +87,6 @@ def psi_norm_sq(E: float, lam: float, potentials) -> float:
         raise SingularShellError("shell inverse mean is zero")
     mean_inv2 = float(np.mean(1.0 / (x * x)))
     return mean_inv2 / (mean_inv * mean_inv)
-
-
-@dataclass(frozen=True)
-class ShellSample:
-    """One shell's worth of randomness reduced to the transfer inputs."""
-
-    n: int
-    a: float
-    x: float
-    psi_norm_sq: float
-
-
-def shell_sample(eff: EffectiveQuantities, potentials, n: int = 0) -> ShellSample:
-    """Build the per-shell transfer inputs from explicit potentials."""
-    a = harmonic_a(eff.E, eff.lam, potentials)
-    psq = psi_norm_sq(eff.E, eff.lam, potentials)
-    x = (a - eff.h) / eff.sin_k
-    return ShellSample(n=n, a=a, x=x, psi_norm_sq=psq)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +143,6 @@ def transfer_step(pair: SolutionPair, a: float) -> SolutionPair:
         u_cur=u_cur, u_prev=u_prev, v_cur=v_cur, v_prev=v_prev,
         scale_exp=pair.scale_exp + shift, n=pair.n + 1,
     )
-
-
-def step_matrix(a: float) -> np.ndarray:
-    return np.array([[a, -1.0], [1.0, 0.0]])
-
-
-def conjugation_matrix(k: float) -> np.ndarray:
-    """Basis change taking the step matrix to shear times rotation."""
-    return np.array([[1.0, -math.cos(k)], [0.0, math.sin(k)]])
 
 
 def sheared_rotation(x: float, k: float) -> np.ndarray:
@@ -278,6 +245,42 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     return mean1, mean2
 
 
+def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
+                  columns, seed: int, domain: int, *, block: int = BLOCK,
+                  reverse: bool = False, with_w: bool = False):
+    """Yield ``(n0, n1, A, W)`` for each block of shells n0 <= n < n1.
+
+    ``columns`` lists ``(E, cell, trial)``; column j of the fresh (n1 - n0,
+    len(columns)) array A holds the harmonic entries 1/mean(1/(E - lam*v))
+    of its shells, drawn from the stream keyed (seed, domain, cell, trial,
+    block index).  A column's draws therefore do not depend on which other
+    columns share the call or on the direction: ``reverse`` yields the same
+    blocks last to first.  W holds the squared shell-vector norms
+    a^2 * mean(1/(E - lam*v)^2) when ``with_w`` is set and is None
+    otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.
+    """
+    energies = np.array([E for E, _, _ in columns], dtype=np.float64)
+    nblocks = (N + block - 1) // block
+    for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
+        n0 = b * block
+        n1 = min(N, n0 + block)
+        sizes = law.sizes_block(n0, n1)
+        A = np.empty((n1 - n0, len(columns)))
+        W = np.empty_like(A) if with_w else None
+        if lam == 0.0:
+            A[:] = energies
+            if with_w:
+                W[:] = 1.0
+        else:
+            for j, (E, cell, trial) in enumerate(columns):
+                m1, m2 = _shell_stats_block(dist, E, lam, sizes,
+                                            seed_stream(seed, domain, cell, trial, b))
+                A[:, j] = 1.0 / m1
+                if with_w:
+                    W[:, j] = m2 / (m1 * m1)
+        yield n0, n1, A, W
+
+
 def checkpoints_geometric(N: int, count: int = 192) -> np.ndarray:
     """Geometrically spaced shell indices in [1, N], always including N."""
     if N < 1:
@@ -332,14 +335,9 @@ class TrajectoryRecord:
         return self.final_log_r / self.final_sum_inv
 
 
-def _forward_polar_pass(dist, law, eff, N, trial_ids, gen_for, *, block=BLOCK,
-                        checkpoint_count=192, theta0=0.0):
-    """Shared polar driver, vectorized across trials.
-
-    ``gen_for(trial_slot, block_index)`` supplies the stream for one
-    (trial, block) cell; per-trial draws are identical however trials are
-    grouped, which keeps sweep outputs independent of scheduling.
-    """
+def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell, *, block=BLOCK,
+                        checkpoint_count=192):
+    """Polar recursion for lyapunov_batch, vectorized across trials."""
     E, lam = eff.E, eff.lam
     h, k, sink = eff.h, eff.k, eff.sin_k
     T = len(trial_ids)
@@ -348,40 +346,32 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, gen_for, *, block=BLOCK,
     cp_logr = np.empty((len(cps), T))
     cp_pos = 0
     ck, sk = math.cos(k), math.sin(k)
-    c = np.full(T, math.cos(theta0))
-    s = np.full(T, math.sin(theta0))
+    c = np.ones(T)
+    s = np.zeros(T)
     log_r = np.zeros(T)
-    free = (lam == 0.0)
     a_min = np.full(T, math.inf)
     a_max = np.full(T, -math.inf)
-    nblocks = (N + block - 1) // block
-    for b in range(nblocks):
-        n0 = b * block
-        n1 = min(N, n0 + block)
-        sizes = law.sizes_block(n0, n1)
-        if free:
-            X = np.zeros((n1 - n0, T))
-        else:
-            X = np.empty((n1 - n0, T))
-            for t in range(T):
-                mean1, _ = _shell_stats_block(dist, E, lam, sizes, gen_for(t, b))
-                X[:, t] = (1.0 / mean1 - h) / sink
-            a_blk_min = h + X.min(axis=0) * sink
-            a_blk_max = h + X.max(axis=0) * sink
-            np.minimum(a_min, a_blk_min, out=a_min)
-            np.maximum(a_max, a_blk_max, out=a_max)
-        for i in range(n1 - n0):
+    columns = [(E, cell, trial) for trial in trial_ids]
+    for n0, _, X, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY,
+                                     block=block):
+        # shears in place of the entries: x = (a - h) / sin k
+        X -= h
+        X /= sink
+        np.minimum(a_min, h + X.min(axis=0) * sink, out=a_min)
+        np.maximum(a_max, h + X.max(axis=0) * sink, out=a_max)
+        for n, x in enumerate(X, n0 + 1):
             crot = c * ck - s * sk
             srot = c * sk + s * ck
-            w1 = crot + X[i] * srot
+            w1 = crot + x * srot
             growth = w1 * w1 + srot * srot
             log_r += 0.5 * np.log(growth)
             r = np.sqrt(growth)
             c = w1 / r
             s = srot / r
-            if cp_pos < len(cps) and n0 + i + 1 == cps[cp_pos]:
+            if cp_pos < len(cps) and n == cps[cp_pos]:
                 cp_logr[cp_pos] = log_r
                 cp_pos += 1
+    free = (lam == 0.0)
     records = []
     for t, trial in enumerate(trial_ids):
         records.append(TrajectoryRecord(
@@ -393,27 +383,16 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, gen_for, *, block=BLOCK,
     return records
 
 
-def run_trajectory(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: float,
-                   N: int, stream: np.random.Generator, *, checkpoint_count: int = 192,
-                   block: int = BLOCK) -> TrajectoryRecord:
-    """Evolve one realization for N shells, drawing from the caller's stream."""
-    eff = effective_quantities(dist, E, lam)
-    recs = _forward_polar_pass(dist, law, eff, N, [0], lambda t, b: stream,
-                               block=block, checkpoint_count=checkpoint_count)
-    return recs[0]
-
-
 def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: float,
                    N: int, trial_ids, seed: int, cell: int = 0, *,
                    checkpoint_count: int = 192, block: int = BLOCK) -> list[TrajectoryRecord]:
-    """Forward trajectories for a set of trial ids with keyed streams."""
+    """Forward trajectories for a set of trial ids with keyed streams.
+
+    Per-trial draws are identical however trials are grouped, which keeps
+    sweep outputs independent of scheduling.
+    """
     eff = effective_quantities(dist, E, lam)
-    trial_ids = list(trial_ids)
-
-    def gen_for(t, b):
-        return seed_stream(seed, _DOM_TRAJ, cell, trial_ids[t], b)
-
-    return _forward_polar_pass(dist, law, eff, N, trial_ids, gen_for,
+    return _forward_polar_pass(dist, law, eff, N, list(trial_ids), seed, cell,
                                block=block, checkpoint_count=checkpoint_count)
 
 
@@ -515,16 +494,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     cp_index = {int(n): i for i, n in enumerate(cps)}
     ncp = len(cps)
     cp_suminv = _checkpoint_sum_inv(law, cps, block)
-    free = (lam == 0.0)
-
-    def stats_block(t, b, sizes):
-        if free:
-            m1 = np.full(len(sizes), 1.0 / E)
-            return m1, m1 * m1
-        gen = seed_stream(seed, _DOM_SUB, cell, trial_ids[t], b)
-        return _shell_stats_block(dist, E, lam, sizes, gen)
-
-    nblocks = (N + block - 1) // block
+    columns = [(E, cell, trial) for trial in trial_ids]
     cp_logmax = np.full((ncp, T), math.nan)
     cp_ratio_grid = np.full((ncp, T), math.nan)
     angles = np.linspace(0.0, math.pi, grid_angles, endpoint=False)
@@ -537,27 +507,17 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         pair_exp = np.zeros(T, dtype=np.int64)
         l11 = np.zeros(T); l21 = np.zeros(T); l22 = np.zeros(T)
         gram_exp = np.zeros(T, dtype=np.int64)
-        for b in range(nblocks):
-            n0 = b * block
-            n1 = min(N, n0 + block)
-            sizes = law.sizes_block(n0, n1)
-            A = np.empty((n1 - n0, T))
-            W = np.empty((n1 - n0, T))
-            for t in range(T):
-                m1, m2 = stats_block(t, b, sizes)
-                A[:, t] = 1.0 / m1
-                W[:, t] = m2 / (m1 * m1)
-            for i in range(n1 - n0):
+        for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
+                                          block=block, with_w=True):
+            for n_applied, ai, wi in zip(range(n0 + 1, n1 + 1), A, W):
                 # Gram gains the current direction (u_n, v_n), then the pair
                 # advances; a checkpoint at c therefore covers shells < c
-                sw = np.sqrt(W[i])
+                sw = np.sqrt(wi)
                 unit = np.ldexp(1.0, pair_exp - gram_exp)
                 l11, l21, l22 = _chol_rank1_update(
                     l11, l21, l22, sw * u_cur * unit, sw * v_cur * unit)
-                ai = A[i]
                 u_cur, u_prev = ai * u_cur - u_prev, u_cur
                 v_cur, v_prev = ai * v_cur - v_prev, v_cur
-                n_applied = n0 + i + 1
                 if (n_applied & 63) == 0 or n_applied == n1:
                     pair_exp = _rescale_where([u_cur, u_prev, v_cur, v_prev], pair_exp)
                     gram_exp = _rescale_where([l11, l21, l22], gram_exp)
@@ -587,18 +547,9 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     w_mid = np.ones(T)   # w_m
     back_exp = np.zeros(T, dtype=np.int64)
     sfx = np.zeros(T)    # suffix sum in units 2^(2 back_exp)
-    for b in range(nblocks - 1, -1, -1):
-        n0 = b * block
-        n1 = min(N, n0 + block)
-        sizes = law.sizes_block(n0, n1)
-        A = np.empty((n1 - n0, T))
-        W = np.empty((n1 - n0, T))
-        for t in range(T):
-            m1, m2 = stats_block(t, b, sizes)
-            A[:, t] = 1.0 / m1
-            W[:, t] = m2 / (m1 * m1)
-        for i in range(n1 - n0 - 1, -1, -1):
-            m = n0 + i
+    for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
+                                      block=block, reverse=True, with_w=True):
+        for m, ai, wi in zip(range(n1 - 1, n0 - 1, -1), A[::-1], W[::-1]):
             ci = cp_index.get(m + 1)
             if ci is not None:
                 # entering iteration m the state holds (w_{m+1}, w_m) and
@@ -606,8 +557,8 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
                 with np.errstate(divide="ignore"):
                     cp_sub[ci] = 0.5 * np.log(w_hi * w_hi + w_mid * w_mid) + back_exp * LN2
                     cp_logsfx[ci] = np.log(sfx) + 2.0 * back_exp * LN2
-            sfx += W[i] * w_mid * w_mid
-            w_hi, w_mid = w_mid, A[i] * w_mid - w_hi
+            sfx += wi * w_mid * w_mid
+            w_hi, w_mid = w_mid, ai * w_mid - w_hi
             if (m & 63) == 0:
                 old = back_exp.copy()
                 back_exp = _rescale_where([w_hi, w_mid], back_exp)
@@ -632,14 +583,6 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
             log_dom=cp_logmax[:, t].copy(),
         ))
     return records
-
-
-def subordinacy_ratio(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: float,
-                      N: int, seed: int, *, trial: int = 0,
-                      checkpoint_count: int = 192) -> SubordinacyRecord:
-    """Single-trial subordinacy diagnostics (see subordinacy_batch)."""
-    return subordinacy_batch(dist, law, E, lam, N, [trial], seed,
-                             checkpoint_count=checkpoint_count)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -667,34 +610,24 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     if energy_ids is None:
         energy_ids = list(range(len(energies)))
     offs = halfwidth * ((2.0 * np.arange(trials) + 1.0) / trials - 1.0)
-    cols = (energies[:, None] + offs[None, :]).ravel()
-    ncol = len(cols)
+    # one column per (energy, trial), keyed by the energy id and the trial
+    columns = [(float(E + off), eid, ti)
+               for E, eid in zip(energies, energy_ids) for ti, off in enumerate(offs)]
+    ncol = len(columns)
     u = np.ones(ncol)
     p = np.zeros(ncol)
     col_exp = np.zeros(ncol, dtype=np.int64)
     acc = np.zeros(ncol)
     count = 0
     w0 = N // 2 if window_start is None else window_start
-    free = (lam == 0.0)
-    nblocks = (N + block - 1) // block
-    for b in range(nblocks):
-        n0 = b * block
-        n1 = min(N, n0 + block)
-        sizes = law.sizes_block(n0, n1)
-        if not free:
-            A = np.empty((n1 - n0, ncol))
-            for j in range(ncol):
-                ei, ti = divmod(j, trials)
-                m1, _ = _shell_stats_block(dist, float(cols[j]), lam, sizes,
-                                           seed_stream(seed, _DOM_DENSITY, energy_ids[ei], ti, b))
-                A[:, j] = 1.0 / m1
-        for i in range(n1 - n0):
-            a_row = cols if free else A[i]
+    for n0, _, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY,
+                                     block=block):
+        for n, a_row in enumerate(A, n0 + 1):
             u, p = a_row * u - p, u
-            if n0 + i + 1 >= w0:
+            if n >= w0:
                 acc += np.ldexp(1.0 / (u * u + p * p), -2 * col_exp)
                 count += 1
-            if (n0 + i + 1) & 63 == 0:
+            if n & 63 == 0:
                 col_exp = _rescale_where([u, p], col_exp)
     if count == 0:
         raise DomainError("empty averaging window")
@@ -769,7 +702,7 @@ def wronskian_drift(k: float, n_steps: int, seed: int, x_bound: float = 1.0) -> 
     |det B| = 1 and its Givens factorization exposes log|det| = log(r * r22)
     stably.  Returns max over the run of |sum of per-step log dets|.
     """
-    gen = seed_stream(seed, 0xD, 0, 0, 0)
+    gen = seed_stream(seed, DOMAIN_DRIFT, 0, 0, 0)
     q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
     ck2 = 2.0 * math.cos(k)
     sk = math.sin(k)

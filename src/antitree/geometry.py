@@ -88,14 +88,6 @@ class GrowthLaw:
             s[0] = 1.0
         return s
 
-    def inverse_size_sum(self, N: int, block: int = 1 << 16) -> float:
-        """sum_{n=0..N} 1/s_n, accumulated in fixed forward block order."""
-        total = 0.0
-        for n0 in range(0, N + 1, block):
-            n1 = min(N + 1, n0 + block)
-            total += float(np.sum(1.0 / self.sizes_block(n0, n1)))
-        return total
-
 
 @dataclass(frozen=True)
 class ShellSequence:

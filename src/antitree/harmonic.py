@@ -31,9 +31,8 @@ from .potentials import (
     inverse_moment_quadrature,
     second_inverse_moment,
 )
-from .streams import seed_stream
+from .streams import DOMAIN_MOMENT, seed_stream
 
-_DOM_MOMENT = 5
 _ENUM_GUARD = 10 ** 7
 
 
@@ -199,7 +198,7 @@ def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
         raise DomainError("need at least 1000 trials")
     bounds = moment_bounds(dist, E, lam, n)
     h = bounds.h
-    gen = seed_stream(seed, _DOM_MOMENT, n)
+    gen = seed_stream(seed, DOMAIN_MOMENT, n)
     if dist.is_discrete:
         probs = np.array([w for _, w in dist.atoms])
         rates = np.array([1.0 / (E - lam * v) for v, _ in dist.atoms])

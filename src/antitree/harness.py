@@ -20,7 +20,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,19 +33,6 @@ from .geometry import GrowthLaw, load_custom_sizes, zd_brute_force, zd_printed_v
 from .harmonic import mc_moments
 from .potentials import PotentialDistribution, effective_quantities, i_lambda, j_lambda
 from .spectral import classify, essential_spectrum, free_density_theory
-
-EXPERIMENTS = ("phase-diagram", "lyapunov", "density", "harmonic-check",
-               "geometry-audit", "spectrum-sets")
-
-HEADERS = {
-    "lyapunov": "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory",
-    "density": "E,rho_hat,rho_free_theory",
-    "phase-diagram": "E,lambda,d,C,verdict,gamma,decay_kind,decay_constant",
-    "harmonic-check": "n,m1,m1_stderr,m1_bound,m2,m2_stderr,m2_lo,m2_hi,m3,exact_m1,exact_m2",
-    "geometry-counts": "d,n,k,s_formula,s_bruteforce,s_printed_variant,formula_matches,variant_matches",
-    "geometry-hopping": "d,n,alpha_formula,alpha_bruteforce,a_formula,a_bruteforce",
-    "spectrum-sets": "lambda,set,component,lo,hi,lo_closed,hi_closed",
-}
 
 _TRIAL_CHUNK = 32
 _HARMONIC_LADDER = (2, 4, 8, 100, 1000, 10000)
@@ -111,24 +100,31 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
         cfg["output_dir"] = out_dir
 
     lam = cfg.get("lambda", 1.0)
-    lambdas = [float(x) for x in (lam if isinstance(lam, (list, tuple)) else [lam])]
+    try:
+        lambdas = [float(x) for x in (lam if isinstance(lam, (list, tuple)) else [lam])]
+        N = int(cfg.get("N", 1000))
+        trials = int(cfg.get("trials", 1))
+        seed_val = int(cfg.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"lambda, N, trials and seed must be numbers: {exc}") from exc
     if not lambdas:
         raise ConfigError("lambda grid is empty")
+    if not all(math.isfinite(x) for x in lambdas):
+        raise ConfigError("lambda values must be finite")
 
     energy = cfg.get("energy", {"min": 0.0, "max": 0.0, "steps": 1})
     try:
         e_min, e_max = float(energy["min"]), float(energy["max"])
         steps = int(energy.get("steps", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad energy grid: {exc}") from exc
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ConfigError("energy bounds must be finite")
     if steps < 1 or (steps > 1 and not e_min < e_max):
         raise ConfigError("energy grid needs steps >= 1 and min < max for steps > 1")
 
-    N = int(cfg.get("N", 1000))
-    trials = int(cfg.get("trials", 1))
     if N < 1 or trials < 1:
         raise ConfigError("need N >= 1 and trials >= 1")
-    seed_val = int(cfg.get("seed", 0))
     if not 0 <= seed_val < 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
 
@@ -194,7 +190,7 @@ def _sha256(data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# task construction and execution
+# experiments: cells, task execution and CSV rows
 # ---------------------------------------------------------------------------
 
 def _growth_params(cfg: dict) -> tuple[float, float]:
@@ -204,102 +200,92 @@ def _growth_params(cfg: dict) -> tuple[float, float]:
     return float(g["d"]), float(g.get("C", 1.0))
 
 
-def build_tasks(cfg: dict, base_dir: Path) -> list[dict]:
-    exp = cfg["experiment"]
-    dist = build_distribution(cfg["distribution"])
-    lambdas = cfg["lambda"]
+def _grid(cfg: dict) -> list[tuple[str, float, float]]:
+    """(key, lambda, E) per cell of the lambda x energy grid, lambda outermost."""
+    return [(f"lambda={lam},E={E}", float(lam), float(E))
+            for lam in cfg["lambda"] for E in energy_grid(cfg)]
+
+
+def _lyapunov_cells(cfg: dict, base_dir: Path):
+    law = build_growth(cfg["growth"], base_dir)
+    trials = cfg["trials"]
+    return [(key, [{"law": law, "E": E, "lam": lam, "N": cfg["N"],
+                    "trials": list(range(t0, min(trials, t0 + _TRIAL_CHUNK))),
+                    "seed": cfg["seed"]}
+                   for t0 in range(0, trials, _TRIAL_CHUNK)])
+            for key, lam, E in _grid(cfg)]
+
+
+def _lyapunov_run(task: dict) -> list[float]:
+    records = lyapunov_batch(task["dist"], task["law"], task["E"], task["lam"], task["N"],
+                             task["trials"], task["seed"], cell=task["cell"])
+    return [r.slope for r in records]
+
+
+def _lyapunov_rows(cfg: dict, task: dict, values: list):
+    slopes = np.array([x for chunk in values for x in chunk])
+    d, C = _growth_params(cfg)
+    gamma = effective_quantities(task["dist"], task["E"], task["lam"]).gamma
+    stderr = slopes.std(ddof=1) / math.sqrt(len(slopes)) if len(slopes) > 1 else math.nan
+    return ([[task["E"], task["lam"], d, C, cfg["N"], len(slopes), slopes.mean(), stderr,
+              gamma]],)
+
+
+def _density_cells(cfg: dict, base_dir: Path):
+    if len(cfg["lambda"]) != 1:
+        raise ConfigError("density experiment takes a single lambda")
+    law = build_growth(cfg["growth"], base_dir)
     energies = energy_grid(cfg)
-    N, trials, seed = cfg["N"], cfg["trials"], cfg["seed"]
-    tasks = []
-
-    if exp == "lyapunov":
-        law = build_growth(cfg["growth"], base_dir)
-        cell = 0
-        for lam in lambdas:
-            for E in energies:
-                for t0 in range(0, trials, _TRIAL_CHUNK):
-                    t1 = min(trials, t0 + _TRIAL_CHUNK)
-                    tasks.append({"kind": "lyapunov", "cell": cell, "dist": dist,
-                                  "law": law, "E": float(E), "lam": float(lam),
-                                  "N": N, "trials": list(range(t0, t1)), "seed": seed})
-                cell += 1
-    elif exp == "density":
-        if len(lambdas) != 1:
-            raise ConfigError("density experiment takes a single lambda")
-        law = build_growth(cfg["growth"], base_dir)
-        if len(energies) >= 2:
-            halfwidth = 0.5 * float(np.min(np.diff(energies)))
-        else:
-            halfwidth = 0.02
-        for i, E in enumerate(energies):
-            tasks.append({"kind": "density", "cell": i, "dist": dist, "law": law,
-                          "E": float(E), "lam": lambdas[0], "N": N, "trials": trials,
-                          "seed": seed, "halfwidth": halfwidth})
-    elif exp == "phase-diagram":
-        d, C = _growth_params(cfg)
-        if math.isnan(d):
-            raise ConfigError("phase-diagram needs a (d, C) growth law")
-        cell = 0
-        for lam in lambdas:
-            for E in energies:
-                tasks.append({"kind": "phase", "cell": cell, "dist": dist,
-                              "E": float(E), "lam": float(lam), "d": d, "C": C})
-                cell += 1
-    elif exp == "harmonic-check":
-        if len(lambdas) != 1 or len(energies) != 1:
-            raise ConfigError("harmonic-check takes a single lambda and energy")
-        for i, n in enumerate(_HARMONIC_LADDER):
-            tasks.append({"kind": "harmonic", "cell": i, "dist": dist,
-                          "E": float(energies[0]), "lam": lambdas[0], "n": n,
-                          "trials": max(1000, trials), "seed": seed})
-    elif exp == "geometry-audit":
-        for i, d in enumerate(_GEOMETRY_DIMS):
-            tasks.append({"kind": "geometry", "cell": i, "d": d, "n_max": _GEOMETRY_NMAX})
-    elif exp == "spectrum-sets":
-        _, C = _growth_params(cfg)
-        if math.isnan(C):
-            C = 1.0
-        for i, lam in enumerate(lambdas):
-            tasks.append({"kind": "sets", "cell": i, "dist": dist, "lam": float(lam),
-                          "C": C})
-    else:  # pragma: no cover - normalize_config already rejects
-        raise ConfigError(f"unknown experiment {exp!r}")
-    return tasks
+    halfwidth = 0.5 * float(np.min(np.diff(energies))) if len(energies) >= 2 else 0.02
+    return [(f"E={E}", [{"law": law, "E": float(E), "lam": cfg["lambda"][0], "N": cfg["N"],
+                         "trials": cfg["trials"], "seed": cfg["seed"], "halfwidth": halfwidth}])
+            for E in energies]
 
 
-def _execute_task(task: dict) -> dict:
-    """Run one task; never raises (errors are data for the manifest)."""
-    try:
-        kind = task["kind"]
-        if kind == "lyapunov":
-            records = lyapunov_batch(task["dist"], task["law"], task["E"], task["lam"],
-                                     task["N"], task["trials"], task["seed"],
-                                     cell=task["cell"])
-            return {"cell": task["cell"], "slopes": [r.slope for r in records]}
-        if kind == "density":
-            vals = dirichlet_window_average(
-                task["dist"], task["lam"], task["law"], [task["E"]], task["N"],
-                task["trials"], task["seed"], task["halfwidth"],
-                energy_ids=[task["cell"]])
-            return {"cell": task["cell"], "rho": float(vals[0]) / math.pi}
-        if kind == "phase":
-            c = classify(task["dist"], task["lam"], task["d"], task["C"], task["E"])
-            return {"cell": task["cell"], "classification": c}
-        if kind == "harmonic":
-            report = mc_moments(task["dist"], task["E"], task["lam"], task["n"],
-                                task["trials"], task["seed"])
-            return {"cell": task["cell"], "report": report}
-        if kind == "geometry":
-            return {"cell": task["cell"], "audit": _geometry_audit(task["d"], task["n_max"])}
-        if kind == "sets":
-            return {"cell": task["cell"], "sets": _spectrum_sets(task["dist"],
-                                                                 task["lam"], task["C"])}
-        raise ConfigError(f"unknown task kind {kind!r}")
-    except AntitreeError as exc:
-        return {"cell": task["cell"], "error": str(exc), "error_type": type(exc).__name__}
+def _density_run(task: dict) -> float:
+    vals = dirichlet_window_average(task["dist"], task["lam"], task["law"], [task["E"]],
+                                    task["N"], task["trials"], task["seed"],
+                                    task["halfwidth"], energy_ids=[task["cell"]])
+    return float(vals[0]) / math.pi
 
 
-def _geometry_audit(d: int, n_max: int) -> dict:
+def _density_rows(cfg: dict, task: dict, values: list):
+    theory = free_density_theory(task["E"]) if task["lam"] == 0.0 else None
+    return ([[task["E"], values[0], theory]],)
+
+
+def _phase_cells(cfg: dict, base_dir: Path):
+    d, C = _growth_params(cfg)
+    if math.isnan(d):
+        raise ConfigError("phase-diagram needs a (d, C) growth law")
+    return [(key, [{"E": E, "lam": lam, "d": d, "C": C}])
+            for key, lam, E in _grid(cfg)]
+
+
+def _phase_rows(cfg: dict, task: dict, values: list):
+    c = values[0]
+    return ([[c.E, c.lam, c.d, c.C, c.verdict, c.gamma, c.decay_kind, c.decay_constant]],)
+
+
+def _harmonic_cells(cfg: dict, base_dir: Path):
+    energies = energy_grid(cfg)
+    if len(cfg["lambda"]) != 1 or len(energies) != 1:
+        raise ConfigError("harmonic-check takes a single lambda and energy")
+    return [(f"n={n}", [{"E": float(energies[0]), "lam": cfg["lambda"][0], "n": n,
+                         "trials": max(1000, cfg["trials"]), "seed": cfg["seed"]}])
+            for n in _HARMONIC_LADDER]
+
+
+def _harmonic_rows(cfg: dict, task: dict, values: list):
+    r = values[0]
+    exact1 = r.exact["m1"] if r.exact else None
+    exact2 = r.exact["m2"] if r.exact else None
+    return ([[r.n, r.m1, r.m1_stderr, r.bounds.first_upper, r.m2, r.m2_stderr,
+              r.bounds.second_lo, r.bounds.second_hi, r.m3, exact1, exact2]],)
+
+
+def _geometry_audit(d: int, n_max: int) -> tuple[list, list]:
+    """(shell-count rows, hopping rows) for dimension d, shells 1..n_max."""
     counts_rows = []
     hopping_rows = []
     for n in range(1, n_max + 1):
@@ -316,7 +302,7 @@ def _geometry_audit(d: int, n_max: int) -> dict:
         if n >= 2:
             hopping_rows.append((d, n, formula.edge_count_out, oracle.edge_count_out,
                                  formula.hopping, oracle.hopping))
-    return {"counts": counts_rows, "hopping": hopping_rows}
+    return counts_rows, hopping_rows
 
 
 def _spectrum_sets(dist: PotentialDistribution, lam: float, C: float) -> list[tuple]:
@@ -329,108 +315,125 @@ def _spectrum_sets(dist: PotentialDistribution, lam: float, C: float) -> list[tu
     return rows
 
 
+def _sets_cells(cfg: dict, base_dir: Path):
+    _, C = _growth_params(cfg)
+    if math.isnan(C):
+        C = 1.0
+    return [(f"lambda={lam}", [{"lam": float(lam), "C": C}])
+            for lam in cfg["lambda"]]
+
+
+_GEOMETRY_NOTE = (
+    "shell counts use the enumeration-validated formula "
+    "C(d,k)*2^(d-k)*C(n-1,d-k-1); the s_printed_variant column shows "
+    "the widely quoted variant C(d,k)*2^(d-k)*C(n-1-k,d-1-k), which "
+    "disagrees for 0 < k < d-1")
+_BERNOULLI_ESS_NOTE = (
+    "for the two-point law the positive essential-spectrum component is "
+    "[sqrt(1+lambda^2)-1, 1+sqrt(1+lambda^2)]; a printed closed form "
+    "elsewhere starts it at 1-sqrt(1+lambda^2), which direct evaluation "
+    "of |h|<=2 rules out")
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything the harness knows about one experiment.
+
+    ``cells(cfg, base_dir)`` lists the cells in output order as
+    ``(key, [task payload, ...])``; ``run(task)`` computes one task's value;
+    ``rows(cfg, task, values)`` turns a cell's first task and the values of
+    all its tasks, in task order, into one row list per entry of ``files``,
+    which pairs each CSV name with its header; ``notes(cfg)`` are the
+    manifest's audit notes.
+    """
+
+    cells: Callable
+    run: Callable
+    files: tuple[tuple[str, str], ...]
+    rows: Callable
+    notes: Callable = lambda cfg: []
+
+
+_SPECS = {
+    "phase-diagram": _Experiment(
+        _phase_cells,
+        lambda t: classify(t["dist"], t["lam"], t["d"], t["C"], t["E"]),
+        (("phase_diagram.csv", "E,lambda,d,C,verdict,gamma,decay_kind,decay_constant"),),
+        _phase_rows),
+    "lyapunov": _Experiment(
+        _lyapunov_cells, _lyapunov_run,
+        (("lyapunov.csv", "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory"),),
+        _lyapunov_rows),
+    "density": _Experiment(
+        _density_cells, _density_run,
+        (("density.csv", "E,rho_hat,rho_free_theory"),),
+        _density_rows),
+    "harmonic-check": _Experiment(
+        _harmonic_cells,
+        lambda t: mc_moments(t["dist"], t["E"], t["lam"], t["n"], t["trials"], t["seed"]),
+        (("harmonic_check.csv",
+          "n,m1,m1_stderr,m1_bound,m2,m2_stderr,m2_lo,m2_hi,m3,exact_m1,exact_m2"),),
+        _harmonic_rows),
+    "geometry-audit": _Experiment(
+        lambda cfg, base_dir: [(f"d={d}", [{"d": d}]) for d in _GEOMETRY_DIMS],
+        lambda t: _geometry_audit(t["d"], _GEOMETRY_NMAX),
+        (("geometry_counts.csv", "d,n,k,s_formula,s_bruteforce,s_printed_variant,"
+                                 "formula_matches,variant_matches"),
+         ("geometry_hopping.csv", "d,n,alpha_formula,alpha_bruteforce,a_formula,a_bruteforce")),
+        lambda cfg, task, values: values[0],
+        lambda cfg: [_GEOMETRY_NOTE]),
+    "spectrum-sets": _Experiment(
+        _sets_cells,
+        lambda t: _spectrum_sets(t["dist"], t["lam"], t["C"]),
+        (("spectrum_sets.csv", "lambda,set,component,lo,hi,lo_closed,hi_closed"),),
+        lambda cfg, task, values: (values[0],),
+        lambda cfg: [_BERNOULLI_ESS_NOTE]
+        if cfg["distribution"].get("kind") == "bernoulli" else []),
+}
+
+EXPERIMENTS = tuple(_SPECS)
+
+
 # ---------------------------------------------------------------------------
-# reduction to CSV rows
+# tasks, their execution and the reduction to CSV lines
 # ---------------------------------------------------------------------------
 
-def _reduce(cfg: dict, tasks: list[dict], results: list[dict]):
-    """Assemble CSV payloads in deterministic cell order."""
+def build_tasks(cfg: dict, base_dir: Path) -> list[dict]:
+    """One dict per task, in cell order, tagged with its experiment, cell and
+    distribution."""
     exp = cfg["experiment"]
     dist = build_distribution(cfg["distribution"])
-    d, C = _growth_params(cfg)
-    energies = energy_grid(cfg)
-    lambdas = cfg["lambda"]
-    failures: dict[int, str] = {}
-    for res in results:
-        if "error" in res:
-            failures.setdefault(res["cell"], f"{res['error_type']}: {res['error']}")
+    return [dict(payload, experiment=exp, cell=cell, key=key, dist=dist)
+            for cell, (key, payloads) in enumerate(_SPECS[exp].cells(cfg, base_dir))
+            for payload in payloads]
 
-    files: dict[str, list[str]] = {}
-    cells: list[dict] = []
 
-    def cell_status(cell: int, key: str):
-        if cell in failures:
-            cells.append({"key": key, "status": "failed", "error": failures[cell]})
-            return False
-        cells.append({"key": key, "status": "ok"})
-        return True
+def _execute_task(task: dict) -> dict:
+    """Run one task; never raises (errors are data for the manifest)."""
+    try:
+        return {"value": _SPECS[task["experiment"]].run(task)}
+    except AntitreeError as exc:
+        return {"error": str(exc), "error_type": type(exc).__name__}
 
-    if exp == "lyapunov":
-        rows = []
-        by_cell: dict[int, list[float]] = {}
-        for res in results:
-            if "slopes" in res:
-                by_cell.setdefault(res["cell"], []).extend(res["slopes"])
-        cell = 0
-        for lam in lambdas:
-            for E in energies:
-                key = f"lambda={lam},E={E}"
-                if cell_status(cell, key):
-                    slopes = np.array(by_cell.get(cell, []))
-                    gamma = effective_quantities(dist, float(E), lam).gamma
-                    stderr = slopes.std(ddof=1) / math.sqrt(len(slopes)) if len(slopes) > 1 else math.nan
-                    rows.append([E, lam, d, C, cfg["N"], len(slopes),
-                                 slopes.mean(), stderr, gamma])
-                cell += 1
-        files["lyapunov.csv"] = _csv(HEADERS["lyapunov"], rows)
-    elif exp == "density":
-        rows = []
-        by_cell = {res["cell"]: res.get("rho") for res in results}
-        lam = lambdas[0]
-        for i, E in enumerate(energies):
-            if cell_status(i, f"E={E}"):
-                theory = free_density_theory(float(E)) if lam == 0.0 else None
-                rows.append([E, by_cell[i], theory])
-        files["density.csv"] = _csv(HEADERS["density"], rows)
-    elif exp == "phase-diagram":
-        rows = []
-        by_cell = {res["cell"]: res.get("classification") for res in results}
-        cell = 0
-        for lam in lambdas:
-            for E in energies:
-                if cell_status(cell, f"lambda={lam},E={E}"):
-                    c = by_cell[cell]
-                    rows.append([c.E, c.lam, c.d, c.C, c.verdict, c.gamma,
-                                 c.decay_kind, c.decay_constant])
-                cell += 1
-        files["phase_diagram.csv"] = _csv(HEADERS["phase-diagram"], rows)
-    elif exp == "harmonic-check":
-        rows = []
-        by_cell = {res["cell"]: res.get("report") for res in results}
-        for i, n in enumerate(_HARMONIC_LADDER):
-            if cell_status(i, f"n={n}"):
-                r = by_cell[i]
-                exact1 = r.exact["m1"] if r.exact else None
-                exact2 = r.exact["m2"] if r.exact else None
-                rows.append([r.n, r.m1, r.m1_stderr, r.bounds.first_upper,
-                             r.m2, r.m2_stderr, r.bounds.second_lo, r.bounds.second_hi,
-                             r.m3, exact1, exact2])
-        files["harmonic_check.csv"] = _csv(HEADERS["harmonic-check"], rows)
-    elif exp == "geometry-audit":
-        count_rows, hop_rows = [], []
-        by_cell = {res["cell"]: res.get("audit") for res in results}
-        for i, dim in enumerate(_GEOMETRY_DIMS):
-            if cell_status(i, f"d={dim}"):
-                count_rows.extend(by_cell[i]["counts"])
-                hop_rows.extend(by_cell[i]["hopping"])
-        files["geometry_counts.csv"] = _csv(HEADERS["geometry-counts"], count_rows)
-        files["geometry_hopping.csv"] = _csv(HEADERS["geometry-hopping"], hop_rows)
-    elif exp == "spectrum-sets":
-        rows = []
-        by_cell = {res["cell"]: res.get("sets") for res in results}
-        for i, lam in enumerate(lambdas):
-            if cell_status(i, f"lambda={lam}"):
-                rows.extend(by_cell[i])
-        files["spectrum_sets.csv"] = _csv(HEADERS["spectrum-sets"], rows)
 
+def _reduce(cfg: dict, tasks: list[dict], results: list[dict]):
+    """Assemble CSV lines and cell statuses in deterministic cell order."""
+    spec = _SPECS[cfg["experiment"]]
+    by_cell: dict[int, tuple[dict, list[dict]]] = {}
+    for task, res in zip(tasks, results):
+        by_cell.setdefault(task["cell"], (task, []))[1].append(res)
+    files = {name: [header] for name, header in spec.files}
+    cells = []
+    for task, res in by_cell.values():
+        errors = [r for r in res if "error" in r]
+        if errors:
+            cells.append({"key": task["key"], "status": "failed",
+                          "error": f"{errors[0]['error_type']}: {errors[0]['error']}"})
+            continue
+        cells.append({"key": task["key"], "status": "ok"})
+        for lines, rows in zip(files.values(), spec.rows(cfg, task, [r["value"] for r in res])):
+            lines.extend(",".join(fmt(v) for v in row) for row in rows)
     return files, cells
-
-
-def _csv(header: str, rows) -> list[str]:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +484,9 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
         "data": mirror,
         "cells": cells,
         "status": "partial" if failed else "ok",
-        "audit_notes": _audit_notes(config),
+        "audit_notes": _SPECS[config["experiment"]].notes(config),
     }
     atomic_write(out_dir / "manifest.json",
                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest, (2 if failed else 0)
 
-
-def _audit_notes(config: dict) -> list[str]:
-    notes = []
-    if config["experiment"] == "geometry-audit":
-        notes.append(
-            "shell counts use the enumeration-validated formula "
-            "C(d,k)*2^(d-k)*C(n-1,d-k-1); the s_printed_variant column shows "
-            "the widely quoted variant C(d,k)*2^(d-k)*C(n-1-k,d-1-k), which "
-            "disagrees for 0 < k < d-1")
-    if config["experiment"] == "spectrum-sets" and \
-            config["distribution"].get("kind") == "bernoulli":
-        notes.append(
-            "for the two-point law the positive essential-spectrum component is "
-            "[sqrt(1+lambda^2)-1, 1+sqrt(1+lambda^2)]; a printed closed form "
-            "elsewhere starts it at 1-sqrt(1+lambda^2), which direct evaluation "
-            "of |h|<=2 rules out")
-    return notes

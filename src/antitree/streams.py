@@ -12,6 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# stream domains: the first id of every key, so that different kinds of draws
+# never share randomness for the same (seed, cell, trial)
+DOMAIN_TRAJECTORY = 1
+DOMAIN_SUBORDINACY = 2
+DOMAIN_DENSITY = 3
+DOMAIN_MOMENT = 5
+DOMAIN_DRIFT = 0xD
+
 
 def seed_stream(master_seed: int, *ids: int) -> np.random.Generator:
     """Return the Philox generator keyed by ``(master_seed, ids...)``.

@@ -22,9 +22,7 @@ from antitree import (
     m_function,
     pruefer_step,
     psi_norm_sq,
-    run_trajectory,
     seed_stream,
-    shell_sample,
     subordinacy_batch,
     transfer_step,
     wronskian_drift,
@@ -70,14 +68,6 @@ def test_psi_norm_sq_at_least_one():
     for _ in range(50):
         pots = gen.uniform(-1, 1, size=7)
         assert psi_norm_sq(2.0, 1.0, pots) >= 1.0
-
-
-def test_shell_sample_fields():
-    smp = shell_sample(EFF, [1.0, -1.0], n=4)
-    assert smp.a == pytest.approx(1.5)
-    assert smp.x == pytest.approx(0.0, abs=1e-14)   # a equals h here
-    assert smp.psi_norm_sq == pytest.approx(1.25)
-    assert smp.n == 4
 
 
 def test_sampled_entries_stay_in_band():
@@ -186,8 +176,9 @@ def test_conjugation_identity():
         k = gen.uniform(0.2, math.pi - 0.2)
         x = gen.uniform(-3.0, 3.0)
         a = 2.0 * math.cos(k) + x * math.sin(k)
-        M = eng.conjugation_matrix(k)
-        lhs = M @ eng.step_matrix(a) @ np.linalg.inv(M)
+        step = np.array([[a, -1.0], [1.0, 0.0]])
+        M = np.array([[1.0, -math.cos(k)], [0.0, math.sin(k)]])
+        lhs = M @ step @ np.linalg.inv(M)
         assert np.abs(lhs - eng.sheared_rotation(x, k)).max() < 1e-12
 
 
@@ -202,7 +193,7 @@ def test_pruefer_rejects_bad_phase():
 
 def test_free_trajectory_is_bounded():
     law = GrowthLaw.uniform_power(1.5, 1.0)
-    rec = run_trajectory(BERN, law, 1.0, 0.0, 10 ** 4, seed_stream(1, 4))
+    rec = lyapunov_batch(BERN, law, 1.0, 0.0, 10 ** 4, [0], seed=1)[0]
     k = math.acos(0.5)
     assert np.max(np.abs(rec.log_r)) <= math.log(2.0 / math.sin(k))
 
@@ -232,6 +223,23 @@ def test_trajectories_deterministic_and_chunk_invariant():
         assert np.array_equal(a.log_r, b.log_r)
     for a, b in zip(full, first + second):
         assert np.array_equal(a.log_r, b.log_r)
+
+
+def test_shell_blocks_reverse_is_forward_reversed():
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    columns = [(2.0, 0, 0), (2.0, 0, 1), (2.0, 4, 0)]
+    fwd = list(eng._shell_blocks(BERN, law, 1.0, 200, columns, 9, 2, block=64, with_w=True))
+    bwd = list(eng._shell_blocks(BERN, law, 1.0, 200, columns, 9, 2, block=64, with_w=True,
+                                 reverse=True))
+    assert [(n0, n1) for n0, n1, _, _ in fwd] == [(0, 64), (64, 128), (128, 192), (192, 200)]
+    assert len(bwd) == len(fwd)
+    for (n0, n1, A, W), (m0, m1, B, V) in zip(fwd, reversed(bwd)):
+        assert (n0, n1) == (m0, m1)
+        assert np.array_equal(A, B) and np.array_equal(W, V)
+    # lam = 0 draws nothing: the entries are the energies themselves
+    for _, _, A, W in eng._shell_blocks(BERN, law, 0.0, 200, [(-1.71, 0, 0)], 9, 2,
+                                        block=64, with_w=True):
+        assert np.all(A == -1.71) and np.all(W == 1.0)
 
 
 def test_entries_of_trajectories_bounded():
@@ -327,6 +335,28 @@ def test_fixed_angle_grid_floors_while_exact_ratio_descends():
     rec = subordinacy_batch(BERN, law, 2.0, 1.0, 10 ** 5, [0], seed=11)[0]
     assert rec.log_ratio[-1] < -30.0
     assert rec.log_ratio_grid[-1] > -10.0
+
+
+def test_subordinacy_split_over_trials_is_bit_identical():
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    full = subordinacy_batch(BERN, law, 2.0, 1.0, 3000, range(4), seed=6, cell=2)
+    split = (subordinacy_batch(BERN, law, 2.0, 1.0, 3000, range(2), seed=6, cell=2)
+             + subordinacy_batch(BERN, law, 2.0, 1.0, 3000, range(2, 4), seed=6, cell=2))
+    for a, b in zip(full, split, strict=True):
+        assert a.trial == b.trial
+        for field in ("log_ratio", "log_ratio_grid", "log_sub", "log_dom"):
+            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
+
+
+def test_density_split_over_energies_is_bit_identical():
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    energies = [2.0, 2.1, 2.2]
+    joint = eng.dirichlet_window_average(BERN, 1.0, law, energies, 2000, 3, 4, 0.01,
+                                         energy_ids=[7, 8, 9])
+    single = [eng.dirichlet_window_average(BERN, 1.0, law, [E], 2000, 3, 4, 0.01,
+                                           energy_ids=[i])[0]
+              for E, i in zip(energies, [7, 8, 9])]
+    assert np.array_equal(joint, single)
 
 
 def test_gram_ratio_matches_dense_eigensolve_at_small_depth():

@@ -9,7 +9,6 @@ import pytest
 from antitree import ConfigError, seed_stream
 from antitree.cli import main as cli_main
 from antitree.harness import (
-    HEADERS,
     canonical_json,
     config_digest,
     fmt,
@@ -77,6 +76,13 @@ def test_normalize_rejects_bad_input():
         normalize_config(_config(trials=0))
     with pytest.raises(ConfigError):
         normalize_config(_config(distribution={"kind": "gaussian"}))
+    # non-numeric or non-finite values are config errors, not bare exceptions
+    for bad in ({"N": "many"}, {"trials": None}, {"lambda": "x"}, {"seed": "s"},
+                {"lambda": [math.nan]}, {"lambda": math.inf}, {"N": math.inf},
+                {"energy": {"min": -math.inf, "max": 1.0, "steps": 1}},
+                {"energy": {"min": 0.0, "max": math.nan, "steps": 1}}):
+        with pytest.raises(ConfigError):
+            normalize_config(_config(**bad))
 
 
 def test_canonical_json_is_order_insensitive():
@@ -119,7 +125,8 @@ def test_lyapunov_run_and_rerun(tmp_path):
     manifest, code = _run(tmp_path, cfg)
     assert code == 0
     data = (tmp_path / "a" / "lyapunov.csv").read_bytes()
-    assert data.decode().splitlines()[0] == HEADERS["lyapunov"]
+    assert data.decode().splitlines()[0] == (
+        "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory")
     manifest2, _ = _run(tmp_path, _config(output_dir="b"))
     data2 = (tmp_path / "b" / "lyapunov.csv").read_bytes()
     assert data == data2
@@ -176,7 +183,7 @@ def test_density_experiment_headers_and_theory(tmp_path):
     manifest, code = _run(tmp_path, cfg)
     assert code == 0
     lines = (tmp_path / "d" / "density.csv").read_text().splitlines()
-    assert lines[0] == HEADERS["density"]
+    assert lines[0] == "E,rho_hat,rho_free_theory"
     mid = lines[2].split(",")
     assert float(mid[0]) == 0.0
     assert float(mid[1]) == pytest.approx(1.0 / math.pi, rel=0.05)
@@ -195,7 +202,7 @@ def test_phase_diagram_experiment(tmp_path):
     _, code = _run(tmp_path, cfg)
     assert code == 0
     lines = (tmp_path / "ph" / "phase_diagram.csv").read_text().splitlines()
-    assert lines[0] == HEADERS["phase-diagram"]
+    assert lines[0] == "E,lambda,d,C,verdict,gamma,decay_kind,decay_constant"
     assert lines[1].split(",")[4] == "sc"
     assert lines[2].split(",")[4] == "pp"
 
@@ -212,7 +219,8 @@ def test_harmonic_check_experiment(tmp_path):
     _, code = _run(tmp_path, cfg)
     assert code == 0
     lines = (tmp_path / "h" / "harmonic_check.csv").read_text().splitlines()
-    assert lines[0] == HEADERS["harmonic-check"]
+    assert lines[0] == (
+        "n,m1,m1_stderr,m1_bound,m2,m2_stderr,m2_lo,m2_hi,m3,exact_m1,exact_m2")
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert first["n"] == "2"
     assert float(first["exact_m1"]) == pytest.approx(0.25, abs=1e-12)
@@ -234,14 +242,15 @@ def test_geometry_audit_experiment(tmp_path):
     _, code = _run(tmp_path, cfg)
     assert code == 0
     lines = (tmp_path / "g" / "geometry_counts.csv").read_text().splitlines()
-    assert lines[0] == HEADERS["geometry-counts"]
+    assert lines[0] == (
+        "d,n,k,s_formula,s_bruteforce,s_printed_variant,formula_matches,variant_matches")
     body = [ln.split(",") for ln in lines[1:]]
     assert all(row[6] == "true" for row in body)          # formula == oracle
     mismatches = [row for row in body if row[7] == "false"]
     assert mismatches                                     # printed variant differs
     assert any(row[:3] == ["3", "3", "1"] for row in mismatches)
     hop = (tmp_path / "g" / "geometry_hopping.csv").read_text().splitlines()
-    assert hop[0] == HEADERS["geometry-hopping"]
+    assert hop[0] == "d,n,alpha_formula,alpha_bruteforce,a_formula,a_bruteforce"
 
 
 def test_spectrum_sets_experiment(tmp_path):
@@ -256,7 +265,7 @@ def test_spectrum_sets_experiment(tmp_path):
     manifest, code = _run(tmp_path, cfg)
     assert code == 0
     lines = (tmp_path / "s" / "spectrum_sets.csv").read_text().splitlines()
-    assert lines[0] == HEADERS["spectrum-sets"]
+    assert lines[0] == "lambda,set,component,lo,hi,lo_closed,hi_closed"
     by_set = {}
     for ln in lines[1:]:
         parts = ln.split(",")
