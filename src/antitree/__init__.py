@@ -34,17 +34,14 @@ from .potentials import (
 )
 from .geometry import (
     GrowthLaw,
-    ShellSequence,
     ZdShellData,
     load_custom_sizes,
-    shell_sizes,
     zd_brute_force,
     zd_hopping,
     zd_shell_counts,
 )
 from .engine import (
     PrueferState,
-    SolutionPair,
     SubordinacyRecord,
     TrajectoryRecord,
     WeylPoint,
@@ -56,7 +53,6 @@ from .engine import (
     pruefer_step,
     psi_norm_sq,
     subordinacy_batch,
-    transfer_step,
     wronskian_drift,
 )
 from .harmonic import (

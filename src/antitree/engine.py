@@ -44,13 +44,28 @@ from .errors import (
 )
 from .geometry import GrowthLaw
 from .potentials import PotentialDistribution, effective_quantities, sample
-from .streams import DOMAIN_DENSITY, DOMAIN_DRIFT, DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY, seed_stream
+from .streams import (
+    DOMAIN_DENSITY,
+    DOMAIN_DRIFT,
+    DOMAIN_SUBORDINACY,
+    DOMAIN_TRAJECTORY,
+    DOMAIN_WEYL,
+    seed_stream,
+)
 
 LN2 = math.log(2.0)
 BLOCK = 8192
-# rescale once entries pass 2^256: squares and 2x2 determinants of scaled
-# entries then stay far from the 2^1024 overflow boundary
+CHECKPOINTS = 192      # geometric checkpoints per trajectory
+GRID_ANGLES = 64       # fixed solution directions of the log_ratio_grid comparison
+DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound]
+# Raw passes divide a column by 2^e once its largest entry passes 2^RESCALE_EXP,
+# checking every ``_rescale_stride`` shells.  A step multiplies entries by at
+# most 1 + |a| and a stride grows them by at most 2^(RESCALE_EXP/2), so
+# entries stay below 2^384 and their weighted squares far from the 2^1024
+# overflow.  The Gram factor is rescaled again right before each checkpoint,
+# where the eigenvalue discriminant takes fourth powers of entries < 2^256.
 RESCALE_EXP = 256
+_MAX_STRIDE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -89,62 +104,6 @@ def psi_norm_sq(E: float, lam: float, potentials) -> float:
     return mean_inv2 / (mean_inv * mean_inv)
 
 
-# ---------------------------------------------------------------------------
-# solution pairs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SolutionPair:
-    """Two fundamental solutions tracked as scaled columns.
-
-    The true entries are the stored ones times 2**scale_exp.  Columns start
-    as (u: 1, 0) and (v: 0, 1); each step matrix has determinant one, so the
-    cross-determinant of the true entries stays at its initial value.
-    Evaluating it from floats is only meaningful while the columns have not
-    collapsed onto a common dominant direction (about 36 nats of growth);
-    past that point use ``wronskian_drift``, which measures the same
-    invariant in QR form.
-    """
-
-    u_cur: float = 1.0
-    u_prev: float = 0.0
-    v_cur: float = 0.0
-    v_prev: float = 1.0
-    scale_exp: int = 0
-    n: int = 0
-
-    @property
-    def log_scale(self) -> float:
-        return self.scale_exp * LN2
-
-    def wronskian(self) -> float:
-        """u_cur*v_prev - v_cur*u_prev on the true (unscaled) entries."""
-        raw = self.u_cur * self.v_prev - self.v_cur * self.u_prev
-        return math.ldexp(raw, 2 * self.scale_exp)
-
-
-def transfer_step(pair: SolutionPair, a: float) -> SolutionPair:
-    """Apply the step matrix ((a, -1), (1, 0)) to both columns, rescaling by
-    an exact power of two once any entry passes the magnitude guard."""
-    u_cur = a * pair.u_cur - pair.u_prev
-    v_cur = a * pair.v_cur - pair.v_prev
-    u_prev, v_prev = pair.u_cur, pair.v_cur
-    m = max(abs(u_cur), abs(v_cur), abs(u_prev), abs(v_prev))
-    shift = 0
-    if m > 0.0:
-        ex = math.frexp(m)[1]
-        if ex > RESCALE_EXP:
-            shift = ex
-            u_cur = math.ldexp(u_cur, -shift)
-            v_cur = math.ldexp(v_cur, -shift)
-            u_prev = math.ldexp(u_prev, -shift)
-            v_prev = math.ldexp(v_prev, -shift)
-    return SolutionPair(
-        u_cur=u_cur, u_prev=u_prev, v_cur=v_cur, v_prev=v_prev,
-        scale_exp=pair.scale_exp + shift, n=pair.n + 1,
-    )
-
-
 def sheared_rotation(x: float, k: float) -> np.ndarray:
     """((1, x), (0, 1)) @ rotation(k): the step in the polar frame."""
     ck, sk = math.cos(k), math.sin(k)
@@ -160,9 +119,6 @@ class PrueferState:
     theta: float
     log_r: float = 0.0
     n: int = 0
-
-    def theta_bar(self, k: float) -> float:
-        return self.theta + k
 
 
 def pruefer_step(state: PrueferState, x: float, k: float) -> PrueferState:
@@ -246,8 +202,8 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
 
 
 def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
-                  columns, seed: int, domain: int, *, block: int = BLOCK,
-                  reverse: bool = False, with_w: bool = False):
+                  columns, seed: int, domain: int, *, reverse: bool = False,
+                  with_w: bool = False):
     """Yield ``(n0, n1, A, W)`` for each block of shells n0 <= n < n1.
 
     ``columns`` lists ``(E, cell, trial)``; column j of the fresh (n1 - n0,
@@ -257,15 +213,18 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     columns share the call or on the direction: ``reverse`` yields the same
     blocks last to first.  W holds the squared shell-vector norms
     a^2 * mean(1/(E - lam*v)^2) when ``with_w`` is set and is None
-    otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.
+    otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
+    complex when an energy is (the m-function's spectral parameter z).
     """
-    energies = np.array([E for E, _, _ in columns], dtype=np.float64)
-    nblocks = (N + block - 1) // block
+    energies = [E for E, _, _ in columns]
+    dtype = np.result_type(float, *energies)
+    energies = np.array(energies, dtype=dtype)
+    nblocks = (N + BLOCK - 1) // BLOCK
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
-        n0 = b * block
-        n1 = min(N, n0 + block)
+        n0 = b * BLOCK
+        n1 = min(N, n0 + BLOCK)
         sizes = law.sizes_block(n0, n1)
-        A = np.empty((n1 - n0, len(columns)))
+        A = np.empty((n1 - n0, len(columns)), dtype=dtype)
         W = np.empty_like(A) if with_w else None
         if lam == 0.0:
             A[:] = energies
@@ -281,25 +240,38 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         yield n0, n1, A, W
 
 
-def checkpoints_geometric(N: int, count: int = 192) -> np.ndarray:
+def _rescale_stride(A) -> int:
+    """Shells between rescale checks of the raw passes over the block A.
+
+    The largest power of two up to _MAX_STRIDE whose growth bound
+    (1 + max|a|)^stride stays within 2^(RESCALE_EXP/2).  Every stride
+    divides BLOCK, so each block ends on a check.
+    """
+    growth = math.log2(1.0 + float(np.abs(A).max()))
+    stride = _MAX_STRIDE
+    while stride > 1 and stride * growth > RESCALE_EXP / 2:
+        stride //= 2
+    return stride
+
+
+def checkpoints_geometric(N: int) -> np.ndarray:
     """Geometrically spaced shell indices in [1, N], always including N."""
     if N < 1:
         raise DomainError("need N >= 1")
-    return np.unique(np.rint(np.geomspace(1.0, float(N), count)).astype(np.int64))
+    return np.unique(np.rint(np.geomspace(1.0, float(N), CHECKPOINTS)).astype(np.int64))
 
 
-def _checkpoint_sum_inv(law: GrowthLaw, cps: np.ndarray, block: int = BLOCK) -> np.ndarray:
+def _checkpoint_sum_inv(law: GrowthLaw, cps: np.ndarray) -> np.ndarray:
     """sum_{j < c} 1/s_j for each checkpoint c (the shells applied so far)."""
     out = np.empty(len(cps))
     N = int(cps[-1])
     total = 0.0
-    for n0 in range(0, N, block):
-        n1 = min(N, n0 + block)
+    for n0 in range(0, N, BLOCK):
+        n1 = min(N, n0 + BLOCK)
         csum = total + np.cumsum(1.0 / law.sizes_block(n0, n1))
         lo = np.searchsorted(cps, n0 + 1, side="left")
         hi = np.searchsorted(cps, n1, side="right")
-        for pos in range(lo, hi):
-            out[pos] = csum[int(cps[pos]) - n0 - 1]
+        out[lo:hi] = csum[cps[lo:hi] - n0 - 1]
         total = float(csum[-1])
     return out
 
@@ -335,14 +307,13 @@ class TrajectoryRecord:
         return self.final_log_r / self.final_sum_inv
 
 
-def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell, *, block=BLOCK,
-                        checkpoint_count=192):
+def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
     """Polar recursion for lyapunov_batch, vectorized across trials."""
     E, lam = eff.E, eff.lam
     h, k, sink = eff.h, eff.k, eff.sin_k
     T = len(trial_ids)
-    cps = checkpoints_geometric(N, checkpoint_count)
-    cp_suminv = _checkpoint_sum_inv(law, cps, block)
+    cps = checkpoints_geometric(N)
+    cp_suminv = _checkpoint_sum_inv(law, cps)
     cp_logr = np.empty((len(cps), T))
     cp_pos = 0
     ck, sk = math.cos(k), math.sin(k)
@@ -352,8 +323,7 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell, *, block=BLOCK
     a_min = np.full(T, math.inf)
     a_max = np.full(T, -math.inf)
     columns = [(E, cell, trial) for trial in trial_ids]
-    for n0, _, X, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY,
-                                     block=block):
+    for n0, _, X, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
         # shears in place of the entries: x = (a - h) / sin k
         X -= h
         X /= sink
@@ -384,16 +354,14 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell, *, block=BLOCK
 
 
 def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: float,
-                   N: int, trial_ids, seed: int, cell: int = 0, *,
-                   checkpoint_count: int = 192, block: int = BLOCK) -> list[TrajectoryRecord]:
+                   N: int, trial_ids, seed: int, cell: int = 0) -> list[TrajectoryRecord]:
     """Forward trajectories for a set of trial ids with keyed streams.
 
     Per-trial draws are identical however trials are grouped, which keeps
     sweep outputs independent of scheduling.
     """
     eff = effective_quantities(dist, E, lam)
-    return _forward_polar_pass(dist, law, eff, N, list(trial_ids), seed, cell,
-                               block=block, checkpoint_count=checkpoint_count)
+    return _forward_polar_pass(dist, law, eff, N, list(trial_ids), seed, cell)
 
 
 def lyapunov_estimate(records) -> tuple[float, float]:
@@ -458,14 +426,14 @@ def _chol_rank1_update(l11, l21, l22, x1, x2):
     return r, l21n, np.hypot(l22, x2n)
 
 
-def _rescale_where(arrays, exps, threshold=RESCALE_EXP):
-    """Divide each column by 2^e where its magnitude exponent exceeds the
-    threshold; accumulate e into ``exps`` (int64, modified in place)."""
+def _rescale_where(arrays, exps):
+    """Divide each column by 2^e where its magnitude exponent e exceeds
+    RESCALE_EXP; accumulate e into ``exps`` (int64, modified in place)."""
     m = np.abs(arrays[0])
     for arr in arrays[1:]:
         np.maximum(m, np.abs(arr), out=m)
     ex = np.frexp(m)[1].astype(np.int64)
-    sh = np.where(ex > threshold, ex, 0)
+    sh = np.where(ex > RESCALE_EXP, ex, 0)
     if sh.any():
         f = np.ldexp(1.0, -sh)
         for arr in arrays:
@@ -476,8 +444,7 @@ def _rescale_where(arrays, exps, threshold=RESCALE_EXP):
 
 def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: float,
                       N: int, trial_ids, seed: int, cell: int = 0, *,
-                      checkpoint_count: int = 192, block: int = BLOCK,
-                      with_gram: bool = True, grid_angles: int = 64) -> list[SubordinacyRecord]:
+                      with_gram: bool = True) -> list[SubordinacyRecord]:
     """Two-pass subordinacy diagnostics on shared randomness.
 
     Forward: evolve the fundamental pair (u: 1, 0 and v: 0, 1 seeds),
@@ -490,14 +457,14 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     eff = effective_quantities(dist, E, lam)
     trial_ids = list(trial_ids)
     T = len(trial_ids)
-    cps = checkpoints_geometric(N, checkpoint_count)
+    cps = checkpoints_geometric(N)
     cp_index = {int(n): i for i, n in enumerate(cps)}
     ncp = len(cps)
-    cp_suminv = _checkpoint_sum_inv(law, cps, block)
+    cp_suminv = _checkpoint_sum_inv(law, cps)
     columns = [(E, cell, trial) for trial in trial_ids]
     cp_logmax = np.full((ncp, T), math.nan)
     cp_ratio_grid = np.full((ncp, T), math.nan)
-    angles = np.linspace(0.0, math.pi, grid_angles, endpoint=False)
+    angles = np.linspace(0.0, math.pi, GRID_ANGLES, endpoint=False)
     cth = np.cos(angles)[:, None]
     sth = np.sin(angles)[:, None]
 
@@ -508,7 +475,8 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         l11 = np.zeros(T); l21 = np.zeros(T); l22 = np.zeros(T)
         gram_exp = np.zeros(T, dtype=np.int64)
         for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
-                                          block=block, with_w=True):
+                                          with_w=True):
+            stride = _rescale_stride(A)
             for n_applied, ai, wi in zip(range(n0 + 1, n1 + 1), A, W):
                 # Gram gains the current direction (u_n, v_n), then the pair
                 # advances; a checkpoint at c therefore covers shells < c
@@ -518,10 +486,10 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
                     l11, l21, l22, sw * u_cur * unit, sw * v_cur * unit)
                 u_cur, u_prev = ai * u_cur - u_prev, u_cur
                 v_cur, v_prev = ai * v_cur - v_prev, v_cur
-                if (n_applied & 63) == 0 or n_applied == n1:
+                ci = cp_index.get(n_applied)
+                if n_applied % stride == 0 or ci is not None:
                     pair_exp = _rescale_where([u_cur, u_prev, v_cur, v_prev], pair_exp)
                     gram_exp = _rescale_where([l11, l21, l22], gram_exp)
-                ci = cp_index.get(n_applied)
                 if ci is not None:
                     g11 = l11 * l11
                     g12 = l11 * l21
@@ -548,7 +516,8 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     back_exp = np.zeros(T, dtype=np.int64)
     sfx = np.zeros(T)    # suffix sum in units 2^(2 back_exp)
     for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
-                                      block=block, reverse=True, with_w=True):
+                                      reverse=True, with_w=True):
+        stride = _rescale_stride(A)
         for m, ai, wi in zip(range(n1 - 1, n0 - 1, -1), A[::-1], W[::-1]):
             ci = cp_index.get(m + 1)
             if ci is not None:
@@ -559,7 +528,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
                     cp_logsfx[ci] = np.log(sfx) + 2.0 * back_exp * LN2
             sfx += wi * w_mid * w_mid
             w_hi, w_mid = w_mid, ai * w_mid - w_hi
-            if (m & 63) == 0:
+            if m % stride == 0:
                 old = back_exp.copy()
                 back_exp = _rescale_where([w_hi, w_mid], back_exp)
                 sfx = np.ldexp(sfx, 2 * (old - back_exp))
@@ -591,8 +560,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
 
 def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
                              trials: int, seed: int, halfwidth: float, *,
-                             energy_ids=None, window_start: int | None = None,
-                             block: int = BLOCK) -> np.ndarray:
+                             energy_ids=None) -> np.ndarray:
     """Window average of 1/(u_n^2 + u_{n-1}^2) for the Dirichlet solution.
 
     For each grid energy the trials are spread over midpoint offsets in
@@ -601,8 +569,7 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     mollification (at isolated resonant phases, such as the free case at
     E = 1 where the transfer phase is pi/3, the unmollified time average has
     a genuinely different limit).  Returns the mean over the window
-    [window_start, N] and over trials, one value per energy, not yet divided
-    by pi.
+    [N/2, N] and over trials, one value per energy, not yet divided by pi.
     """
     energies = np.asarray(energies, dtype=np.float64)
     if trials < 1:
@@ -619,15 +586,15 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     col_exp = np.zeros(ncol, dtype=np.int64)
     acc = np.zeros(ncol)
     count = 0
-    w0 = N // 2 if window_start is None else window_start
-    for n0, _, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY,
-                                     block=block):
+    w0 = N // 2
+    for n0, _, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY):
+        stride = _rescale_stride(A)
         for n, a_row in enumerate(A, n0 + 1):
             u, p = a_row * u - p, u
             if n >= w0:
                 acc += np.ldexp(1.0 / (u * u + p * p), -2 * col_exp)
                 count += 1
-            if n & 63 == 0:
+            if n % stride == 0:
                 col_exp = _rescale_where([u, p], col_exp)
     if count == 0:
         raise DomainError("empty averaging window")
@@ -652,36 +619,34 @@ class WeylPoint:
 
 def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution | None = None,
                lam: float = 0.0, law: GrowthLaw | None = None,
-               stream: np.random.Generator | None = None) -> WeylPoint:
+               seed: int | None = None) -> WeylPoint:
     """m = (beta*v_N + v_{N+1}) / (beta*u_N + u_{N+1}) from the fundamental
     complex solution pair; the common power-of-two rescale cancels in the
-    ratio.  Herglotz: Im z > 0 forces Im m > 0."""
+    ratio.  Herglotz: Im z > 0 forces Im m > 0.  Random shells (``dist``
+    with lam != 0) draw from the streams keyed (seed, DOMAIN_WEYL, 0, 0,
+    block)."""
     z = complex(z)
     if z.imag < 0.0:
         raise DomainError("need Im z >= 0", reason="z")
-    random_shells = dist is not None and lam != 0.0
-    if random_shells and stream is None:
-        raise DomainError("random potentials need a stream", reason="stream")
+    if lam != 0.0 and (dist is None or seed is None):
+        raise DomainError("random potentials need a dist and a seed", reason="seed")
     if law is None:
         law = GrowthLaw.uniform_power(1.0, 1.0)
     u_cur, u_prev = 1.0 + 0.0j, 0.0 + 0.0j   # (u_0, u_{-1})
     v_cur, v_prev = 0.0 + 0.0j, 1.0 + 0.0j
-    for n in range(N + 1):
-        if random_shells:
-            v = sample(dist, stream, size=law.size(n))
-            mean_inv = complex(np.mean(1.0 / (z - lam * v)))
-            if mean_inv == 0.0:
-                raise SingularShellError("shell inverse mean is zero", shell=n)
-            a = 1.0 / mean_inv
-        else:
-            a = z
-        u_cur, u_prev = a * u_cur - u_prev, u_cur
-        v_cur, v_prev = a * v_cur - v_prev, v_cur
-        m = max(abs(u_cur), abs(v_cur), abs(u_prev), abs(v_prev))
-        if m > 0.0 and math.frexp(m)[1] > RESCALE_EXP:
-            f = math.ldexp(1.0, -math.frexp(m)[1])
-            u_cur *= f; u_prev *= f; v_cur *= f; v_prev *= f
-    num = beta * v_prev + v_cur   # after the loop *_prev sits at N, *_cur at N+1
+    exps = np.zeros(1, dtype=np.int64)
+    for n0, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
+        stride = _rescale_stride(A)
+        # Python complex steps: numpy's complex product rounds differently
+        for n, a in enumerate(A[:, 0].tolist(), n0 + 1):
+            u_cur, u_prev = a * u_cur - u_prev, u_cur
+            v_cur, v_prev = a * v_cur - v_prev, v_cur
+            if n % stride == 0:
+                pair = np.array([[u_cur], [u_prev], [v_cur], [v_prev]])
+                _rescale_where(list(pair), exps)
+                u_cur, u_prev, v_cur, v_prev = pair[:, 0].tolist()
+    # after the loop *_prev sits at N, *_cur at N+1
+    num = beta * v_prev + v_cur
     den = beta * u_prev + u_cur
     if den == 0.0:
         raise DegenerateDenominatorError(f"boundary denominator vanished at z = {z}")
@@ -692,7 +657,7 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
 # determinant drift of long products
 # ---------------------------------------------------------------------------
 
-def wronskian_drift(k: float, n_steps: int, seed: int, x_bound: float = 1.0) -> float:
+def wronskian_drift(k: float, n_steps: int, seed: int) -> float:
     """Worst accumulated log|det| of a random transfer product, in QR form.
 
     Every exact step has determinant one.  The raw cross-difference of two
@@ -700,7 +665,8 @@ def wronskian_drift(k: float, n_steps: int, seed: int, x_bound: float = 1.0) -> 
     hyperbolic, so the determinant residue is tracked on the QR factor,
     where it is a product of triangular diagonals: per step B = T Q has
     |det B| = 1 and its Givens factorization exposes log|det| = log(r * r22)
-    stably.  Returns max over the run of |sum of per-step log dets|.
+    stably.  The shears x are uniform in [-DRIFT_X_BOUND, DRIFT_X_BOUND].
+    Returns max over the run of |sum of per-step log dets|.
     """
     gen = seed_stream(seed, DOMAIN_DRIFT, 0, 0, 0)
     q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
@@ -712,7 +678,7 @@ def wronskian_drift(k: float, n_steps: int, seed: int, x_bound: float = 1.0) -> 
     done = 0
     while done < n_steps:
         mlen = min(chunk, n_steps - done)
-        xs = gen.uniform(-x_bound, x_bound, size=mlen)
+        xs = gen.uniform(-DRIFT_X_BOUND, DRIFT_X_BOUND, size=mlen)
         for x in xs:
             a = ck2 + x * sk
             b00 = a * q00 - q10

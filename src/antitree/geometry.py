@@ -89,29 +89,6 @@ class GrowthLaw:
         return s
 
 
-@dataclass(frozen=True)
-class ShellSequence:
-    """Materialized shell data: sizes s_n, volumes b_n, edge weights."""
-
-    sizes: np.ndarray    # int64, length N+1
-    volumes: np.ndarray  # int64 running sums
-    weights: np.ndarray  # float64, weights[n] = 1/sqrt(s_n s_{n+1}), length N
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-
-def shell_sizes(law: GrowthLaw, N: int) -> ShellSequence:
-    """Generate the first N+1 shells of a growth law with volumes and weights."""
-    if N < 0:
-        raise InvalidLawError("N must be >= 0")
-    sizes = law.sizes_block(0, N + 1).astype(np.int64)
-    volumes = np.cumsum(sizes)
-    sf = sizes.astype(np.float64)
-    weights = 1.0 / np.sqrt(sf[:-1] * sf[1:])
-    return ShellSequence(sizes=sizes, volumes=volumes, weights=weights)
-
-
 def load_custom_sizes(path) -> GrowthLaw:
     """Read a custom shell sequence: one positive integer per line."""
     sizes = []

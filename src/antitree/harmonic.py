@@ -29,6 +29,7 @@ from .potentials import (
     PotentialDistribution,
     inverse_moment,
     inverse_moment_quadrature,
+    sample,
     second_inverse_moment,
 )
 from .streams import DOMAIN_MOMENT, seed_stream
@@ -67,10 +68,8 @@ def _sign_region(dist: PotentialDistribution, E: float, lam: float) -> float:
         return 1.0
     if E < lam * dist.v_minus:
         return -1.0
-    if dist.is_discrete and all(E != lam * v for v, _ in dist.atoms):
-        raise DomainError("E inside the support hull: X changes sign",
-                          reason="inside_support")
-    raise DomainError("E inside the scaled support", reason="inside_support")
+    raise DomainError("E inside the scaled support hull: X changes sign",
+                      reason="inside_support")
 
 
 def moment_bounds(dist: PotentialDistribution, E: float, lam: float, n: int) -> MomentBounds:
@@ -192,8 +191,9 @@ def _jackknife(values: np.ndarray, block: int = 100) -> tuple[float, float]:
 
 
 def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
-               trials: int, seed: int, *, exact_if_feasible: bool = True) -> MomentReport:
-    """Sample `trials` harmonic means of size n and report centered moments."""
+               trials: int, seed: int) -> MomentReport:
+    """Sample `trials` harmonic means of size n and report centered moments,
+    with exact moments when the enumeration guard allows."""
     if trials < 10 ** 3:
         raise DomainError("need at least 1000 trials")
     bounds = moment_bounds(dist, E, lam, n)
@@ -207,17 +207,16 @@ def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
     else:
         M = np.empty(trials)
         chunk = max(1, (4 << 20) // max(1, n))
-        from .potentials import sample as draw
         for t0 in range(0, trials, chunk):
             t1 = min(trials, t0 + chunk)
-            v = draw(dist, gen, size=(t1 - t0, n))
+            v = sample(dist, gen, size=(t1 - t0, n))
             M[t0:t1] = n / np.sum(1.0 / (E - lam * v), axis=1)
     dev = M - h
     m1, se1 = _jackknife(dev)
     m2, se2 = _jackknife(dev * dev)
     m3, se3 = _jackknife(dev ** 3)
     exact = None
-    if exact_if_feasible and dist.is_discrete and len(dist.atoms) ** n <= _ENUM_GUARD:
+    if dist.is_discrete and len(dist.atoms) ** n <= _ENUM_GUARD:
         exact = enumerate_moments(dist, E, lam, n)
     flags = {
         "first_moment_positive": bounds.sign * m1 > 0.0,

@@ -32,7 +32,7 @@ from .engine import dirichlet_window_average, lyapunov_batch
 from .geometry import GrowthLaw, load_custom_sizes, zd_brute_force, zd_printed_variant_count, zd_shell_counts
 from .harmonic import mc_moments
 from .potentials import PotentialDistribution, effective_quantities, i_lambda, j_lambda
-from .spectral import classify, essential_spectrum, free_density_theory
+from .spectral import classify, essential_spectrum, free_density_theory, grid_halfwidth
 
 _TRIAL_CHUNK = 32
 _HARMONIC_LADDER = (2, 4, 8, 100, 1000, 10000)
@@ -84,6 +84,13 @@ def build_growth(block: dict, base_dir: Path) -> GrowthLaw:
         raise ConfigError(f"bad growth law: {exc}") from exc
 
 
+def _whole(value, what: str) -> int:
+    """An integer config value; integral floats such as JSON 1e6 count."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def normalize_config(cfg: dict, *, experiment: str | None = None,
                      seed: int | None = None, out_dir: str | None = None) -> dict:
     """Validate, apply CLI overrides, and return the canonical config dict."""
@@ -102,9 +109,9 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
     lam = cfg.get("lambda", 1.0)
     try:
         lambdas = [float(x) for x in (lam if isinstance(lam, (list, tuple)) else [lam])]
-        N = int(cfg.get("N", 1000))
-        trials = int(cfg.get("trials", 1))
-        seed_val = int(cfg.get("seed", 0))
+        N = _whole(cfg.get("N", 1000), "N")
+        trials = _whole(cfg.get("trials", 1), "trials")
+        seed_val = _whole(cfg.get("seed", 0), "seed")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"lambda, N, trials and seed must be numbers: {exc}") from exc
     if not lambdas:
@@ -115,7 +122,7 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
     energy = cfg.get("energy", {"min": 0.0, "max": 0.0, "steps": 1})
     try:
         e_min, e_max = float(energy["min"]), float(energy["max"])
-        steps = int(energy.get("steps", 1))
+        steps = _whole(energy.get("steps", 1), "energy.steps")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad energy grid: {exc}") from exc
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -236,7 +243,7 @@ def _density_cells(cfg: dict, base_dir: Path):
         raise ConfigError("density experiment takes a single lambda")
     law = build_growth(cfg["growth"], base_dir)
     energies = energy_grid(cfg)
-    halfwidth = 0.5 * float(np.min(np.diff(energies))) if len(energies) >= 2 else 0.02
+    halfwidth = grid_halfwidth(energies)
     return [(f"E={E}", [{"law": law, "E": float(E), "lam": cfg["lambda"][0], "N": cfg["N"],
                          "trials": cfg["trials"], "seed": cfg["seed"], "halfwidth": halfwidth}])
             for E in energies]

@@ -62,6 +62,14 @@ def free_density_theory(E: float) -> float:
     return math.sqrt(4.0 - E * E) / (2.0 * math.pi)
 
 
+def grid_halfwidth(grid) -> float:
+    """Default energy mollification: half the smallest spacing of a sorted
+    grid, or 0.02 for a single energy."""
+    if len(grid) >= 2:
+        return 0.5 * float(np.min(np.diff(grid)))
+    return 0.02
+
+
 def density_estimate(dist: PotentialDistribution, lam: float, law: GrowthLaw,
                      grid, N: int, trials: int, seed: int, *,
                      halfwidth: float | None = None) -> DensityEstimate:
@@ -77,10 +85,7 @@ def density_estimate(dist: PotentialDistribution, lam: float, law: GrowthLaw,
     if N < 10 ** 3:
         raise DomainError("density estimate needs N >= 1000")
     if halfwidth is None:
-        if len(grid) >= 2:
-            halfwidth = 0.5 * float(np.min(np.diff(grid)))
-        else:
-            halfwidth = 0.02
+        halfwidth = grid_halfwidth(grid)
     vals = dirichlet_window_average(dist, lam, law, grid, N, trials, seed, halfwidth)
     return DensityEstimate(energies=grid, rho_hat=vals / math.pi,
                            n_range=(N // 2, N), trials=trials)

@@ -17,6 +17,7 @@ import numpy as np
 DOMAIN_TRAJECTORY = 1
 DOMAIN_SUBORDINACY = 2
 DOMAIN_DENSITY = 3
+DOMAIN_WEYL = 4
 DOMAIN_MOMENT = 5
 DOMAIN_DRIFT = 0xD
 

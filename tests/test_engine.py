@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from antitree import (
+    AntitreeError,
     DegenerateDenominatorError,
     DomainError,
     GrowthLaw,
@@ -13,10 +16,10 @@ from antitree import (
     PotentialDistribution,
     PrueferState,
     SingularShellError,
-    SolutionPair,
     TrajectoryRecord,
     effective_quantities,
     harmonic_a,
+    i_lambda,
     lyapunov_batch,
     lyapunov_estimate,
     m_function,
@@ -24,7 +27,6 @@ from antitree import (
     psi_norm_sq,
     seed_stream,
     subordinacy_batch,
-    transfer_step,
     wronskian_drift,
 )
 import antitree.engine as eng
@@ -84,39 +86,8 @@ def test_sampled_entries_stay_in_band():
 
 
 # ---------------------------------------------------------------------------
-# solution pairs
+# determinant invariant
 # ---------------------------------------------------------------------------
-
-def test_transfer_step_identity_columns():
-    pair = transfer_step(SolutionPair(), 2.0)
-    assert (pair.u_cur, pair.u_prev) == (2.0, 1.0)
-    assert (pair.v_cur, pair.v_prev) == (-1.0, 0.0)
-
-
-def test_transfer_step_quarter_rotation():
-    pair = transfer_step(SolutionPair(), 0.0)
-    assert (pair.u_cur, pair.u_prev) == (0.0, 1.0)
-    assert (pair.v_cur, pair.v_prev) == (-1.0, 0.0)
-
-
-def test_wronskian_preserved_at_shallow_depth():
-    gen = seed_stream(11, 0)
-    pair = SolutionPair()
-    for _ in range(150):
-        a = EFF.h + gen.uniform(-0.3, 0.3)
-        pair = transfer_step(pair, a)
-    assert pair.wronskian() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_rescaling_keeps_entries_bounded():
-    pair = SolutionPair()
-    for _ in range(1500):
-        pair = transfer_step(pair, 3.0)
-    assert pair.scale_exp > 0
-    bound = math.ldexp(1.0, eng.RESCALE_EXP + 4)
-    assert max(abs(pair.u_cur), abs(pair.v_cur)) < bound
-    assert pair.log_scale > 0.0
-
 
 def test_determinant_drift_long_product():
     assert wronskian_drift(EFF.k, 10 ** 5, seed=2) < 1e-10
@@ -228,17 +199,19 @@ def test_trajectories_deterministic_and_chunk_invariant():
 def test_shell_blocks_reverse_is_forward_reversed():
     law = GrowthLaw.uniform_power(1.5, 1.0)
     columns = [(2.0, 0, 0), (2.0, 0, 1), (2.0, 4, 0)]
-    fwd = list(eng._shell_blocks(BERN, law, 1.0, 200, columns, 9, 2, block=64, with_w=True))
-    bwd = list(eng._shell_blocks(BERN, law, 1.0, 200, columns, 9, 2, block=64, with_w=True,
+    blk = eng.BLOCK
+    N = 2 * blk + 200
+    fwd = list(eng._shell_blocks(BERN, law, 1.0, N, columns, 9, 2, with_w=True))
+    bwd = list(eng._shell_blocks(BERN, law, 1.0, N, columns, 9, 2, with_w=True,
                                  reverse=True))
-    assert [(n0, n1) for n0, n1, _, _ in fwd] == [(0, 64), (64, 128), (128, 192), (192, 200)]
+    assert [(n0, n1) for n0, n1, _, _ in fwd] == [(0, blk), (blk, 2 * blk), (2 * blk, N)]
     assert len(bwd) == len(fwd)
     for (n0, n1, A, W), (m0, m1, B, V) in zip(fwd, reversed(bwd)):
         assert (n0, n1) == (m0, m1)
         assert np.array_equal(A, B) and np.array_equal(W, V)
     # lam = 0 draws nothing: the entries are the energies themselves
-    for _, _, A, W in eng._shell_blocks(BERN, law, 0.0, 200, [(-1.71, 0, 0)], 9, 2,
-                                        block=64, with_w=True):
+    for _, _, A, W in eng._shell_blocks(BERN, law, 0.0, N, [(-1.71, 0, 0)], 9, 2,
+                                        with_w=True):
         assert np.all(A == -1.71) and np.all(W == 1.0)
 
 
@@ -359,11 +332,53 @@ def test_density_split_over_energies_is_bit_identical():
     assert np.array_equal(joint, single)
 
 
+SUB_FIELDS = ("log_ratio", "log_ratio_grid", "log_sub", "log_dom")
+
+
+@pytest.mark.parametrize("E, lam, N", [(2.0, 1.0, 3000), (10.5, 10.0, 20000),
+                                       (10000.5, 1e4, 3000)])
+def test_subordinacy_stays_finite_where_raw_pairs_grow_fast(E, lam, N):
+    # d = 1 keeps every shell a single site, so |a| reaches E + lam and the
+    # raw pairs grow by up to a factor 1 + |a| per shell
+    law = GrowthLaw.uniform_power(1.0, 1.0)
+    for rec in subordinacy_batch(BERN, law, E, lam, N, range(4), seed=7):
+        for field in SUB_FIELDS:
+            assert np.isfinite(getattr(rec, field)).all(), field
+
+
+LAWS = {"bernoulli": BERN, "uniform": PotentialDistribution.uniform(),
+        "triangular": PotentialDistribution.triangular()}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(law_name=st.sampled_from(sorted(LAWS)), lam=st.floats(0.05, 1e4),
+       where=st.floats(0.01, 0.99), piece=st.integers(0, 1),
+       d=st.floats(1.0, 1.5), C=st.floats(0.5, 3.0))
+def test_records_are_finite_or_typed_errors_across_the_domain(law_name, lam, where, piece,
+                                                               d, C):
+    dist = LAWS[law_name]
+    pieces = i_lambda(dist, lam).intervals
+    assume(pieces)
+    iv = pieces[piece % len(pieces)]
+    E = iv.lo + where * (iv.hi - iv.lo)
+    law = GrowthLaw.uniform_power(d, C)
+    try:
+        lyap = lyapunov_batch(dist, law, E, lam, 3000, range(2), seed=3)
+        sub = subordinacy_batch(dist, law, E, lam, 3000, range(2), seed=3)
+    except AntitreeError:
+        return
+    for rec in lyap:
+        assert np.isfinite(rec.log_r).all()
+    for rec in sub:
+        for field in SUB_FIELDS:
+            assert np.isfinite(getattr(rec, field)).all(), field
+
+
 def test_gram_ratio_matches_dense_eigensolve_at_small_depth():
     law = GrowthLaw.uniform_power(1.5, 1.0)
     N = 300
-    rec = subordinacy_batch(BERN, law, 2.0, 1.0, N, [0], seed=11,
-                            checkpoint_count=40)[0]
+    rec = subordinacy_batch(BERN, law, 2.0, 1.0, N, [0], seed=11)[0]
     sizes = law.sizes_block(0, N)
     gen = seed_stream(11, 2, 0, 0, 0)  # domain=2 (subordinacy)
     m1, m2 = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen)
@@ -405,11 +420,15 @@ def test_m_function_boundary_limit_density():
 
 def test_m_function_is_herglotz_with_randomness():
     law = GrowthLaw.uniform_power(2.0, 1.0)
-    gen = seed_stream(5, 9)
     for z in (0.5 + 0.2j, -1.0 + 1.0j, 2.2 + 0.01j, 1j):
         for beta in (0.0, 3.0, -1.0):
-            w = m_function(z, 300, beta, dist=BERN, lam=1.0, law=law, stream=gen)
+            w = m_function(z, 300, beta, dist=BERN, lam=1.0, law=law, seed=5)
             assert w.m.imag > 0.0
+    # random shells need both a distribution and a seed
+    with pytest.raises(DomainError):
+        m_function(1j, 10, 0.0, dist=BERN, lam=1.0)
+    with pytest.raises(DomainError):
+        m_function(1j, 10, 0.0, lam=1.0, seed=5)
 
 
 def test_m_function_degenerate_denominator():

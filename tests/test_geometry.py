@@ -10,7 +10,6 @@ from antitree import (
     InvalidLawError,
     SizeLimitError,
     load_custom_sizes,
-    shell_sizes,
     zd_brute_force,
     zd_hopping,
     zd_shell_counts,
@@ -23,10 +22,10 @@ from antitree.geometry import zd_edge_count, zd_printed_variant_count
 # ---------------------------------------------------------------------------
 
 def test_uniform_power_examples():
-    assert list(shell_sizes(GrowthLaw.uniform_power(2.0, 1.0), 5).sizes) == [1, 1, 2, 3, 4, 5]
-    assert list(shell_sizes(GrowthLaw.uniform_power(3.0, 1.0), 4).sizes) == [1, 1, 4, 9, 16]
+    assert list(GrowthLaw.uniform_power(2.0, 1.0).sizes_block(0, 6)) == [1, 1, 2, 3, 4, 5]
+    assert list(GrowthLaw.uniform_power(3.0, 1.0).sizes_block(0, 5)) == [1, 1, 4, 9, 16]
     # half-line: every shell is a single vertex
-    assert list(shell_sizes(GrowthLaw.uniform_power(1.0, 1.0), 3).sizes) == [1, 1, 1, 1]
+    assert list(GrowthLaw.uniform_power(1.0, 1.0).sizes_block(0, 4)) == [1, 1, 1, 1]
 
 
 def test_rounding_half_away_from_zero():
@@ -36,20 +35,12 @@ def test_rounding_half_away_from_zero():
     assert law.size(0) == 1
 
 
-def test_volumes_and_weights():
-    seq = shell_sizes(GrowthLaw.uniform_power(2.5, 1.3), 200)
-    assert np.all(np.diff(seq.volumes) >= 1)
-    s = seq.sizes.astype(float)
-    norm = seq.weights ** 2 * s[:-1] * s[1:]
-    assert np.max(np.abs(norm - 1.0)) <= 1e-14
-
-
 def test_custom_law_roundtrip(tmp_path):
     path = tmp_path / "shells.txt"
     path.write_text("1\n3\n\n9\n27\n")
     law = load_custom_sizes(path)
     assert law.custom == (1, 3, 9, 27)
-    assert list(shell_sizes(law, 3).sizes) == [1, 3, 9, 27]
+    assert list(law.sizes_block(0, 4)) == [1, 3, 9, 27]
     bad = tmp_path / "bad.txt"
     bad.write_text("1\n0\n")
     with pytest.raises(InvalidLawError):

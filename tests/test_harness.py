@@ -63,6 +63,8 @@ def test_normalize_applies_overrides():
     assert cfg["seed"] == 7
     assert cfg["output_dir"] == "elsewhere"
     assert cfg["lambda"] == [1.0]
+    # integral floats, as JSON writes 2e3, are whole numbers
+    assert normalize_config(_config(N=2e3))["N"] == 2000
 
 
 def test_normalize_rejects_bad_input():
@@ -80,7 +82,10 @@ def test_normalize_rejects_bad_input():
     for bad in ({"N": "many"}, {"trials": None}, {"lambda": "x"}, {"seed": "s"},
                 {"lambda": [math.nan]}, {"lambda": math.inf}, {"N": math.inf},
                 {"energy": {"min": -math.inf, "max": 1.0, "steps": 1}},
-                {"energy": {"min": 0.0, "max": math.nan, "steps": 1}}):
+                {"energy": {"min": 0.0, "max": math.nan, "steps": 1}},
+                # counts are whole numbers: no silent truncation or booleans
+                {"N": 2.7}, {"trials": True}, {"seed": 1.9},
+                {"energy": {"min": 1.0, "max": 2.0, "steps": 2.5}}):
         with pytest.raises(ConfigError):
             normalize_config(_config(**bad))
 
