@@ -1,9 +1,10 @@
 """Anderson models on antitrees with normalized edge weights: a numerical lab.
 
 Effective spectral quantities of the single-site law, antitree and radial
-lattice geometry, log-scaled transfer and polar dynamics, harmonic-mean
-moment checks, spectral estimators and the dimension-driven phase
-classifier, plus a reproducible experiment harness and CLI.
+lattice geometry, transfer dynamics with the polar radius read off rescaled
+raw solution pairs (``pruefer_step`` is the scalar polar reference),
+harmonic-mean moment checks, spectral estimators and the dimension-driven
+phase classifier, plus a reproducible experiment harness and CLI.
 """
 
 __version__ = "0.1.0"

@@ -5,28 +5,28 @@ through the harmonic entry
 
     a = [ (1/s) * sum_j 1/(E - lam*v_j) ]^(-1),
 
-the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}).  Inside the
-valid energy window the step conjugates to shear times rotation,
+the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
+steps this raw pair, rescaled by exact powers of two.  With x = (a - h)/sin k
+and M = ((sin k, cos k), (0, 1)) the step conjugates to shear times rotation,
+((a, -1), (1, 0)) M = M ((1, x), (0, 1)) Rot(k), and M e_1 = sin k (u_0, u_{-1})
+for the Dirichlet solution, so its polar radius is read off the raw pair:
 
-    ((1, x), (0, 1)) * ((cos k, -sin k), (sin k, cos k)),   x = (a - h)/sin k,
+    R_n^2 = (u_n - cos k * u_{n-1})^2 + (sin k * u_{n-1})^2.
 
-which drives the polar recursion
-
-    R^2 -> R^2 * (1 + x sin(2(theta+k)) + x^2 sin^2(theta+k)),
-    cot(theta') = cot(theta+k) + x.
-
-Products over millions of shells reach hundreds of nats, so radii are
-accumulated in the log domain and raw solution pairs rescale by exact powers
-of two.  Batched drivers vectorize across trials and draw shell statistics
-from counter-based streams keyed by (seed, domain, cell, trial, block), so a
-trial's randomness is reproducible in any processing order; for discrete
-laws a shell of s draws is compressed into its multinomial atom counts, the
-sufficient statistic for the harmonic entry.  Subordinate solutions are
-extracted by backward propagation, stable because the forward-decaying
-direction dominates in reverse; weighted-norm extremes over all solution
-directions come from a rank-one updated Cholesky factor of the 2x2 Gram
-matrix, whose determinant is a product of diagonals and therefore immune to
-the cancellation that makes the raw min/max hopeless at depth.
+The polar (Pruefer) recursion R^2 -> R^2 (1 + x sin(2(theta+k)) +
+x^2 sin^2(theta+k)), cot(theta') = cot(theta+k) + x, stays as the scalar
+reference ``pruefer_step`` that tests compare against.  Radii are read in the
+log domain with the rescale exponents added back.  Batched drivers vectorize
+across trials and draw shell statistics from counter-based streams keyed by
+(seed, domain, cell, trial, block), so a trial's randomness is reproducible
+in any processing order; for discrete laws a shell of s draws is compressed
+into its multinomial atom counts, the sufficient statistic for the harmonic
+entry.  Subordinate solutions are extracted by backward propagation, stable
+because the forward-decaying direction dominates in reverse; weighted-norm
+extremes over all solution directions come from a rank-one updated Cholesky
+factor of the 2x2 Gram matrix, whose determinant is a product of diagonals
+and therefore immune to the cancellation that makes the raw min/max
+hopeless at depth.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     InsufficientTrialsError,
     SingularShellError,
+    SizeLimitError,
 )
 from .geometry import GrowthLaw
 from .potentials import PotentialDistribution, effective_quantities, sample
@@ -66,6 +67,8 @@ DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound
 # where the eigenvalue discriminant takes fourth powers of entries < 2^256.
 RESCALE_EXP = 256
 _MAX_STRIDE = 64
+_DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
+_DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +97,9 @@ def psi_norm_sq(E: float, lam: float, potentials) -> float:
     Equals a^2 * (1/s) * sum 1/(E - lam*v)^2, which is also the E-derivative
     of the harmonic entry; always >= 1 by Cauchy-Schwarz.
     """
+    a = harmonic_a(E, lam, potentials)
     x = E - lam * np.asarray(potentials, dtype=np.float64)
-    if np.any(x == 0.0):
-        raise DomainError("E - lam*v vanishes on the shell", reason="inside_support")
-    mean_inv = float(np.mean(1.0 / x))
-    if mean_inv == 0.0:
-        raise SingularShellError("shell inverse mean is zero")
-    mean_inv2 = float(np.mean(1.0 / (x * x)))
-    return mean_inv2 / (mean_inv * mean_inv)
+    return a * a * float(np.mean(1.0 / (x * x)))
 
 
 def sheared_rotation(x: float, k: float) -> np.ndarray:
@@ -118,7 +116,6 @@ def sheared_rotation(x: float, k: float) -> np.ndarray:
 class PrueferState:
     theta: float
     log_r: float = 0.0
-    n: int = 0
 
 
 def pruefer_step(state: PrueferState, x: float, k: float) -> PrueferState:
@@ -139,8 +136,7 @@ def pruefer_step(state: PrueferState, x: float, k: float) -> PrueferState:
     raw = math.atan2(s, w1)
     delta = raw - tb
     delta -= math.pi * math.ceil(delta / math.pi - 0.5)
-    return PrueferState(theta=tb + delta, log_r=state.log_r + 0.5 * math.log(growth),
-                        n=state.n + 1)
+    return PrueferState(theta=tb + delta, log_r=state.log_r + 0.5 * math.log(growth))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +173,9 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial.
 
     Discrete laws reduce to multinomial atom counts; continuous laws draw
-    every potential and segment-sum.
+    every potential and segment-sum, in chunks of whole shells of at most
+    _DRAW_CHUNK draws that continue one stream, so they reproduce one draw
+    bit for bit (a split shell would be summed in a different order).
     """
     s_int = sizes.astype(np.int64)
     if dist.is_discrete:
@@ -186,13 +184,19 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
         sum1 = counts @ r1
         sum2 = counts @ r2
     else:
-        total = int(s_int.sum())
-        v = sample(dist, gen, size=total)
-        r = 1.0 / (E - lam * v)
         ends = np.cumsum(s_int)
-        starts = ends - s_int
-        sum1 = np.add.reduceat(r, starts)
-        sum2 = np.add.reduceat(r * r, starts)
+        sum1, sum2 = [], []
+        i0 = 0
+        while i0 < len(s_int):
+            base = ends[i0] - s_int[i0]
+            i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
+            v = sample(dist, gen, size=int(ends[i1 - 1] - base))
+            r = 1.0 / (E - lam * v)
+            starts = ends[i0:i1] - s_int[i0:i1] - base
+            sum1.append(np.add.reduceat(r, starts))
+            sum2.append(np.add.reduceat(r * r, starts))
+            i0 = i1
+        sum1, sum2 = np.concatenate(sum1), np.concatenate(sum2)
     mean1 = sum1 / sizes
     mean2 = sum2 / sizes
     if np.any(mean1 == 0.0):
@@ -215,7 +219,18 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     a^2 * mean(1/(E - lam*v)^2) when ``with_w`` is set and is None
     otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
     complex when an energy is (the m-function's spectral parameter z).
+    Raises SizeLimitError before drawing when a continuous-law column would
+    exceed _DRAW_BUDGET draws or one shell _DRAW_CHUNK.
     """
+    if lam != 0.0 and not dist.is_discrete:
+        total = largest = 0.0
+        for n0 in range(0, N, BLOCK):
+            sizes = law.sizes_block(n0, min(N, n0 + BLOCK))
+            total += float(sizes.sum())
+            largest = max(largest, float(sizes.max()))
+        if total > _DRAW_BUDGET or largest > _DRAW_CHUNK:
+            raise SizeLimitError(f"{total:.0f} potential draws per trial, {largest:.0f} in "
+                                 f"one shell: over {_DRAW_BUDGET} or {_DRAW_CHUNK}")
     energies = [E for E, _, _ in columns]
     dtype = np.result_type(float, *energies)
     energies = np.array(energies, dtype=dtype)
@@ -240,14 +255,14 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         yield n0, n1, A, W
 
 
-def _rescale_stride(A) -> int:
-    """Shells between rescale checks of the raw passes over the block A.
+def _rescale_stride(a_abs_max: float) -> int:
+    """Shells between rescale checks of the raw passes over a block of |a| <= a_abs_max.
 
     The largest power of two up to _MAX_STRIDE whose growth bound
     (1 + max|a|)^stride stays within 2^(RESCALE_EXP/2).  Every stride
     divides BLOCK, so each block ends on a check.
     """
-    growth = math.log2(1.0 + float(np.abs(A).max()))
+    growth = math.log2(1.0 + a_abs_max)
     stride = _MAX_STRIDE
     while stride > 1 and stride * growth > RESCALE_EXP / 2:
         stride //= 2
@@ -255,10 +270,13 @@ def _rescale_stride(A) -> int:
 
 
 def checkpoints_geometric(N: int) -> np.ndarray:
-    """Geometrically spaced shell indices in [1, N], always including N."""
+    """Geometrically spaced shell indices in [1, N], always including N, as a
+    read-only array that every record of a batch shares."""
     if N < 1:
         raise DomainError("need N >= 1")
-    return np.unique(np.rint(np.geomspace(1.0, float(N), CHECKPOINTS)).astype(np.int64))
+    cps = np.unique(np.rint(np.geomspace(1.0, float(N), CHECKPOINTS)).astype(np.int64))
+    cps.flags.writeable = False
+    return cps
 
 
 def _checkpoint_sum_inv(law: GrowthLaw, cps: np.ndarray) -> np.ndarray:
@@ -273,6 +291,7 @@ def _checkpoint_sum_inv(law: GrowthLaw, cps: np.ndarray) -> np.ndarray:
         hi = np.searchsorted(cps, n1, side="right")
         out[lo:hi] = csum[cps[lo:hi] - n0 - 1]
         total = float(csum[-1])
+    out.flags.writeable = False   # shared by every record of a batch
     return out
 
 
@@ -299,58 +318,43 @@ class TrajectoryRecord:
         return float(self.log_r[-1])
 
     @property
-    def final_sum_inv(self) -> float:
-        return float(self.sum_inv[-1])
-
-    @property
     def slope(self) -> float:
-        return self.final_log_r / self.final_sum_inv
+        return self.final_log_r / float(self.sum_inv[-1])
 
 
 def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
-    """Polar recursion for lyapunov_batch, vectorized across trials."""
+    """Polar log-radius for lyapunov_batch, vectorized across trials: steps the
+    Dirichlet pair from (1, 0), reading log R off it at each checkpoint."""
     E, lam = eff.E, eff.lam
-    h, k, sink = eff.h, eff.k, eff.sin_k
+    ck, sk = math.cos(eff.k), math.sin(eff.k)
     T = len(trial_ids)
     cps = checkpoints_geometric(N)
+    cp_index = {int(n): i for i, n in enumerate(cps)}
     cp_suminv = _checkpoint_sum_inv(law, cps)
     cp_logr = np.empty((len(cps), T))
-    cp_pos = 0
-    ck, sk = math.cos(k), math.sin(k)
-    c = np.ones(T)
-    s = np.zeros(T)
-    log_r = np.zeros(T)
+    u = np.ones(T)
+    p = np.zeros(T)
+    exps = np.zeros(T, dtype=np.int64)
     a_min = np.full(T, math.inf)
     a_max = np.full(T, -math.inf)
     columns = [(E, cell, trial) for trial in trial_ids]
-    for n0, _, X, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
-        # shears in place of the entries: x = (a - h) / sin k
-        X -= h
-        X /= sink
-        np.minimum(a_min, h + X.min(axis=0) * sink, out=a_min)
-        np.maximum(a_max, h + X.max(axis=0) * sink, out=a_max)
-        for n, x in enumerate(X, n0 + 1):
-            crot = c * ck - s * sk
-            srot = c * sk + s * ck
-            w1 = crot + x * srot
-            growth = w1 * w1 + srot * srot
-            log_r += 0.5 * np.log(growth)
-            r = np.sqrt(growth)
-            c = w1 / r
-            s = srot / r
-            if cp_pos < len(cps) and n == cps[cp_pos]:
-                cp_logr[cp_pos] = log_r
-                cp_pos += 1
-    free = (lam == 0.0)
-    records = []
-    for t, trial in enumerate(trial_ids):
-        records.append(TrajectoryRecord(
-            E=E, lam=lam, N=N, trial=int(trial),
-            ns=cps.copy(), sum_inv=cp_suminv.copy(), log_r=cp_logr[:, t].copy(),
-            a_min=float(a_min[t]) if not free else math.nan,
-            a_max=float(a_max[t]) if not free else math.nan,
-        ))
-    return records
+    for n0, _, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
+        lo, hi = A.min(axis=0), A.max(axis=0)
+        a_min, a_max = np.minimum(a_min, lo), np.maximum(a_max, hi)
+        stride = _rescale_stride(max(hi.max(initial=0.0), -lo.min(initial=0.0)))
+        for n, a_row in enumerate(A, n0 + 1):
+            u, p = a_row * u - p, u
+            if n % stride == 0:
+                exps = _rescale_where([u, p], exps)
+            ci = cp_index.get(n)
+            if ci is not None:
+                cp_logr[ci] = np.log(np.hypot(u - ck * p, sk * p)) + exps * LN2
+    if lam == 0.0:   # the free case draws no entries
+        a_min[:] = a_max[:] = math.nan
+    return [TrajectoryRecord(E=E, lam=lam, N=N, trial=int(trial), ns=cps, sum_inv=cp_suminv,
+                             log_r=cp_logr[:, t].copy(), a_min=float(a_min[t]),
+                             a_max=float(a_max[t]))
+            for t, trial in enumerate(trial_ids)]
 
 
 def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: float,
@@ -476,7 +480,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         gram_exp = np.zeros(T, dtype=np.int64)
         for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
                                           with_w=True):
-            stride = _rescale_stride(A)
+            stride = _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0)))
             for n_applied, ai, wi in zip(range(n0 + 1, n1 + 1), A, W):
                 # Gram gains the current direction (u_n, v_n), then the pair
                 # advances; a checkpoint at c therefore covers shells < c
@@ -505,49 +509,46 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
 
     # backward pass: seed (w_N, w_{N-1}) = (0, 1), recursion
     # w_{m-1} = a_m w_m - w_{m+1} for m = N-1 .. 0.  Alongside the amplitude
-    # we accumulate the psi-weighted suffix norm sum_{k >= c} w_k^2 psi_k^2;
-    # prefixes follow from the total by a log-domain subtraction, and the
-    # final state (w_0, w_{-1}) gives the coefficients of w in the (u, v)
-    # basis for unit normalization.
+    # we accumulate the psi-weighted norm sum w_k^2 psi_k^2 of each segment
+    # between checkpoints; prefixes are log-domain sums of positive terms,
+    # which cannot cancel.  The final state (w_0, w_{-1}) gives the
+    # coefficients of w in the (u, v) basis for unit normalization.
     cp_sub = np.full((ncp, T), math.nan)
-    cp_logsfx = np.full((ncp, T), -math.inf)
+    cp_logseg = np.full((ncp, T), -math.inf)
     w_hi = np.zeros(T)   # w_{m+1}
     w_mid = np.ones(T)   # w_m
     back_exp = np.zeros(T, dtype=np.int64)
-    sfx = np.zeros(T)    # suffix sum in units 2^(2 back_exp)
+    seg = np.zeros(T)    # segment sum in units 2^(2 back_exp)
     for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
                                       reverse=True, with_w=True):
-        stride = _rescale_stride(A)
+        stride = _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0)))
         for m, ai, wi in zip(range(n1 - 1, n0 - 1, -1), A[::-1], W[::-1]):
             ci = cp_index.get(m + 1)
             if ci is not None:
                 # entering iteration m the state holds (w_{m+1}, w_m) and
-                # sfx covers exactly the shells k >= m+1
+                # seg covers the shells m+1 <= k < next checkpoint
                 with np.errstate(divide="ignore"):
                     cp_sub[ci] = 0.5 * np.log(w_hi * w_hi + w_mid * w_mid) + back_exp * LN2
-                    cp_logsfx[ci] = np.log(sfx) + 2.0 * back_exp * LN2
-            sfx += wi * w_mid * w_mid
+                    cp_logseg[ci] = np.log(seg) + 2.0 * back_exp * LN2
+                seg[:] = 0.0
+            seg += wi * w_mid * w_mid
             w_hi, w_mid = w_mid, ai * w_mid - w_hi
             if m % stride == 0:
                 old = back_exp.copy()
                 back_exp = _rescale_where([w_hi, w_mid], back_exp)
-                sfx = np.ldexp(sfx, 2 * (old - back_exp))
+                seg = np.ldexp(seg, 2 * (old - back_exp))
     with np.errstate(divide="ignore"):
-        log_total = np.log(sfx) + 2.0 * back_exp * LN2
+        log_bottom = np.log(seg) + 2.0 * back_exp * LN2   # shells k < c_0
         log_coef = np.log(w_hi * w_hi + w_mid * w_mid) + 2.0 * back_exp * LN2
-
-    # prefix(c) = total - suffix(c); stable because the backward solution is
-    # largest at small shells, so the suffix is the minor part at large c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.exp(cp_logsfx - log_total[None, :])
-        log_prefix = log_total[None, :] + np.log1p(-np.minimum(rel, 1.0))
-        cp_ratio = log_prefix - log_coef[None, :] - cp_logmax
+    # prefix(c_i) = bottom + seg_0 + ... + seg_{i-1}, with seg_i for c_i <= k < c_{i+1}
+    log_prefix = np.logaddexp.accumulate(np.vstack([log_bottom, cp_logseg[:-1]]), axis=0)
+    cp_ratio = log_prefix - log_coef[None, :] - cp_logmax
 
     records = []
     for t, trial in enumerate(trial_ids):
         records.append(SubordinacyRecord(
-            E=E, lam=lam, N=N, trial=int(trial), ns=cps.copy(),
-            sum_inv=cp_suminv.copy(), log_ratio=cp_ratio[:, t].copy(),
+            E=E, lam=lam, N=N, trial=int(trial), ns=cps,
+            sum_inv=cp_suminv, log_ratio=cp_ratio[:, t].copy(),
             log_ratio_grid=cp_ratio_grid[:, t].copy(), log_sub=cp_sub[:, t].copy(),
             log_dom=cp_logmax[:, t].copy(),
         ))
@@ -588,7 +589,7 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     count = 0
     w0 = N // 2
     for n0, _, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY):
-        stride = _rescale_stride(A)
+        stride = _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0)))
         for n, a_row in enumerate(A, n0 + 1):
             u, p = a_row * u - p, u
             if n >= w0:
@@ -626,8 +627,8 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     with lam != 0) draw from the streams keyed (seed, DOMAIN_WEYL, 0, 0,
     block)."""
     z = complex(z)
-    if z.imag < 0.0:
-        raise DomainError("need Im z >= 0", reason="z")
+    if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
     if lam != 0.0 and (dist is None or seed is None):
         raise DomainError("random potentials need a dist and a seed", reason="seed")
     if law is None:
@@ -636,7 +637,7 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     v_cur, v_prev = 0.0 + 0.0j, 1.0 + 0.0j
     exps = np.zeros(1, dtype=np.int64)
     for n0, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
-        stride = _rescale_stride(A)
+        stride = _rescale_stride(float(np.abs(A).max()))
         # Python complex steps: numpy's complex product rounds differently
         for n, a in enumerate(A[:, 0].tolist(), n0 + 1):
             u_cur, u_prev = a * u_cur - u_prev, u_cur

@@ -46,10 +46,10 @@ class GrowthLaw:
         if self.mode not in ("uniform_power", "custom"):
             raise InvalidLawError(f"unknown growth mode {self.mode!r}")
         if self.mode == "uniform_power":
-            if self.d < 1.0:
-                raise InvalidLawError(f"growth dimension d = {self.d} < 1")
-            if self.C <= 0.0:
-                raise InvalidLawError(f"growth constant C = {self.C} <= 0")
+            if not (self.d >= 1.0 and math.isfinite(self.d)):
+                raise InvalidLawError(f"growth dimension d = {self.d} is not a finite d >= 1")
+            if not (self.C > 0.0 and math.isfinite(self.C)):
+                raise InvalidLawError(f"growth constant C = {self.C} is not a finite C > 0")
         else:
             if not self.custom:
                 raise InvalidLawError("custom law needs a nonempty sequence")

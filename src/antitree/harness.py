@@ -161,8 +161,6 @@ def config_digest(cfg: dict) -> str:
 
 def energy_grid(cfg: dict) -> np.ndarray:
     e = cfg["energy"]
-    if e["steps"] == 1:
-        return np.array([e["min"]])
     return np.linspace(e["min"], e["max"], e["steps"])
 
 
@@ -467,13 +465,10 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
     out_dir = base_dir / config["output_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
     file_entries = []
-    mirror = {}
     for name in sorted(files):
         data = ("\n".join(files[name]) + "\n").encode()
         atomic_write(out_dir / name, data)
         file_entries.append({"name": name, "sha256": _sha256(data), "bytes": len(data)})
-        mirror[name] = {"header": files[name][0].split(","),
-                        "rows": [line.split(",") for line in files[name][1:]]}
 
     failed = [c for c in cells if c["status"] != "ok"]
     manifest = {
@@ -488,7 +483,6 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
         "threads": threads,
         "wall_time_s": time.monotonic() - t_start,
         "files": file_entries,
-        "data": mirror,
         "cells": cells,
         "status": "partial" if failed else "ok",
         "audit_notes": _SPECS[config["experiment"]].notes(config),

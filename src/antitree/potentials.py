@@ -164,7 +164,9 @@ def sample(dist: PotentialDistribution, rng: np.random.Generator, size=None):
 # ---------------------------------------------------------------------------
 
 def _check_outside_support(dist: PotentialDistribution, E: float, lam: float):
-    if lam < 0.0:
+    if not (math.isfinite(E) and math.isfinite(lam)):
+        raise DomainError(f"E = {E} and lam = {lam} must be finite", reason="nonfinite")
+    if not lam >= 0.0:
         raise DomainError("disorder strength must be >= 0", reason="lambda")
     if lam == 0.0:
         if E == 0.0:
@@ -258,7 +260,7 @@ def effective_quantities(dist: PotentialDistribution, E: float, lam: float) -> E
     sigma2_eff = gamma = 0, valid for |E| < 2.
     """
     if lam == 0.0:
-        if abs(E) >= 2.0:
+        if not abs(E) < 2.0:
             raise DomainError(f"|h| = |E| = {abs(E)} >= 2", reason="h_too_large")
         k = math.acos(E / 2.0)
         return EffectiveQuantities(E=E, lam=lam, h=E, sigma2_eff=0.0, gamma=0.0, k=k)
@@ -356,8 +358,8 @@ def i_lambda(dist: PotentialDistribution, lam: float) -> IntervalSet:
     moment m (strictly decreasing per component of the complement, |h| < 2
     iff |m| > 1/2) avoids the poles of h entirely.
     """
-    if lam <= 0.0:
-        raise DomainError("i_lambda needs lam > 0", reason="lambda")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise DomainError("i_lambda needs a finite lam > 0", reason="lambda")
     margin = EDGE_MARGIN * max(1.0, lam)
     out = []
 
@@ -386,8 +388,8 @@ def j_lambda(dist: PotentialDistribution, lam: float, C: float) -> IntervalSet:
     gamma diverges at the outer edges of I(lam), so J never touches them;
     crossings gamma = C/2 are located by scan plus bisection.
     """
-    if C <= 0.0:
-        raise DomainError("j_lambda needs C > 0", reason="C")
+    if not (C > 0.0 and math.isfinite(C)):
+        raise DomainError("j_lambda needs a finite C > 0", reason="C")
     window = i_lambda(dist, lam)
     half = 0.5 * C
     out = []

@@ -140,8 +140,8 @@ def _band_pieces(dist: PotentialDistribution, lam: float) -> list[Interval]:
 def essential_spectrum(dist: PotentialDistribution, lam: float) -> IntervalSet:
     """Almost-sure essential spectrum for growth beyond one dimension:
     lam*supp(law) together with the closed band region |h| <= 2."""
-    if lam <= 0.0:
-        raise DomainError("essential_spectrum needs lam > 0", reason="lambda")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise DomainError("essential_spectrum needs a finite lam > 0", reason="lambda")
     margin = 2.0 * EDGE_MARGIN * max(1.0, lam)
     raw: list[tuple[float, float]] = list(dist.support_components(lam))
     raw.extend((iv.lo, iv.hi) for iv in _band_pieces(dist, lam))
@@ -186,8 +186,8 @@ def classify(dist: PotentialDistribution, lam: float, d: float, C: float,
     outside the window report outside_I, or open_region inside the scaled
     support hull where the theory is silent.
     """
-    if d < 1.0 or C <= 0.0 or lam <= 0.0:
-        raise DomainError("need d >= 1, C > 0, lam > 0")
+    if not (d >= 1.0 and C > 0.0 and lam > 0.0 and all(map(math.isfinite, (E, lam, d, C)))):
+        raise DomainError("need finite E, d >= 1, C > 0 and lam > 0")
     try:
         eff = effective_quantities(dist, E, lam)
     except DomainError as err:

@@ -1,5 +1,7 @@
 """Shared pytest wiring: acceptance criteria summary lines."""
 
+import re
+
 # maps acceptance test basenames to the criterion they verify
 ACCEPTANCE_LABELS = {
     "test_criterion_01_closed_form_effective_quantities": "1 closed-form effective quantities",
@@ -18,7 +20,7 @@ ACCEPTANCE_LABELS = {
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    lines = []
+    results = set()
     for outcome in ("passed", "failed", "error", "skipped"):
         for rep in terminalreporter.stats.get(outcome, []):
             name = getattr(rep, "location", ("", "", ""))[2]
@@ -26,8 +28,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             if base in ACCEPTANCE_LABELS:
                 status = {"passed": "PASS", "failed": "FAIL",
                           "error": "FAIL", "skipped": "SKIP"}[outcome]
-                lines.append(f"  criterion {ACCEPTANCE_LABELS[base]}: {status}")
-    if lines:
+                results.add((ACCEPTANCE_LABELS[base], status))
+    if results:
         terminalreporter.write_sep("-", "acceptance criteria")
-        for line in sorted(set(lines)):
-            terminalreporter.write_line(line)
+        # by criterion number: 1, 2, ..., 9, 9b, 10, 11
+        for label, status in sorted(results, key=lambda r: (int(re.match(r"\d+", r[0])[0]), r)):
+            terminalreporter.write_line(f"  criterion {label}: {status}")

@@ -16,6 +16,7 @@ from antitree import (
     PotentialDistribution,
     PrueferState,
     SingularShellError,
+    SizeLimitError,
     TrajectoryRecord,
     effective_quantities,
     harmonic_a,
@@ -30,8 +31,11 @@ from antitree import (
     wronskian_drift,
 )
 import antitree.engine as eng
+from antitree.streams import DOMAIN_SUBORDINACY
 
 BERN = PotentialDistribution.bernoulli()
+UNIF = PotentialDistribution.uniform()
+TRI = PotentialDistribution.triangular()
 EFF = effective_quantities(BERN, 2.0, 1.0)
 
 
@@ -194,6 +198,39 @@ def test_trajectories_deterministic_and_chunk_invariant():
         assert np.array_equal(a.log_r, b.log_r)
     for a, b in zip(full, first + second):
         assert np.array_equal(a.log_r, b.log_r)
+
+
+def test_continuous_draws_beyond_the_budget_raise_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("potentials were drawn")
+
+    monkeypatch.setattr(eng, "sample", no_draws)
+    # about 2.3e10 potentials per trial, 2.4e9 of them in the first block
+    with pytest.raises(SizeLimitError):
+        lyapunov_batch(UNIF, GrowthLaw.uniform_power(2.5, 1.0), 2.0, 1.0, 2 * 10 ** 4, [0],
+                       seed=1)
+    # a single shell of 55 draws exceeds a chunk of 16
+    monkeypatch.setattr(eng, "_DRAW_CHUNK", 16)
+    with pytest.raises(SizeLimitError):
+        lyapunov_batch(UNIF, GrowthLaw.uniform_power(1.5, 1.0), 2.0, 1.0, 3000, [0], seed=1)
+
+
+@pytest.mark.parametrize("dist", [UNIF, TRI], ids=["uniform", "triangular"])
+def test_chunked_continuous_draws_are_bit_identical(dist, monkeypatch):
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    whole = lyapunov_batch(dist, law, 2.0, 1.0, 3000, range(2), seed=4)
+    monkeypatch.setattr(eng, "_DRAW_CHUNK", 100)   # shells reach 55 draws
+    chunked = lyapunov_batch(dist, law, 2.0, 1.0, 3000, range(2), seed=4)
+    for a, b in zip(whole, chunked, strict=True):
+        assert np.array_equal(a.log_r, b.log_r)
+        assert (a.a_min, a.a_max) == (b.a_min, b.a_max)
+
+
+def test_empty_column_sets_give_empty_results():
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    assert lyapunov_batch(BERN, law, 2.0, 1.0, 500, [], seed=1) == []
+    assert subordinacy_batch(UNIF, law, 2.0, 1.0, 500, [], seed=1) == []
+    assert eng.dirichlet_window_average(BERN, 1.0, law, [], 500, 2, 1, 0.01).shape == (0,)
 
 
 def test_shell_blocks_reverse_is_forward_reversed():
@@ -373,6 +410,34 @@ def test_records_are_finite_or_typed_errors_across_the_domain(law_name, lam, whe
     for rec in sub:
         for field in SUB_FIELDS:
             assert np.isfinite(getattr(rec, field)).all(), field
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("dist", [BERN, UNIF], ids=["bernoulli", "uniform"])
+def test_log_ratio_matches_long_double_recomputation(dist):
+    # log_ratio + log_dom = log(sum_{k < c} psi_k^2 w_k^2 / (w_0^2 + w_{-1}^2))
+    # for the backward solution w; recomputed in extended precision from the
+    # same draws, it must agree at every checkpoint, the smallest included
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    N, trials = 3000, 2
+    recs = subordinacy_batch(dist, law, 2.0, 1.0, N, range(trials), seed=5)
+    columns = [(2.0, 0, t) for t in range(trials)]
+    blocks = list(eng._shell_blocks(dist, law, 1.0, N, columns, 5, DOMAIN_SUBORDINACY,
+                                    with_w=True))
+    A = np.concatenate([b[2] for b in blocks]).astype(np.longdouble)
+    W = np.concatenate([b[3] for b in blocks]).astype(np.longdouble)
+    w_hi = np.zeros(trials, dtype=np.longdouble)
+    w_mid = np.ones(trials, dtype=np.longdouble)
+    terms = np.empty_like(W)
+    for m in range(N - 1, -1, -1):
+        terms[m] = W[m] * w_mid * w_mid
+        w_hi, w_mid = w_mid, A[m] * w_mid - w_hi
+    prefix = np.cumsum(terms, axis=0)   # row c - 1 sums the shells k < c
+    log_coef = np.log(w_hi * w_hi + w_mid * w_mid)
+    for t, rec in enumerate(recs):
+        expected = (np.log(prefix[rec.ns - 1, t]) - log_coef[t]).astype(np.float64)
+        assert np.abs(rec.log_ratio + rec.log_dom - expected).max() <= 1e-13
 
 
 def test_gram_ratio_matches_dense_eigensolve_at_small_depth():

@@ -8,12 +8,18 @@ import pytest
 from antitree import (
     DistributionError,
     DomainError,
+    GrowthLaw,
+    InvalidLawError,
     PotentialDistribution,
+    classify,
     effective_quantities,
+    essential_spectrum,
     i_lambda,
     inverse_moment,
     inverse_moment_quadrature,
     j_lambda,
+    lyapunov_batch,
+    m_function,
     sample,
     second_inverse_moment,
     seed_stream,
@@ -141,6 +147,40 @@ def test_effective_quantities_error_reasons():
     with pytest.raises(DomainError) as sup:
         effective_quantities(UNI, 0.5, 1.0)
     assert sup.value.reason == "inside_support"
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: effective_quantities(BERN, NAN, 1.0), DomainError, id="eff-E"),
+    pytest.param(lambda: effective_quantities(BERN, NAN, 0.0), DomainError, id="eff-E-free"),
+    pytest.param(lambda: effective_quantities(BERN, 2.0, NAN), DomainError, id="eff-lam"),
+    pytest.param(lambda: inverse_moment(UNI, NAN, 1.0), DomainError, id="moment-E"),
+    pytest.param(lambda: lyapunov_batch(BERN, GrowthLaw.uniform_power(1.5), NAN, 1.0, 100,
+                                        [0], seed=1), DomainError, id="lyapunov-E"),
+    pytest.param(lambda: m_function(complex(NAN, 1.0), 10, 0.0), DomainError, id="m-z"),
+    pytest.param(lambda: classify(BERN, 1.0, NAN, 1.0, 2.0), DomainError, id="classify-d"),
+    pytest.param(lambda: classify(BERN, 1.0, 2.0, NAN, 2.0), DomainError, id="classify-C"),
+    pytest.param(lambda: classify(BERN, 1.0, 2.0, 1.0, NAN), DomainError, id="classify-E"),
+    pytest.param(lambda: i_lambda(BERN, NAN), DomainError, id="i-lambda"),
+    pytest.param(lambda: j_lambda(BERN, 1.0, NAN), DomainError, id="j-C"),
+    pytest.param(lambda: essential_spectrum(BERN, NAN), DomainError, id="ess-lambda"),
+    pytest.param(lambda: GrowthLaw.uniform_power(NAN), InvalidLawError, id="law-d"),
+    pytest.param(lambda: GrowthLaw.uniform_power(1.5, NAN), InvalidLawError, id="law-C"),
+    pytest.param(lambda: GrowthLaw.uniform_power(math.inf), InvalidLawError, id="law-d-inf"),
+])
+def test_non_finite_inputs_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.xfail(strict=True, reason="sigma2_eff = m2 - m1^2 cancels at small disorder")
+def test_small_disorder_variance_matches_closed_form():
+    # two-point law: Var 1/(E - lam v) = (lam / (E^2 - lam^2))^2 exactly
+    E, lam = 1.0, 1e-4
+    exact = (lam / (E * E - lam * lam)) ** 2
+    assert effective_quantities(BERN, E, lam).sigma2_eff == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_infinite_h_in_support_gap():
