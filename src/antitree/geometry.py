@@ -220,22 +220,16 @@ def zd_brute_force(d: int, n: int) -> ZdShellData:
         raise DomainError(f"bad arguments d={d}, n={n}")
     pts = _lattice_shell(d, n)
     counts = [0] * (d + 1)
-    edges_out = 0
     for p in pts:
         counts[p.count(0)] += 1
-        for i in range(d):
-            for step in (1, -1):
-                if abs(p[i] + step) - abs(p[i]) == 1:
-                    edges_out += 1
     hop = math.nan
     if n >= 2:
         prev = _lattice_shell(d, n - 1)
-        edges_prev = 0
-        for p in prev:
-            for i in range(d):
-                for step in (1, -1):
-                    if abs(p[i] + step) - abs(p[i]) == 1:
-                        edges_prev += 1
-        hop = edges_prev / math.sqrt(float(len(pts)) * float(len(prev)))
+        hop = _out_edges(prev) / math.sqrt(float(len(pts)) * float(len(prev)))
     return ZdShellData(d=d, n=n, s_n=len(pts), by_zero_count=tuple(counts),
-                       edge_count_out=edges_out, hopping=hop)
+                       edge_count_out=_out_edges(pts), hopping=hop)
+
+
+def _out_edges(pts) -> int:
+    """Unit steps from the given points that increase the taxicab norm."""
+    return sum(1 for p in pts for x in p for step in (1, -1) if abs(x + step) - abs(x) == 1)

@@ -23,18 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _multinomial_counts
+from .engine import _shell_stats_block
 from .errors import DomainError, SizeLimitError
 from .potentials import (
     PotentialDistribution,
+    _hull_side,
+    _inverse_variance,
     inverse_moment,
     inverse_moment_quadrature,
-    sample,
     second_inverse_moment,
 )
 from .streams import DOMAIN_MOMENT, seed_stream
 
 _ENUM_GUARD = 10 ** 7
+_JACKKNIFE_BLOCK = 100   # values per leave-one-out block of the jackknife
 
 
 @dataclass(frozen=True)
@@ -61,28 +63,19 @@ class MomentBounds:
         return coeff * (self.h * self.b / self.a) ** (2 * m) / self.n ** m
 
 
-def _sign_region(dist: PotentialDistribution, E: float, lam: float) -> float:
-    if lam == 0.0:
-        return 1.0 if E > 0 else -1.0
-    if E > lam * dist.v_plus:
-        return 1.0
-    if E < lam * dist.v_minus:
-        return -1.0
-    raise DomainError("E inside the scaled support hull: X changes sign",
-                      reason="inside_support")
-
-
 def moment_bounds(dist: PotentialDistribution, E: float, lam: float, n: int) -> MomentBounds:
     """Theoretical moment envelopes for the shell harmonic mean at size n."""
     if n < 1:
         raise DomainError("need n >= 1")
-    sign = _sign_region(dist, E, lam)
+    sign = _hull_side(dist, E, lam)
+    if sign == 0.0:
+        raise DomainError("E inside the scaled support hull: X changes sign",
+                          reason="inside_support")
     lo = abs(E - lam * dist.v_plus)
     hi = abs(E - lam * dist.v_minus)
     a, b = min(lo, hi), max(lo, hi)
     m1 = inverse_moment(dist, E, lam)
-    m2 = second_inverse_moment(dist, E, lam)
-    sigma2 = max(0.0, m2 - m1 * m1)
+    sigma2 = _inverse_variance(dist, E, lam, m1)
     h = 1.0 / m1
     h2 = h * h
     return MomentBounds(
@@ -133,10 +126,9 @@ def enumerate_moments(dist: PotentialDistribution, E: float, lam: float, n: int)
     k = len(dist.atoms)
     if k ** n > _ENUM_GUARD:
         raise SizeLimitError(f"{k}^{n} outcome tuples exceed the enumeration guard")
-    _sign_region(dist, E, lam)
+    h = moment_bounds(dist, E, lam, n).h
     rates = [1.0 / (E - lam * v) for v, _ in dist.atoms]
     weights = [w for _, w in dist.atoms]
-    h = 1.0 / inverse_moment(dist, E, lam)
     acc = [0.0, 0.0, 0.0]
     for counts in _compositions(n, k):
         log_w = math.lgamma(n + 1)
@@ -176,10 +168,10 @@ class MomentReport:
     flags: dict = field(default_factory=dict)
 
 
-def _jackknife(values: np.ndarray, block: int = 100) -> tuple[float, float]:
+def _jackknife(values: np.ndarray) -> tuple[float, float]:
     """Mean and leave-one-block-out jackknife standard error."""
     T = len(values)
-    nb = max(2, T // block)
+    nb = max(2, T // _JACKKNIFE_BLOCK)
     usable = nb * (T // nb)
     blocks = values[:usable].reshape(nb, -1)
     total = blocks.sum()
@@ -193,25 +185,16 @@ def _jackknife(values: np.ndarray, block: int = 100) -> tuple[float, float]:
 def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
                trials: int, seed: int) -> MomentReport:
     """Sample `trials` harmonic means of size n and report centered moments,
-    with exact moments when the enumeration guard allows."""
+    with exact moments when the enumeration guard allows.  The shells are
+    drawn by the engine's shell sampler from the stream keyed (seed,
+    DOMAIN_MOMENT, n)."""
     if trials < 10 ** 3:
         raise DomainError("need at least 1000 trials")
     bounds = moment_bounds(dist, E, lam, n)
     h = bounds.h
-    gen = seed_stream(seed, DOMAIN_MOMENT, n)
-    if dist.is_discrete:
-        probs = np.array([w for _, w in dist.atoms])
-        rates = np.array([1.0 / (E - lam * v) for v, _ in dist.atoms])
-        counts = _multinomial_counts(gen, np.full(trials, n, dtype=np.int64), probs)
-        M = n / (counts @ rates)
-    else:
-        M = np.empty(trials)
-        chunk = max(1, (4 << 20) // max(1, n))
-        for t0 in range(0, trials, chunk):
-            t1 = min(trials, t0 + chunk)
-            v = sample(dist, gen, size=(t1 - t0, n))
-            M[t0:t1] = n / np.sum(1.0 / (E - lam * v), axis=1)
-    dev = M - h
+    mean1, _ = _shell_stats_block(dist, E, lam, np.full(trials, float(n)),
+                                  seed_stream(seed, DOMAIN_MOMENT, n))
+    dev = 1.0 / mean1 - h
     m1, se1 = _jackknife(dev)
     m2, se2 = _jackknife(dev * dev)
     m3, se3 = _jackknife(dev ** 3)

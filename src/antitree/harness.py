@@ -47,9 +47,12 @@ _GEOMETRY_NMAX = 8
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _require(cfg: dict, key: str):
@@ -59,8 +62,8 @@ def _require(cfg: dict, key: str):
 
 
 def build_distribution(block: dict) -> PotentialDistribution:
-    kind = _require(block, "kind")
     try:
+        kind = _require(block, "kind")
         if kind == "bernoulli":
             return PotentialDistribution.bernoulli()
         if kind == "uniform":
@@ -69,7 +72,7 @@ def build_distribution(block: dict) -> PotentialDistribution:
             return PotentialDistribution.triangular()
         if kind == "discrete":
             return PotentialDistribution.discrete(_require(block, "atoms"))
-    except AntitreeError as exc:
+    except (AntitreeError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad distribution: {exc}") from exc
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
@@ -80,7 +83,7 @@ def build_growth(block: dict, base_dir: Path) -> GrowthLaw:
             return load_custom_sizes(base_dir / block["custom_path"])
         return GrowthLaw.uniform_power(float(_require(block, "d")),
                                        float(block.get("C", 1.0)))
-    except AntitreeError as exc:
+    except (AntitreeError, ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"bad growth law: {exc}") from exc
 
 

@@ -45,7 +45,7 @@ from .errors import DistributionError, DomainError
 EDGE_MARGIN = 1e-9
 
 _ATOL_WEIGHTS = 1e-12
-_BISECT_TOL_I = 1e-10
+_BISECT_TOL_BAND = 1e-10
 _BISECT_TOL_J = 1e-8
 
 
@@ -163,7 +163,14 @@ def sample(dist: PotentialDistribution, rng: np.random.Generator, size=None):
 # inverse moments
 # ---------------------------------------------------------------------------
 
-def _check_outside_support(dist: PotentialDistribution, E: float, lam: float):
+def _hull_side(dist: PotentialDistribution, E: float, lam: float) -> float:
+    """Side of the scaled support hull lam*[v_minus, v_plus] that E lies on:
+    +1 above, -1 below, 0 in a gap of a discrete law; the sign of E at lam = 0.
+
+    Raises DomainError where the inverse moments are undefined: non-finite
+    input, lam < 0, E = lam = 0, or E inside the hull and not in a gap at
+    least the edge margin away from every atom.
+    """
     if not (math.isfinite(E) and math.isfinite(lam)):
         raise DomainError(f"E = {E} and lam = {lam} must be finite", reason="nonfinite")
     if not lam >= 0.0:
@@ -171,19 +178,22 @@ def _check_outside_support(dist: PotentialDistribution, E: float, lam: float):
     if lam == 0.0:
         if E == 0.0:
             raise DomainError("E = 0 with lam = 0 is singular", reason="inside_support")
-        return
+        return 1.0 if E > 0.0 else -1.0
     lo, hi = lam * dist.v_minus, lam * dist.v_plus
     margin = EDGE_MARGIN * max(1.0, lam)
-    if lo - margin < E < hi + margin:
-        # inside the closed scaled-support hull: denominators change sign
-        # (or the evaluation sits within the edge margin where the moment
-        # may diverge), except in gaps of a discrete law handled below
-        if dist.is_discrete and all(abs(E - lam * v) >= margin for v, _ in dist.atoms):
-            return  # inside a gap of the support: moments are finite
-        raise DomainError(
-            f"E = {E} lies in the scaled support region [{lo}, {hi}]",
-            reason="inside_support",
-        )
+    if E >= hi + margin:
+        return 1.0
+    if E <= lo - margin:
+        return -1.0
+    # inside the closed scaled-support hull: denominators change sign (or the
+    # evaluation sits within the edge margin where the moment may diverge),
+    # except in gaps of a discrete law, where the moments are finite
+    if dist.is_discrete and all(abs(E - lam * v) >= margin for v, _ in dist.atoms):
+        return 0.0
+    raise DomainError(
+        f"E = {E} lies in the scaled support region [{lo}, {hi}]",
+        reason="inside_support",
+    )
 
 
 def inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
@@ -193,7 +203,7 @@ def inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
     every component of the complement; it may legitimately vanish inside a
     support gap, in which case h = 1/inverse_moment is an infinity.
     """
-    _check_outside_support(dist, E, lam)
+    _hull_side(dist, E, lam)
     if lam == 0.0:
         return 1.0 / E
     if dist.is_discrete:
@@ -207,7 +217,7 @@ def inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
 
 def second_inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
     """E_v[ 1/(E - lam*v)^2 ]."""
-    _check_outside_support(dist, E, lam)
+    _hull_side(dist, E, lam)
     if lam == 0.0:
         return 1.0 / (E * E)
     if dist.is_discrete:
@@ -224,12 +234,23 @@ def inverse_moment_quadrature(dist: PotentialDistribution, E: float, lam: float,
     Cross-check route for the continuous closed forms, and the general path
     for laws given only by a density.
     """
-    _check_outside_support(dist, E, lam)
+    _hull_side(dist, E, lam)
     val, _ = integrate.quad(
         lambda v: dist.density(v) / (E - lam * v) ** power,
         dist.v_minus, dist.v_plus, epsabs=0.0, epsrel=1e-10, limit=200,
     )
     return val
+
+
+def _inverse_variance(dist: PotentialDistribution, E: float, lam: float, m1: float) -> float:
+    """Var_v[ 1/(E - lam*v) ] given m1 = inverse_moment(dist, E, lam).
+
+    Discrete laws sum centred squares, which keep full relative precision at
+    small disorder; continuous laws take m2 - m1^2 from the closed forms.
+    """
+    if dist.is_discrete:
+        return math.fsum(w * (1.0 / (E - lam * v) - m1) ** 2 for v, w in dist.atoms)
+    return max(0.0, second_inverse_moment(dist, E, lam) - m1 * m1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +285,9 @@ def effective_quantities(dist: PotentialDistribution, E: float, lam: float) -> E
             raise DomainError(f"|h| = |E| = {abs(E)} >= 2", reason="h_too_large")
         k = math.acos(E / 2.0)
         return EffectiveQuantities(E=E, lam=lam, h=E, sigma2_eff=0.0, gamma=0.0, k=k)
-    margin = EDGE_MARGIN * max(1.0, lam)
-    if lam * dist.v_minus - margin < E < lam * dist.v_plus + margin:
-        # the window excludes the whole scaled-support hull, including gaps
-        # of a discrete law where the moments themselves are finite
-        raise DomainError(f"E = {E} lies in the scaled support hull",
+    if _hull_side(dist, E, lam) == 0.0:
+        # the window excludes gaps of a discrete law, where the moments are finite
+        raise DomainError(f"E = {E} lies in a gap of the scaled support hull",
                           reason="inside_support")
     m1 = inverse_moment(dist, E, lam)
     if m1 == 0.0:
@@ -276,8 +295,7 @@ def effective_quantities(dist: PotentialDistribution, E: float, lam: float) -> E
     h = 1.0 / m1
     if abs(h) >= 2.0:
         raise DomainError(f"|h| = {abs(h)} >= 2: E outside I(lambda)", reason="h_too_large")
-    m2 = second_inverse_moment(dist, E, lam)
-    sigma2_eff = max(0.0, m2 - m1 * m1)
+    sigma2_eff = _inverse_variance(dist, E, lam, m1)
     gamma = h ** 4 * sigma2_eff / (2.0 * (4.0 - h * h))
     k = math.acos(h / 2.0)
     return EffectiveQuantities(E=E, lam=lam, h=h, sigma2_eff=sigma2_eff, gamma=gamma, k=k)
@@ -350,36 +368,65 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _band_pieces(dist: PotentialDistribution, lam: float) -> list[Interval]:
+    """Closed pieces of {E outside lam*supp : |h| <= 2}, one bisection per
+    crossing of the inverse moment through +-1/2 on each complement
+    component (the inverse moment is strictly decreasing there).
+
+    Brackets sit four edge margins from the support: at one margin, the
+    rounded sum edge + margin can land inside the margin inverse_moment
+    rejects.
+    """
+    margin = 4.0 * EDGE_MARGIN * max(1.0, lam)
+    comps: list[tuple[float, float]] = []
+    sup = dist.support_components(lam)
+    comps.append((-math.inf, sup[0][0]))
+    for (a_prev, b_prev), (a_next, _) in zip(sup, sup[1:]):
+        comps.append((b_prev, a_next))
+    comps.append((sup[-1][1], math.inf))
+
+    pieces: list[Interval] = []
+    span = 2.0 + lam * max(abs(dist.v_minus), abs(dist.v_plus)) + 1.0
+    for lo, hi in comps:
+        blo = lo + margin if math.isfinite(lo) else -span
+        bhi = hi - margin if math.isfinite(hi) else span
+        if blo >= bhi:
+            continue
+        m_lo = inverse_moment(dist, blo, lam)
+        m_hi = inverse_moment(dist, bhi, lam)
+        # m decreases from m_lo to m_hi; {m >= 1/2} is a left piece and
+        # {m <= -1/2} a right piece of the component
+        if m_lo >= 0.5:
+            if m_hi >= 0.5:
+                right = bhi
+            else:
+                right = _bisect(lambda e: inverse_moment(dist, e, lam) - 0.5,
+                                blo, bhi, _BISECT_TOL_BAND)
+            left = lo if math.isfinite(lo) else blo
+            pieces.append(Interval(left, right, lo_closed=True, hi_closed=True))
+        if m_hi <= -0.5:
+            if m_lo <= -0.5:
+                left = blo
+            else:
+                left = _bisect(lambda e: inverse_moment(dist, e, lam) + 0.5,
+                               blo, bhi, _BISECT_TOL_BAND)
+            right = hi if math.isfinite(hi) else bhi
+            pieces.append(Interval(left, right, lo_closed=True, hi_closed=True))
+    return pieces
+
+
 def i_lambda(dist: PotentialDistribution, lam: float) -> IntervalSet:
     """The valid energy window I(lam): outside the scaled support, |h| < 2.
 
     The window consists of at most two open intervals hugging the scaled
-    support; either may be empty at large disorder.  Working with the inverse
-    moment m (strictly decreasing per component of the complement, |h| < 2
-    iff |m| > 1/2) avoids the poles of h entirely.
+    support; either may be empty at large disorder.  They are the band
+    pieces on the two unbounded components of the complement of the
+    support, opened.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError("i_lambda needs a finite lam > 0", reason="lambda")
-    margin = EDGE_MARGIN * max(1.0, lam)
-    out = []
-
-    # right component (lam*v_plus, c_lambda): m decreases from its edge value
-    # to 0+, so the window is nonempty iff m > 1/2 just outside the edge.
-    lo = lam * dist.v_plus + margin
-    hi = 2.0 + lam * dist.v_plus + 1.0
-    if inverse_moment(dist, lo, lam) > 0.5:
-        c = _bisect(lambda e: inverse_moment(dist, e, lam) - 0.5, lo, hi, _BISECT_TOL_I)
-        out.append(Interval(lam * dist.v_plus, c, lo_closed=False, hi_closed=False))
-
-    # left component (c'_lambda, lam*v_minus): mirror with m < -1/2.
-    hi_l = lam * dist.v_minus - margin
-    lo_l = -(2.0 + lam * abs(dist.v_minus) + 1.0)
-    if inverse_moment(dist, hi_l, lam) < -0.5:
-        c = _bisect(lambda e: inverse_moment(dist, e, lam) + 0.5, lo_l, hi_l, _BISECT_TOL_I)
-        out.append(Interval(c, lam * dist.v_minus, lo_closed=False, hi_closed=False))
-
-    out.sort(key=lambda iv: iv.lo)
-    return IntervalSet(tuple(out))
+    return IntervalSet(tuple(Interval(iv.lo, iv.hi) for iv in _band_pieces(dist, lam)
+                             if iv.hi <= lam * dist.v_minus or iv.lo >= lam * dist.v_plus))
 
 
 def j_lambda(dist: PotentialDistribution, lam: float, C: float) -> IntervalSet:

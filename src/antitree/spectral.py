@@ -29,12 +29,9 @@ from .potentials import (
     Interval,
     IntervalSet,
     PotentialDistribution,
-    _bisect,
+    _band_pieces,
     effective_quantities,
-    inverse_moment,
 )
-
-_BISECT_TOL_ESS = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +91,6 @@ def density_estimate(dist: PotentialDistribution, lam: float, law: GrowthLaw,
 # ---------------------------------------------------------------------------
 # essential spectrum
 # ---------------------------------------------------------------------------
-
-def _band_pieces(dist: PotentialDistribution, lam: float) -> list[Interval]:
-    """Closed pieces of {E outside lam*supp : |h| <= 2}, one bisection per
-    crossing of the inverse moment through +-1/2 on each complement
-    component (the inverse moment is strictly decreasing there)."""
-    margin = 4.0 * EDGE_MARGIN * max(1.0, lam)
-    comps: list[tuple[float, float]] = []
-    sup = dist.support_components(lam)
-    comps.append((-math.inf, sup[0][0]))
-    for (a_prev, b_prev), (a_next, _) in zip(sup, sup[1:]):
-        comps.append((b_prev, a_next))
-    comps.append((sup[-1][1], math.inf))
-
-    pieces: list[Interval] = []
-    span = 2.0 + lam * max(abs(dist.v_minus), abs(dist.v_plus)) + 1.0
-    for lo, hi in comps:
-        blo = lo + margin if math.isfinite(lo) else -span
-        bhi = hi - margin if math.isfinite(hi) else span
-        if blo >= bhi:
-            continue
-        m_lo = inverse_moment(dist, blo, lam)
-        m_hi = inverse_moment(dist, bhi, lam)
-        # m decreases from m_lo to m_hi; {m >= 1/2} is a left piece and
-        # {m <= -1/2} a right piece of the component
-        if m_lo >= 0.5:
-            if m_hi >= 0.5:
-                right = bhi
-            else:
-                right = _bisect(lambda e: inverse_moment(dist, e, lam) - 0.5,
-                                blo, bhi, _BISECT_TOL_ESS)
-            left = lo if math.isfinite(lo) else blo
-            pieces.append(Interval(left, right, lo_closed=True, hi_closed=True))
-        if m_hi <= -0.5:
-            if m_lo <= -0.5:
-                left = blo
-            else:
-                left = _bisect(lambda e: inverse_moment(dist, e, lam) + 0.5,
-                               blo, bhi, _BISECT_TOL_ESS)
-            right = hi if math.isfinite(hi) else bhi
-            pieces.append(Interval(left, right, lo_closed=True, hi_closed=True))
-    return pieces
-
 
 def essential_spectrum(dist: PotentialDistribution, lam: float) -> IntervalSet:
     """Almost-sure essential spectrum for growth beyond one dimension:

@@ -385,15 +385,20 @@ def test_subordinacy_stays_finite_where_raw_pairs_grow_fast(E, lam, N):
 
 LAWS = {"bernoulli": BERN, "uniform": PotentialDistribution.uniform(),
         "triangular": PotentialDistribution.triangular()}
+# continuous laws draw every potential: uniform at d = 2.5 and N = 3000 draws
+# about 2*10^8 values per trial, so they stop at d = 1.5
+D_MAX = {"bernoulli": 2.5, "uniform": 1.5, "triangular": 1.5}
+LAW_AND_D = st.sampled_from(sorted(LAWS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.floats(1.0, D_MAX[name])))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
-@given(law_name=st.sampled_from(sorted(LAWS)), lam=st.floats(0.05, 1e4),
-       where=st.floats(0.01, 0.99), piece=st.integers(0, 1),
-       d=st.floats(1.0, 1.5), C=st.floats(0.5, 3.0))
-def test_records_are_finite_or_typed_errors_across_the_domain(law_name, lam, where, piece,
-                                                               d, C):
+@given(law_and_d=LAW_AND_D, lam=st.floats(0.05, 1e4),
+       where=st.floats(0.01, 0.99), piece=st.integers(0, 1), C=st.floats(0.5, 3.0))
+def test_records_are_finite_or_typed_errors_across_the_domain(law_and_d, lam, where, piece,
+                                                               C):
+    law_name, d = law_and_d
     dist = LAWS[law_name]
     pieces = i_lambda(dist, lam).intervals
     assume(pieces)
@@ -494,6 +499,16 @@ def test_m_function_is_herglotz_with_randomness():
         m_function(1j, 10, 0.0, dist=BERN, lam=1.0)
     with pytest.raises(DomainError):
         m_function(1j, 10, 0.0, lam=1.0, seed=5)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(law_name=st.sampled_from(sorted(LAWS)), lam=st.floats(0.0, 10.0),
+       re=st.floats(-15.0, 15.0), im=st.floats(0.01, 5.0), beta=st.floats(-10.0, 10.0),
+       N=st.integers(1, 2000), d=st.floats(1.0, 2.0))
+def test_random_shell_m_function_is_herglotz(law_name, lam, re, im, beta, N, d):
+    w = m_function(complex(re, im), N, beta, dist=LAWS[law_name], lam=lam,
+                   law=GrowthLaw.uniform_power(d), seed=11)
+    assert w.m.imag > 0.0
 
 
 def test_m_function_degenerate_denominator():

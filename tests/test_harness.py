@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from antitree import ConfigError, seed_stream
 from antitree.cli import main as cli_main
 from antitree.harness import (
+    build_tasks,
     canonical_json,
     config_digest,
     fmt,
@@ -85,9 +87,15 @@ def test_normalize_rejects_bad_input():
                 {"energy": {"min": 0.0, "max": math.nan, "steps": 1}},
                 # counts are whole numbers: no silent truncation or booleans
                 {"N": 2.7}, {"trials": True}, {"seed": 1.9},
-                {"energy": {"min": 1.0, "max": 2.0, "steps": 2.5}}):
+                {"energy": {"min": 1.0, "max": 2.0, "steps": 2.5}},
+                {"distribution": {"kind": "discrete", "atoms": [[1, "a"]]}},
+                {"distribution": None}):
         with pytest.raises(ConfigError):
             normalize_config(_config(**bad))
+    # growth blocks are built with the tasks, against the config's directory
+    for bad in ({"d": "x"}, {"d": None}, {"d": 1.5, "C": "a"}, {"custom_path": "absent.txt"}):
+        with pytest.raises(ConfigError):
+            build_tasks(normalize_config(_config(growth=bad)), Path("."))
 
 
 def test_canonical_json_is_order_insensitive():
@@ -113,6 +121,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([_config()]))
+    with pytest.raises(ConfigError):
+        load_config(listed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +318,15 @@ def test_cli_conflicting_experiment(tmp_path, capsys):
     code = cli_main(["density", "--config", str(cfg_path)])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_missing_growth_file_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(growth={"custom_path": "absent.txt"})))
+    code = cli_main(["lyapunov", "--config", str(cfg_path), "--out", "cli_out"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "cli_out").exists()
 
 
 def test_cli_missing_config(tmp_path, capsys):

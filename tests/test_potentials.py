@@ -1,6 +1,7 @@
 """Single-site laws, inverse moments, and the derived energy windows."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,12 +176,37 @@ def test_non_finite_inputs_raise_typed_errors(call, error):
         call()
 
 
-@pytest.mark.xfail(strict=True, reason="sigma2_eff = m2 - m1^2 cancels at small disorder")
 def test_small_disorder_variance_matches_closed_form():
     # two-point law: Var 1/(E - lam v) = (lam / (E^2 - lam^2))^2 exactly
     E, lam = 1.0, 1e-4
     exact = (lam / (E * E - lam * lam)) ** 2
     assert effective_quantities(BERN, E, lam).sigma2_eff == pytest.approx(exact, rel=1e-10, abs=0.0)
+    # three-atom law: the variance in exact rational arithmetic
+    atoms = [(-1.0, 3.0 / 14.0), (0.2, 0.5), (0.4, 2.0 / 7.0)]
+    rates = [(Fraction(w), 1 / (Fraction(E) - Fraction(lam) * Fraction(v))) for v, w in atoms]
+    mean = sum(w * r for w, r in rates)
+    exact = float(sum(w * (r - mean) ** 2 for w, r in rates))
+    got = effective_quantities(PotentialDistribution.discrete(atoms), E, lam).sigma2_eff
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="continuous laws form sigma2_eff = m2 - m1^2, "
+                                       "which cancels at small disorder")
+@pytest.mark.parametrize("dist", [UNI, TRI], ids=["uniform", "triangular"])
+def test_small_disorder_variance_of_continuous_laws(dist):
+    mpmath = pytest.importorskip("mpmath")
+    E, lam = 1.0, 1e-4
+    with mpmath.workdps(50):
+        e, lm = mpmath.mpf(E), mpmath.mpf(lam)
+        if dist is UNI:
+            m1 = mpmath.log((e + lm) / (e - lm)) / (2 * lm)
+            m2 = 1 / (e * e - lm * lm)
+        else:
+            x = lm / e
+            m1 = ((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / (lm * x)
+            m2 = mpmath.log(e * e / (e * e - lm * lm)) / (lm * lm)
+        exact = float(m2 - m1 * m1)
+    assert effective_quantities(dist, E, lam).sigma2_eff == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_infinite_h_in_support_gap():
