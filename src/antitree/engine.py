@@ -21,7 +21,11 @@ across trials and draw shell statistics from counter-based streams keyed by
 (seed, domain, cell, trial, block), so a trial's randomness is reproducible
 in any processing order; for discrete laws a shell of s draws is compressed
 into its multinomial atom counts, the sufficient statistic for the harmonic
-entry.  Subordinate solutions are extracted by backward propagation, stable
+entry.  The counts come from a binomial chain, except that a fair first step
+(atom weight 1/2, as in the Bernoulli law) on a shell of at most _POP_MAX
+draws is the popcount of ceil(s/64) raw Philox words, whose bits are fair
+coins; the word layout depends only on the sizes and is computed once per
+block.  Subordinate solutions are extracted by backward propagation, stable
 because the forward-decaying direction dominates in reverse; weighted-norm
 extremes over all solution directions come from a rank-one updated Cholesky
 factor of the 2x2 Gram matrix, whose determinant is a product of diagonals
@@ -69,6 +73,10 @@ RESCALE_EXP = 256
 _MAX_STRIDE = 64
 _DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
 _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
+# Largest shell whose fair first multinomial step is a popcount of raw words:
+# the power of two below the measured crossover, between 320 and 384 draws,
+# above which numpy's binomial (BTPE) is the faster exact draw.
+_POP_MAX = 256
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +160,64 @@ def _atom_tables(dist: PotentialDistribution, E: float, lam: float):
     return probs, 1.0 / x, 1.0 / (x * x)
 
 
-def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Exact multinomial counts for per-row totals, via a binomial chain."""
+@dataclass(frozen=True)
+class _PopcountLayout:
+    """Where a fair first step finds each shell's raw words, from the sizes alone.
+
+    Shells of at most _POP_MAX draws (``small``, in shell order) take
+    ceil(s/64) consecutive raw 64-bit words each, the first at ``starts``;
+    ``mask`` keeps every bit of a shell's words but those of its last word
+    beyond s.  The ``large`` shells go through the binomial.
+    """
+
+    small: np.ndarray
+    large: np.ndarray
+    starts: np.ndarray
+    mask: np.ndarray
+
+
+def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
+    s_int = sizes.astype(np.int64)
+    small = np.flatnonzero(s_int <= _POP_MAX)
+    s = s_int[small]
+    nwords = (s + 63) // 64
+    ends = np.cumsum(nwords)
+    ones = np.uint64(2 ** 64 - 1)
+    mask = np.full(int(ends[-1]) if len(ends) else 0, ones)
+    mask[ends - 1] = ones >> ((-s) % 64).astype(np.uint64)
+    return _PopcountLayout(small=small, large=np.flatnonzero(s_int > _POP_MAX),
+                           starts=ends - nwords, mask=mask)
+
+
+def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
+                        layout: _PopcountLayout | None = None) -> np.ndarray:
+    """Exact multinomial counts for per-row totals.
+
+    The counts follow a binomial chain, atom by atom.  When its first step is
+    fair (probs[0] == 1/2), rows of at most _POP_MAX draws take that count as
+    the popcount of their raw Philox words, each word being 64 fair coins,
+    all drawn before the binomials of the other rows; ``layout`` is
+    ``_popcount_layout(n_arr)``, built here when not given.
+    """
     k = len(probs)
     counts = np.empty((len(n_arr), k), dtype=np.int64)
-    remaining = n_arr.astype(np.int64).copy()
+    remaining = n_arr.astype(np.int64)
     rem_p = 1.0
     for i in range(k - 1):
         p = min(1.0, probs[i] / rem_p)
-        c = gen.binomial(remaining, p)
+        if i == 0 and p == 0.5:
+            if layout is None:
+                layout = _popcount_layout(remaining)
+            c = np.empty_like(remaining)
+            if len(layout.small):
+                words = gen.bit_generator.random_raw(len(layout.mask))
+                words &= layout.mask
+                c[layout.small] = np.add.reduceat(np.bitwise_count(words), layout.starts,
+                                                  dtype=np.int64)
+            if len(layout.large):
+                c[layout.large] = gen.binomial(remaining[layout.large], p)
+        else:
+            c = gen.binomial(remaining, p)
         counts[:, i] = c
         remaining -= c
         rem_p -= probs[i]
@@ -169,20 +226,23 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
 
 
 def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
-                       sizes: np.ndarray, gen: np.random.Generator):
-    """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial.
+                       sizes: np.ndarray, gen: np.random.Generator, *,
+                       with_w: bool = False, layout: _PopcountLayout | None = None):
+    """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial;
+    the second is formed only ``with_w`` and is None otherwise.
 
-    Discrete laws reduce to multinomial atom counts; continuous laws draw
-    every potential and segment-sum, in chunks of whole shells of at most
-    _DRAW_CHUNK draws that continue one stream, so they reproduce one draw
-    bit for bit (a split shell would be summed in a different order).
+    Discrete laws reduce to multinomial atom counts (``layout`` is passed on
+    to _multinomial_counts); continuous laws draw every potential and
+    segment-sum, in chunks of whole shells of at most _DRAW_CHUNK draws that
+    continue one stream, so they reproduce one draw bit for bit (a split
+    shell would be summed in a different order).
     """
     s_int = sizes.astype(np.int64)
     if dist.is_discrete:
         probs, r1, r2 = _atom_tables(dist, E, lam)
-        counts = _multinomial_counts(gen, s_int, probs)
+        counts = _multinomial_counts(gen, s_int, probs, layout=layout)
         sum1 = counts @ r1
-        sum2 = counts @ r2
+        sum2 = counts @ r2 if with_w else None
     else:
         ends = np.cumsum(s_int)
         sum1, sum2 = [], []
@@ -194,15 +254,16 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
             r = 1.0 / (E - lam * v)
             starts = ends[i0:i1] - s_int[i0:i1] - base
             sum1.append(np.add.reduceat(r, starts))
-            sum2.append(np.add.reduceat(r * r, starts))
+            if with_w:
+                sum2.append(np.add.reduceat(r * r, starts))
             i0 = i1
-        sum1, sum2 = np.concatenate(sum1), np.concatenate(sum2)
+        sum1 = np.concatenate(sum1)
+        sum2 = np.concatenate(sum2) if with_w else None
     mean1 = sum1 / sizes
-    mean2 = sum2 / sizes
     if np.any(mean1 == 0.0):
         shell = int(np.nonzero(mean1 == 0.0)[0][0])
         raise SingularShellError("sampled shell has vanishing inverse mean", shell=shell)
-    return mean1, mean2
+    return mean1, (sum2 / sizes if with_w else None)
 
 
 def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
@@ -246,9 +307,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             if with_w:
                 W[:] = 1.0
         else:
+            layout = _popcount_layout(sizes) if dist.is_discrete else None
             for j, (E, cell, trial) in enumerate(columns):
                 m1, m2 = _shell_stats_block(dist, E, lam, sizes,
-                                            seed_stream(seed, domain, cell, trial, b))
+                                            seed_stream(seed, domain, cell, trial, b),
+                                            with_w=with_w, layout=layout)
                 A[:, j] = 1.0 / m1
                 if with_w:
                     W[:, j] = m2 / (m1 * m1)

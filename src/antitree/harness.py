@@ -135,6 +135,8 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
 
     if N < 1 or trials < 1:
         raise ConfigError("need N >= 1 and trials >= 1")
+    if exp == "lyapunov" and trials < 2:
+        raise ConfigError("lyapunov needs trials >= 2 for the slope standard error")
     if not 0 <= seed_val < 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
 
@@ -234,7 +236,7 @@ def _lyapunov_rows(cfg: dict, task: dict, values: list):
     slopes = np.array([x for chunk in values for x in chunk])
     d, C = _growth_params(cfg)
     gamma = effective_quantities(task["dist"], task["E"], task["lam"]).gamma
-    stderr = slopes.std(ddof=1) / math.sqrt(len(slopes)) if len(slopes) > 1 else math.nan
+    stderr = slopes.std(ddof=1) / math.sqrt(len(slopes))
     return ([[task["E"], task["lam"], d, C, cfg["N"], len(slopes), slopes.mean(), stderr,
               gamma]],)
 

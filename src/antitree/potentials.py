@@ -242,14 +242,47 @@ def inverse_moment_quadrature(dist: PotentialDistribution, E: float, lam: float,
     return val
 
 
+def _variance_series(even_moment) -> tuple[float, ...]:
+    """Coefficients c_1.._SERIES_TERMS of E^2 Var[1/(E - lam*v)] = sum c_n t^(2n),
+    t = lam/E, for a symmetric law with even moments mu_2n = even_moment(n).
+
+    Expanding 1/(E - lam*v) in powers of t v gives E*m1 = sum mu_2n t^(2n)
+    and E^2*m2 = sum (2n+1) mu_2n t^(2n), so c_n = (2n+1) mu_2n -
+    sum_{i+j=n} mu_2i mu_2j; c_0 = 0 and c_1 = mu_2 is the law's variance.
+    """
+    mu = [even_moment(n) for n in range(_SERIES_TERMS + 1)]
+    return tuple(math.fsum([(2 * n + 1) * mu[n]] + [-mu[i] * mu[n - i] for i in range(n + 1)])
+                 for n in range(1, _SERIES_TERMS + 1))
+
+
+# Below |lam/E| = _SERIES_T the closed-form m2 - m1^2 cancels (relative error
+# up to 2e-13 at t = 0.3; 1.7e-4 for the uniform law and 3.7 for the
+# triangular law at t = 1e-4), so continuous laws sum the series there; at
+# |t| = 0.4 its first omitted term is about 2e-19 of the first.
+_SERIES_T = 0.4
+_SERIES_TERMS = 24
+_VARIANCE_SERIES = {
+    "uniform": _variance_series(lambda n: 1.0 / (2 * n + 1)),
+    "triangular": _variance_series(lambda n: 1.0 / ((2 * n + 1) * (n + 1))),
+}
+
+
 def _inverse_variance(dist: PotentialDistribution, E: float, lam: float, m1: float) -> float:
     """Var_v[ 1/(E - lam*v) ] given m1 = inverse_moment(dist, E, lam).
 
-    Discrete laws sum centred squares, which keep full relative precision at
-    small disorder; continuous laws take m2 - m1^2 from the closed forms.
+    Discrete laws sum centred squares and continuous laws sum the series in
+    t = lam/E below |t| = _SERIES_T; both keep full relative precision at
+    small disorder.  Above it continuous laws take m2 - m1^2 from the closed
+    forms.
     """
     if dist.is_discrete:
         return math.fsum(w * (1.0 / (E - lam * v) - m1) ** 2 for v, w in dist.atoms)
+    t2 = (lam / E) ** 2
+    if t2 < _SERIES_T ** 2:
+        acc = 0.0
+        for c in reversed(_VARIANCE_SERIES[dist.kind]):
+            acc = (acc + c) * t2
+        return acc / (E * E)
     return max(0.0, second_inverse_moment(dist, E, lam) - m1 * m1)
 
 

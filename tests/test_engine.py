@@ -90,6 +90,118 @@ def test_sampled_entries_stay_in_band():
 
 
 # ---------------------------------------------------------------------------
+# exact shell sampling
+# ---------------------------------------------------------------------------
+
+FAIR = np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("s", [1, 63, 64, 65, 200, eng._POP_MAX, eng._POP_MAX + 1])
+def test_fair_first_step_draws_the_binomial_law(s):
+    from scipy import stats
+    trials = 40000
+    counts = eng._multinomial_counts(seed_stream(61, s), np.full(trials, s), FAIR)
+    assert np.array_equal(counts.sum(axis=1), np.full(trials, s))
+    c = counts[:, 0]
+    # the stream holds the reference draw: popcounts of ceil(s/64) words per
+    # shell, the last masked to s mod 64 bits, or a binomial above _POP_MAX
+    ref = seed_stream(61, s)
+    if s <= eng._POP_MAX:
+        nw = -(-s // 64)
+        words = ref.bit_generator.random_raw(trials * nw).reshape(trials, nw)
+        words[:, -1] &= np.uint64(2 ** 64 - 1) >> np.uint64(64 * nw - s)
+        assert np.array_equal(c, np.bitwise_count(words).sum(axis=1))
+    else:
+        assert np.array_equal(c, ref.binomial(np.full(trials, s), 0.5))
+    # chi-square against the exact pmf, tails pooled into bins expecting >= 5
+    expected = trials * stats.binom.pmf(np.arange(s + 1), s, 0.5)
+    observed = np.bincount(c, minlength=s + 1).astype(float)
+    keep = np.flatnonzero(expected >= 5.0)
+    lo, hi = keep[0], keep[-1] + 1
+    exp_b, obs_b = expected[lo:hi].copy(), observed[lo:hi].copy()
+    exp_b[0] += expected[:lo].sum()
+    exp_b[-1] += expected[hi:].sum()
+    obs_b[0] += observed[:lo].sum()
+    obs_b[-1] += observed[hi:].sum()
+    assert stats.chisquare(obs_b, exp_b).pvalue > 1e-3
+    assert c.mean() == pytest.approx(s / 2, abs=5.0 * math.sqrt(s / 4 / trials))
+    assert c.var() == pytest.approx(s / 4, rel=0.05)
+
+
+def test_popcount_counts_do_not_wrap():
+    # all-ones words: every fair count equals its shell size, 256 included,
+    # which a uint8 segment sum would wrap to 0; sizes come unsorted
+    class AllOnes:
+        class bit_generator:
+            @staticmethod
+            def random_raw(n):
+                return np.full(n, np.uint64(2 ** 64 - 1))
+
+    sizes = seed_stream(5, 0).permutation(np.arange(1, eng._POP_MAX + 1))
+    counts = eng._multinomial_counts(AllOnes, sizes, FAIR)
+    assert np.array_equal(counts[:, 0], sizes)
+    assert np.all(counts[:, 1] == 0)
+
+
+@pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [2.0 / 3.0, 1.0 / 3.0]],
+                         ids=["three-atom", "asymmetric"])
+def test_unfair_laws_keep_the_binomial_chain(probs):
+    probs = np.array(probs)
+    sizes = np.array([1, 7, 64, 200, eng._POP_MAX, eng._POP_MAX + 1, 5000] * 50)
+    counts = eng._multinomial_counts(seed_stream(8, 1), sizes, probs)
+    assert np.array_equal(counts.sum(axis=1), sizes)
+    assert np.all(counts >= 0)
+    ref = seed_stream(8, 1)
+    remaining, rem_p = sizes.copy(), 1.0
+    for i, p in enumerate(probs[:-1]):
+        step = ref.binomial(remaining, min(1.0, p / rem_p))
+        assert np.array_equal(counts[:, i], step)
+        remaining, rem_p = remaining - step, rem_p - p
+
+
+@st.composite
+def _discrete_laws(draw):
+    a, b, c = (draw(st.floats(0.1, 1.0)) for _ in range(3))
+    shape = draw(st.sampled_from(["fair", "two-atom", "fair-three-atom"]))
+    if shape == "fair":
+        return PotentialDistribution.discrete([(-a, 0.5), (a, 0.5)])
+    if shape == "two-atom":
+        return PotentialDistribution.discrete([(-a, b / (a + b)), (b, a / (a + b))])
+    w = draw(st.floats(0.05, 0.45))
+    return PotentialDistribution.discrete([(-2.0 * (b * w + c * (0.5 - w)), 0.5), (b, w),
+                                           (c, 0.5 - w)])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(dist=_discrete_laws(),
+       pattern=st.lists(st.one_of(st.integers(1, 3 * eng._POP_MAX),
+                                  st.sampled_from([eng._POP_MAX - 1, eng._POP_MAX,
+                                                   eng._POP_MAX + 1])),
+                        min_size=1, max_size=12),
+       extra=st.integers(1, 300), split=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_shell_draws_ignore_column_grouping_and_direction(dist, pattern, extra, split):
+    N = eng.BLOCK + extra
+    law = GrowthLaw.from_sizes(np.resize(pattern, N))
+    columns = [(2.5, 0, 0), (2.5, 0, 1), (3.0, 2, 0), (2.5, 7, 3)]
+    part = [j for j in range(4) if split[j]]
+    rest = [j for j in range(4) if not split[j]]
+
+    def blocks(cols, reverse=False):
+        return list(eng._shell_blocks(dist, law, 1.0, N, [columns[j] for j in cols], 13, 2,
+                                      reverse=reverse, with_w=True))
+
+    whole = blocks(range(4))
+    for cols in (part, rest):
+        for (n0, n1, A, W), (m0, m1, B, V) in zip(whole, blocks(cols), strict=True):
+            assert (n0, n1) == (m0, m1)
+            assert np.array_equal(A[:, cols], B) and np.array_equal(W[:, cols], V)
+    for (n0, n1, A, W), (m0, m1, B, V) in zip(whole, reversed(blocks(range(4), True)),
+                                              strict=True):
+        assert (n0, n1) == (m0, m1)
+        assert np.array_equal(A, B) and np.array_equal(W, V)
+
+
+# ---------------------------------------------------------------------------
 # determinant invariant
 # ---------------------------------------------------------------------------
 
@@ -451,7 +563,7 @@ def test_gram_ratio_matches_dense_eigensolve_at_small_depth():
     rec = subordinacy_batch(BERN, law, 2.0, 1.0, N, [0], seed=11)[0]
     sizes = law.sizes_block(0, N)
     gen = seed_stream(11, 2, 0, 0, 0)  # domain=2 (subordinacy)
-    m1, m2 = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen)
+    m1, m2 = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen, with_w=True)
     A, W = 1.0 / m1, m2 / (m1 * m1)
     u, up, v, vp = 1.0, 0.0, 0.0, 1.0
     G = np.zeros((2, 2))

@@ -329,6 +329,18 @@ def test_cli_missing_growth_file_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "cli_out").exists()
 
 
+def test_cli_lyapunov_needs_two_trials(tmp_path, capsys):
+    # trials defaults to 1, which leaves the slope standard error undefined
+    cfg = _config(N=500)
+    del cfg["trials"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli_main(["lyapunov", "--config", str(cfg_path), "--out", "cli_out"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "cli_out").exists()
+
+
 def test_cli_missing_config(tmp_path, capsys):
     code = cli_main(["lyapunov", "--config", str(tmp_path / "absent.json")])
     assert code == 1

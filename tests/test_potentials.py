@@ -190,8 +190,6 @@ def test_small_disorder_variance_matches_closed_form():
     assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="continuous laws form sigma2_eff = m2 - m1^2, "
-                                       "which cancels at small disorder")
 @pytest.mark.parametrize("dist", [UNI, TRI], ids=["uniform", "triangular"])
 def test_small_disorder_variance_of_continuous_laws(dist):
     mpmath = pytest.importorskip("mpmath")
