@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _shell_stats_block
+from .engine import BLOCK, _shell_stats_block
 from .errors import DomainError, SizeLimitError
 from .potentials import (
     PotentialDistribution,
@@ -182,19 +182,31 @@ def _jackknife(values: np.ndarray) -> tuple[float, float]:
     return float(mean), se
 
 
+def _harmonic_means(dist: PotentialDistribution, E: float, lam: float, n: int,
+                    trials: int, seed: int) -> np.ndarray:
+    """``trials`` harmonic means of n draws each, from the stream keyed (seed,
+    DOMAIN_MOMENT, n), sampled in blocks of at most BLOCK shells that
+    continue the stream, so memory stays bounded in ``trials``."""
+    gen = seed_stream(seed, DOMAIN_MOMENT, n)
+    sizes = np.full(min(trials, BLOCK), float(n))
+    out = np.empty(trials)
+    for t0 in range(0, trials, BLOCK):
+        t1 = min(trials, t0 + BLOCK)
+        mean1, _ = _shell_stats_block(dist, E, lam, sizes[:t1 - t0], gen)
+        np.divide(1.0, mean1, out=out[t0:t1])
+    return out
+
+
 def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
                trials: int, seed: int) -> MomentReport:
     """Sample `trials` harmonic means of size n and report centered moments,
     with exact moments when the enumeration guard allows.  The shells are
-    drawn by the engine's shell sampler from the stream keyed (seed,
-    DOMAIN_MOMENT, n)."""
+    drawn by the engine's shell sampler (``_harmonic_means``)."""
     if trials < 10 ** 3:
         raise DomainError("need at least 1000 trials")
     bounds = moment_bounds(dist, E, lam, n)
     h = bounds.h
-    mean1, _ = _shell_stats_block(dist, E, lam, np.full(trials, float(n)),
-                                  seed_stream(seed, DOMAIN_MOMENT, n))
-    dev = 1.0 / mean1 - h
+    dev = _harmonic_means(dist, E, lam, n, trials, seed) - h
     m1, se1 = _jackknife(dev)
     m2, se2 = _jackknife(dev * dev)
     m3, se3 = _jackknife(dev ** 3)

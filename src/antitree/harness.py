@@ -32,7 +32,13 @@ from .engine import dirichlet_window_average, lyapunov_batch
 from .geometry import GrowthLaw, load_custom_sizes, zd_brute_force, zd_printed_variant_count, zd_shell_counts
 from .harmonic import mc_moments
 from .potentials import PotentialDistribution, effective_quantities, i_lambda, j_lambda
-from .spectral import classify, essential_spectrum, free_density_theory, grid_halfwidth
+from .spectral import (
+    DENSITY_MIN_N,
+    classify,
+    essential_spectrum,
+    free_density_theory,
+    grid_halfwidth,
+)
 
 _TRIAL_CHUNK = 32
 _HARMONIC_LADDER = (2, 4, 8, 100, 1000, 10000)
@@ -137,6 +143,8 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
         raise ConfigError("need N >= 1 and trials >= 1")
     if exp == "lyapunov" and trials < 2:
         raise ConfigError("lyapunov needs trials >= 2 for the slope standard error")
+    if exp == "density" and N < DENSITY_MIN_N:
+        raise ConfigError(f"density needs N >= {DENSITY_MIN_N}, as density_estimate does")
     if not 0 <= seed_val < 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
 

@@ -38,6 +38,9 @@ from .potentials import (
 # density of states estimate
 # ---------------------------------------------------------------------------
 
+DENSITY_MIN_N = 1000   # fewest shells a density estimate averages over [N/2, N]
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     energies: np.ndarray
@@ -79,8 +82,8 @@ def density_estimate(dist: PotentialDistribution, lam: float, law: GrowthLaw,
     free case at E = +-1).
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
-    if N < 10 ** 3:
-        raise DomainError("density estimate needs N >= 1000")
+    if N < DENSITY_MIN_N:
+        raise DomainError(f"density estimate needs N >= {DENSITY_MIN_N}")
     if halfwidth is None:
         halfwidth = grid_halfwidth(grid)
     vals = dirichlet_window_average(dist, lam, law, grid, N, trials, seed, halfwidth)

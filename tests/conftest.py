@@ -19,18 +19,25 @@ ACCEPTANCE_LABELS = {
 }
 
 
+STATUS = {"passed": "PASS", "failed": "FAIL", "error": "FAIL", "skipped": "SKIP"}
+
+
+def _number(label):
+    return int(re.match(r"\d+", label)[0]), label
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    results = set()
-    for outcome in ("passed", "failed", "error", "skipped"):
+    status = {}
+    for outcome in STATUS:
         for rep in terminalreporter.stats.get(outcome, []):
-            name = getattr(rep, "location", ("", "", ""))[2]
-            base = name.split("[")[0]
+            base = getattr(rep, "location", ("", "", ""))[2].split("[")[0]
             if base in ACCEPTANCE_LABELS:
-                status = {"passed": "PASS", "failed": "FAIL",
-                          "error": "FAIL", "skipped": "SKIP"}[outcome]
-                results.add((ACCEPTANCE_LABELS[base], status))
-    if results:
+                status.setdefault(ACCEPTANCE_LABELS[base], set()).add(STATUS[outcome])
+    deselected = {item.name.split("[")[0] for item in terminalreporter.stats.get("deselected", [])}
+    if status or deselected & ACCEPTANCE_LABELS.keys():
         terminalreporter.write_sep("-", "acceptance criteria")
-        # by criterion number: 1, 2, ..., 9, 9b, 10, 11
-        for label, status in sorted(results, key=lambda r: (int(re.match(r"\d+", r[0])[0]), r)):
-            terminalreporter.write_line(f"  criterion {label}: {status}")
+        # by criterion number: 1, 2, ..., 9, 9b, 10, 11; a criterion that did
+        # not run (deselected, say 9b under -m "not slow") reads NOT RUN
+        for label in sorted(ACCEPTANCE_LABELS.values(), key=_number):
+            for st in sorted(status.get(label, {"NOT RUN"})):
+                terminalreporter.write_line(f"  criterion {label}: {st}")

@@ -26,7 +26,7 @@ def test_every_patch_point_records_a_span(tmp_path):
     config.write_text(json.dumps({
         "experiment": "density", "distribution": {"kind": "bernoulli"}, "lambda": 0.0,
         "growth": {"d": 1.0, "C": 1.0}, "energy": {"min": -1.0, "max": 1.0, "steps": 2},
-        "N": 200, "trials": 2, "seed": 1}))
+        "N": 1000, "trials": 2, "seed": 1}))
     tracer = Tracer()
     tracer.install()
     try:

@@ -1,6 +1,7 @@
 """Transfer dynamics: shell entries, polar steps, trajectories, m-function."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from antitree import (
     wronskian_drift,
 )
 import antitree.engine as eng
-from antitree.streams import DOMAIN_SUBORDINACY
+from antitree.streams import DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY
+
+import long_double
 
 BERN = PotentialDistribution.bernoulli()
 UNIF = PotentialDistribution.uniform()
@@ -300,6 +303,73 @@ def test_batch_kernel_matches_scalar_steps():
     assert rec.final_log_r == pytest.approx(st.log_r, rel=1e-10)
 
 
+def _per_shell_reference(A, ck, sk, first):
+    """log R after every shell and the window sum over the shells n >= first,
+    stepping each column shell by shell in Python floats, rescaled at every
+    shell."""
+    logs = np.empty(A.shape)
+    sums = np.empty(A.shape[1])
+    for j in range(A.shape[1]):
+        u, p, e = 1.0, 0.0, 0
+        terms = []
+        for n, a in enumerate(A[:, j].tolist(), 1):
+            u, p = a * u - p, u
+            ex = math.frexp(max(abs(u), abs(p)))[1]
+            u, p, e = math.ldexp(u, -ex), math.ldexp(p, -ex), e + ex
+            logs[n - 1, j] = math.log(math.hypot(u - ck * p, sk * p)) + e * eng.LN2
+            if n >= first:
+                terms.append(math.ldexp(1.0 / (u * u + p * p), -2 * e))
+        sums[j] = math.fsum(terms)
+    return logs, sums
+
+
+def _fold_replay_reads(blocks, cols, ck, sk, first):
+    """Drive the kernel over ``blocks`` of (entries, stride) for the columns
+    ``cols``, reading log R at every shell and the window sum from ``first``."""
+    scan = eng._FoldReplay(len(cols), ck)
+    logs, total, n0 = [], np.zeros(len(cols)), 0
+    for A, stride in blocks:
+        L = len(A)
+        scan.fold(A[:, cols], stride)
+        logs.append(np.empty((L, len(cols))))
+        scan.log_radius(np.arange(1, L + 1), ck, sk, logs[-1])
+        if n0 + L >= first:
+            total += scan.window_sum(max(first - n0, 1))
+        n0 += L
+    return np.concatenate(logs), total
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(amax=st.floats(0.1, 1e4), cap=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+       lengths=st.lists(st.integers(1, 200), min_size=1, max_size=3),
+       ncol=st.integers(2, 4), k=st.floats(0.3, math.pi - 0.3),
+       where=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       work_chunk=st.sampled_from([1, 7, 64, eng._WORK_CHUNK]))
+def test_fold_replay_matches_per_shell_steps(amax, cap, lengths, ncol, k, where, seed,
+                                             work_chunk):
+    # entries up to 1e4 and the cap give every stride from 1 to 64; blocks of
+    # any length, shorter than the stride too, and reads at every shell, so
+    # on every segment start and end; small work chunks split the segments
+    A = np.random.default_rng(seed).uniform(-amax, amax, (sum(lengths), ncol))
+    ends = np.cumsum(lengths)
+    blocks = [(A[n1 - L:n1], min(cap, eng._rescale_stride(np.abs(A[n1 - L:n1]).max())))
+              for L, n1 in zip(lengths, ends)]
+    ck, sk = math.cos(k), math.sin(k)
+    first = 1 + int(where * (len(A) - 1))
+    with mock.patch.object(eng, "_WORK_CHUNK", work_chunk):
+        logs, total = _fold_replay_reads(blocks, list(range(ncol)), ck, sk, first)
+        split = ncol // 2
+        parts = [_fold_replay_reads(blocks, cols, ck, sk, first)
+                 for cols in (list(range(split)), list(range(split, ncol)))]
+    ref_logs, ref_total = _per_shell_reference(A, ck, sk, first)
+    assert (np.abs(logs - ref_logs) <= 1e-12 * np.maximum(1.0, np.abs(ref_logs))).all()
+    # terms below 2^-1022 round differently as subnormals
+    assert (np.abs(total - ref_total) <= 1e-12 * ref_total + 1e-300).all()
+    for (part_logs, part_total), cols in zip(parts, (slice(0, split), slice(split, ncol))):
+        assert np.array_equal(part_logs, logs[:, cols])
+        assert np.array_equal(part_total, total[cols])
+
+
 def test_trajectories_deterministic_and_chunk_invariant():
     law = GrowthLaw.uniform_power(1.5, 1.0)
     full = lyapunov_batch(BERN, law, 2.0, 1.0, 3000, range(6), seed=5)
@@ -529,8 +599,7 @@ def test_records_are_finite_or_typed_errors_across_the_domain(law_and_d, lam, wh
             assert np.isfinite(getattr(rec, field)).all(), field
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="needs an extended-precision long double")
+@pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
 @pytest.mark.parametrize("dist", [BERN, UNIF], ids=["bernoulli", "uniform"])
 def test_log_ratio_matches_long_double_recomputation(dist):
     # log_ratio + log_dom = log(sum_{k < c} psi_k^2 w_k^2 / (w_0^2 + w_{-1}^2))
@@ -540,21 +609,30 @@ def test_log_ratio_matches_long_double_recomputation(dist):
     N, trials = 3000, 2
     recs = subordinacy_batch(dist, law, 2.0, 1.0, N, range(trials), seed=5)
     columns = [(2.0, 0, t) for t in range(trials)]
-    blocks = list(eng._shell_blocks(dist, law, 1.0, N, columns, 5, DOMAIN_SUBORDINACY,
-                                    with_w=True))
-    A = np.concatenate([b[2] for b in blocks]).astype(np.longdouble)
-    W = np.concatenate([b[3] for b in blocks]).astype(np.longdouble)
-    w_hi = np.zeros(trials, dtype=np.longdouble)
-    w_mid = np.ones(trials, dtype=np.longdouble)
-    terms = np.empty_like(W)
-    for m in range(N - 1, -1, -1):
-        terms[m] = W[m] * w_mid * w_mid
-        w_hi, w_mid = w_mid, A[m] * w_mid - w_hi
-    prefix = np.cumsum(terms, axis=0)   # row c - 1 sums the shells k < c
-    log_coef = np.log(w_hi * w_hi + w_mid * w_mid)
+    A, W = long_double.draws(dist, law, 1.0, N, columns, 5, DOMAIN_SUBORDINACY, with_w=True)
+    log_prefix, log_coef = long_double.backward_log_norms(A, W, recs[0].ns)
     for t, rec in enumerate(recs):
-        expected = (np.log(prefix[rec.ns - 1, t]) - log_coef[t]).astype(np.float64)
+        expected = (log_prefix[:, t] - log_coef[t]).astype(np.float64)
         assert np.abs(rec.log_ratio + rec.log_dom - expected).max() <= 1e-13
+
+
+@pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("E, lam, N", [(-2.004986, 0.1, 10 ** 5), (2.0, 1.0, 2 * 10 ** 5)],
+                         ids=["band-edge", "bernoulli-2-1"])
+def test_forward_log_radius_matches_long_double_recomputation(E, lam, N):
+    # the band-edge cell has sin k = 1.25e-3, where reading R off the raw pair
+    # amplifies rounding by about 1/sin k
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    trials = 2
+    recs = lyapunov_batch(BERN, law, E, lam, N, range(trials), seed=5)
+    eff = effective_quantities(BERN, E, lam)
+    A = long_double.draws(BERN, law, lam, N, [(E, 0, t) for t in range(trials)], 5,
+                          DOMAIN_TRAJECTORY)
+    expected = long_double.forward_log_radius(A, math.cos(eff.k), math.sin(eff.k),
+                                              recs[0].ns).astype(np.float64)
+    for t, rec in enumerate(recs):
+        err = np.abs(rec.log_r - expected[:, t])
+        assert (err <= 1e-12 * np.maximum(1.0, np.abs(expected[:, t]))).all(), err.max()
 
 
 def test_gram_ratio_matches_dense_eigensolve_at_small_depth():

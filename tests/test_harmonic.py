@@ -14,7 +14,9 @@ from antitree import (
     mc_moments,
     moment_bounds,
 )
-from antitree.harmonic import _jackknife, sigma3
+from antitree.engine import BLOCK, _shell_stats_block
+from antitree.harmonic import _harmonic_means, _jackknife, sigma3
+from antitree.streams import DOMAIN_MOMENT, seed_stream
 
 BERN = PotentialDistribution.bernoulli()
 
@@ -162,6 +164,18 @@ def test_mc_moments_continuous_law():
     assert rep.flags["first_moment_positive"]
     assert rep.flags["second_in_envelope"]
     assert rep.exact is None
+
+
+@pytest.mark.parametrize("dist, n",
+                         [(BERN, 200), (BERN, 300), (PotentialDistribution.uniform(), 20)],
+                         ids=["bernoulli-popcount", "bernoulli-binomial", "uniform"])
+def test_blocked_harmonic_means_match_one_draw(dist, n):
+    # blocks of at most BLOCK shells continue one stream, so they reproduce
+    # the unblocked draw bit for bit
+    trials = BLOCK + 3
+    mean1, _ = _shell_stats_block(dist, 2.5, 1.0, np.full(trials, float(n)),
+                                  seed_stream(9, DOMAIN_MOMENT, n))
+    assert np.array_equal(_harmonic_means(dist, 2.5, 1.0, n, trials, 9), 1.0 / mean1)
 
 
 def test_mc_requires_enough_trials():

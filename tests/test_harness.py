@@ -341,6 +341,19 @@ def test_cli_lyapunov_needs_two_trials(tmp_path, capsys):
     assert not (tmp_path / "cli_out").exists()
 
 
+def test_cli_density_needs_the_estimators_shell_count(tmp_path, capsys):
+    # the CLI density experiment has the domain of density_estimate
+    cfg = {"experiment": "density", "distribution": {"kind": "bernoulli"}, "lambda": 0.0,
+           "growth": {"d": 1.0, "C": 1.0}, "energy": {"min": -1.0, "max": 1.0, "steps": 2},
+           "N": 10, "trials": 2, "seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli_main(["density", "--config", str(cfg_path), "--out", "cli_out"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "cli_out").exists()
+
+
 def test_cli_missing_config(tmp_path, capsys):
     code = cli_main(["lyapunov", "--config", str(tmp_path / "absent.json")])
     assert code == 1
