@@ -6,16 +6,14 @@ through the harmonic entry
     a = [ (1/s) * sum_j 1/(E - lam*v_j) ]^(-1),
 
 the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
-steps this raw pair, rescaled by exact powers of two.  The forward and density
-passes go through one fold-and-replay kernel (``_FoldReplay``): per block,
-``stride`` steps vectorized over (segments x columns) form each segment's two
-solutions, a fold over the segments carries the state and rescales at every
-segment end, and a replay steps the segments that a read needs from their
-start states at once.  The Gram and backward subordinacy passes and the
-single-column complex m-function still step shell by shell in Python: the
-Gram factor takes a rank-one update per shell, and a fold-and-replay
-backward pass measured 1.6e-13 against the 1e-13 long-double bound on
-log_ratio, where the loop gives 3.6e-14.  With x = (a - h)/sin k
+steps this raw pair, rescaled by exact powers of two.  Every pass but the
+single-column complex m-function goes through one fold-and-replay kernel
+(``_FoldReplay``): per block, ``stride`` steps vectorized over (segments x
+columns) form each segment's two solutions, a fold over the segments carries
+the state and rescales at every segment end, and a replay steps the segments
+that a read needs from their start states at once.  The forward, density,
+backward subordinacy and Gram passes differ only in their reads; the backward
+pass is the forward step on reversed entries.  With x = (a - h)/sin k
 and M = ((sin k, cos k), (0, 1)) the step conjugates to shear times rotation,
 ((a, -1), (1, 0)) M = M ((1, x), (0, 1)) Rot(k), and M e_1 = sin k (u_0, u_{-1})
 for the Dirichlet solution, so its polar radius is read off the raw pair:
@@ -44,6 +42,7 @@ hopeless at depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,12 +78,15 @@ DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound
 # overflow.  The Gram factor is rescaled again right before each checkpoint,
 # where the eigenvalue discriminant takes fourth powers of entries < 2^256.
 RESCALE_EXP = 256
+_RESCALE_AT = 2.0 ** RESCALE_EXP
 _MAX_STRIDE = 64
 # (segments x columns) that _FoldReplay forms or replays at once: many columns
 # bound its work arrays to 8 such chunks
 _WORK_CHUNK = 1 << 12
 _DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
 _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
+# bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
+_HOLD_BYTES = 1 << 25
 # Largest shell whose fair first multinomial step is a popcount of raw words:
 # the power of two below the measured crossover, between 320 and 384 draws,
 # above which numpy's binomial (BTPE) is the faster exact draw.
@@ -262,12 +264,17 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
         while i0 < len(s_int):
             base = ends[i0] - s_int[i0]
             i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
-            v = sample(dist, gen, size=int(ends[i1 - 1] - base))
-            r = 1.0 / (E - lam * v)
+            # r = 1/(E - lam v), then r^2, formed in the sample's buffer
+            r = sample(dist, gen, size=int(ends[i1 - 1] - base))
+            r = r.astype(np.result_type(r, E), copy=False)
+            np.multiply(r, -lam, out=r)
+            r += E
+            np.divide(1.0, r, out=r)
             starts = ends[i0:i1] - s_int[i0:i1] - base
             sum1.append(np.add.reduceat(r, starts))
             if with_w:
-                sum2.append(np.add.reduceat(r * r, starts))
+                np.multiply(r, r, out=r)
+                sum2.append(np.add.reduceat(r, starts))
             i0 = i1
         sum1 = np.concatenate(sum1)
         sum2 = np.concatenate(sum2) if with_w else None
@@ -330,42 +337,114 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         yield n0, n1, A, W
 
 
-def _rescale_stride(a_abs_max: float) -> int:
-    """Shells between rescale checks of the raw passes over a block of |a| <= a_abs_max.
+def _rescale_stride(a_abs_max):
+    """Shells between rescale checks of the raw passes over a block, as an
+    int64 array shaped like ``a_abs_max``, the largest |a| of each column.
 
     The largest power of two up to _MAX_STRIDE whose growth bound
     (1 + max|a|)^stride stays within 2^(RESCALE_EXP/2).  Every stride
-    divides BLOCK, so each block ends on a check.
+    divides BLOCK, so each block ends on a check.  Taken per column, a
+    column's results do not depend on which columns share its call.
     """
-    growth = math.log2(1.0 + a_abs_max)
-    stride = _MAX_STRIDE
-    while stride > 1 and stride * growth > RESCALE_EXP / 2:
-        stride //= 2
+    growth = np.log2(1.0 + np.asarray(a_abs_max, dtype=np.float64))
+    stride = np.full(growth.shape, _MAX_STRIDE, dtype=np.int64)
+    while (over := (stride > 1) & (stride * growth > RESCALE_EXP / 2)).any():
+        stride[over] //= 2
     return stride
+
+
+def _column_strides(A: np.ndarray) -> np.ndarray:
+    """``_rescale_stride`` of each column of the real block A.
+
+    No column's stride is below the whole block's, so a block that allows
+    _MAX_STRIDE skips the per-column reductions, which take ten times as
+    long as whole-block ones on a block of 8 columns.
+    """
+    if _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0))) == _MAX_STRIDE:
+        return np.full(A.shape[1], _MAX_STRIDE)
+    return _rescale_stride(np.maximum(A.max(axis=0), -A.min(axis=0)))
+
+
+class _Segments:
+    """One block of entries A cut into segments of ``stride`` shells, for the
+    columns ``cols`` of a _FoldReplay that share that stride.
+
+    ``start`` (segments + 1, 2, columns) holds the pair (u, p) at each
+    segment start and ``start_exp`` its exponents, written by the fold;
+    ``work`` (8, chunk, columns) is the kernel's scratch space.
+    """
+
+    def __init__(self, A, stride, cols, start, start_exp, work):
+        self.A, self.stride, self.cols = A, stride, cols
+        self.nseg = -(-len(A) // stride)
+        self.last = len(A) - (self.nseg - 1) * stride    # length of the last segment
+        self.start, self.start_exp, self.work = start, start_exp, work
+
+    def replay(self, segs, steps, W=None):
+        """Step the segments ``segs`` (at most a work chunk of increasing
+        indices) from their start states.  After step i yield
+        ``(i, m, u, p, w)``: rows [:m] of u and p hold the pair at shell
+        i + 1 of the first m segments, the short last segment dropping out
+        after its last shell, and rows [:m] of w the entries of W at that
+        shell, when W (shells x at most as many columns as A) is given."""
+        m0 = len(segs)
+        cur, prev, a, tmp = (buf[:m0] for buf in self.work[:4])
+        w = None if W is None else self.work[4].reshape(-1)[:m0 * W.shape[1]].reshape(m0, -1)
+        np.take(self.start[:, 0], segs, axis=0, out=cur, mode="clip")
+        np.take(self.start[:, 1], segs, axis=0, out=prev, mode="clip")
+        rows = segs * self.stride
+        short = segs[-1] == self.nseg - 1 and self.last < steps
+        for i in range(steps):
+            m = m0 - 1 if short and i >= self.last else m0
+            np.take(self.A, rows[:m] + i, axis=0, out=a[:m], mode="clip")
+            if W is not None:
+                np.take(W, rows[:m] + i, axis=0, out=w[:m], mode="clip")
+            np.multiply(a[:m], cur[:m], out=tmp[:m])
+            np.subtract(tmp[:m], prev[:m], out=prev[:m])
+            cur, prev = prev, cur
+            yield i, m, cur, prev, w
+
+    def chunks(self, shells):
+        """Cut the segments into work chunks.  Per chunk yield ``(c0, segs,
+        at)``: ``segs`` the indices c0, c0 + 1, ..., and ``at`` maps an
+        offset o (1 .. stride) to the indices into the increasing ``shells``
+        (1-based within the block) that lie at offset o of a segment in
+        ``segs``."""
+        seg = (shells - 1) // self.stride
+        off = shells - seg * self.stride
+        chunk = self.work.shape[1]
+        for c0 in range(0, self.nseg, chunk):
+            segs = np.arange(c0, min(self.nseg, c0 + chunk))
+            lo, hi = np.searchsorted(seg, [c0, c0 + len(segs)])
+            yield c0, segs, {int(o): lo + np.flatnonzero(off[lo:hi] == o)
+                             for o in np.unique(off[lo:hi])}
 
 
 class _FoldReplay:
     """Fold-and-replay stepping of the raw pair (u, p) * 2^exps of ``ncol``
-    columns, seeded (1, 0), block by block.
+    columns, seeded (1, 0) unless the caller sets ``u`` and ``p``, block by
+    block.
 
-    ``fold(A, stride)`` cuts a block of entries into segments of ``stride``
-    shells, the last one shorter when ``stride`` does not divide the block.
-    It forms the segments' two solutions seeded (1, 0) and (c, 1) in
-    ``stride`` steps vectorized over (segments x columns), then folds the
-    segments in order onto the state, (u, p) = (u - c p) (1, 0) + p (c, 1),
-    keeping each segment's start state and rescaling with ``_rescale_where``
-    at each segment end.  The reads replay the segments they need from their
-    start states, all at once and with the per-shell loop's own steps:
-    ``log_radius`` at checkpoints and ``window_sum`` over the density window.
+    ``fold(A, strides)`` cuts a block of entries into segments of each
+    column's stride, the last one shorter when the stride does not divide
+    the block; columns of one stride go together, and A is used as it is
+    (copied only if strided) when they all share it.  The fold forms the segments' two solutions
+    seeded (1, 0) and (c, 1) in ``stride`` steps vectorized over
+    (segments x columns), then folds the segments in order onto the state,
+    (u, p) = (u - c p) (1, 0) + p (c, 1), keeping each segment's start state
+    and rescaling with ``_rescale_where`` at each segment end.  The reads
+    replay the segments they need from their start states, all at once and
+    with the per-shell loop's own steps: ``log_radius`` at checkpoints,
+    ``window_sum`` over the density window, ``weighted_sums`` between
+    checkpoints (the backward subordinacy pass) and ``gram`` (the weighted
+    Gram factor of pairs of columns).
 
-    The seed c = cos k (the forward pass) keeps the fold as accurate as the
-    per-shell loop near band edges: there the raw pair lies close to
-    (cos k, 1) while the seed (0, 1) grows linearly across a segment, and
-    the product seeded (1, 0), (0, 1) misses the cancellation of the pair
-    by up to 1/sin k.  Segments are formed and replayed in chunks of
-    _WORK_CHUNK (segments x columns), in work arrays allocated with the
-    instance and written with out=; no (shells x columns) array is formed
-    besides A.
+    The seed c = cos k keeps the fold as accurate as the per-shell loop near
+    band edges: there the raw pair lies close to (cos k, 1) while the seed
+    (0, 1) grows linearly across a segment, and the product seeded (1, 0),
+    (0, 1) misses the cancellation of the pair by up to 1/sin k.  Segments
+    are formed and replayed in chunks of _WORK_CHUNK (segments x columns),
+    in work arrays allocated with the instance and written with out=.
     """
 
     def __init__(self, ncol: int, c: float = 0.0):
@@ -380,43 +459,62 @@ class _FoldReplay:
         # and raised its peak by more than their size over repeated calls.
         # Rows: the fold's leapfrog pair of both segment solutions and its
         # product, or the replay's pairs, gathered entries and product, then
-        # the window's scale, accumulator and two temporaries.
-        self._work = np.empty((8, self._chunk, ncol))
-        self._scale_exp = np.empty((self._chunk, ncol), dtype=np.int64)
-        self._fold_tmp = np.empty((2, ncol))
+        # the gathered weights or the window's scale, and three accumulators
+        # or temporaries.  Each stride group views a prefix of these buffers.
+        self._work = np.empty(8 * self._chunk * ncol)
+        self._scale_exp = np.empty(self._chunk * ncol, dtype=np.int64)
+        self._fold_tmp = np.empty(2 * ncol)
         self._cap = 0
-        self._reserve(BLOCK // _MAX_STRIDE)
+        self._reserve((BLOCK // _MAX_STRIDE + 1) * ncol)
+        self._groups: list[_Segments] = []
 
-    def _reserve(self, nseg: int) -> None:
-        if nseg > self._cap:
-            self._cap = nseg
-            self._start = np.empty((nseg + 1, 2, len(self.u)))      # (u, p) at segment starts
-            self._start_exp = np.empty((nseg + 1, len(self.u)), dtype=np.int64)
+    def _reserve(self, size: int) -> None:
+        if size > self._cap:
+            self._cap = size
+            self._start = np.empty(2 * size)      # (u, p) at segment starts
+            self._start_exp = np.empty(size, dtype=np.int64)
 
-    def fold(self, A: np.ndarray, stride: int) -> None:
-        """Advance the state across the block A (shells x columns)."""
-        L = len(A)
-        nseg = -(-L // stride)
-        self._reserve(nseg)
-        X, E = self._start, self._start_exp
-        X[0, 0], X[0, 1], E[0] = self.u, self.p, self.exps
-        for j0 in range(0, nseg, self._chunk):
-            self._fold_chunk(A[j0 * stride:(j0 + self._chunk) * stride], stride, j0)
-        self.u[:], self.p[:], self.exps[:] = X[nseg, 0], X[nseg, 1], E[nseg]
-        self._A, self._stride, self._nseg = A, stride, nseg
-        self._last = L - (nseg - 1) * stride    # length of the last segment
+    def fold(self, A: np.ndarray, strides) -> None:
+        """Advance the state across the block A (shells x columns), each
+        column in segments of its own stride (a scalar applies to all)."""
+        kinds = sorted(set(np.ravel(strides).tolist())) if len(self.u) else []
+        if len(kinds) == 1:   # np.take, which gathers the replays, copies a strided A whole
+            parts = [(slice(None), np.ascontiguousarray(A), kinds[0])]
+        else:
+            parts = [(cols, A[:, cols], s)
+                     for s in kinds for cols in [np.flatnonzero(strides == s)]]
+        sizes = [(-(-len(A) // s) + 1) * len(self.u[cols]) for cols, _, s in parts]
+        self._reserve(sum(sizes))
+        self._groups = []
+        at = 0
+        for (cols, Ag, stride), size in zip(parts, sizes):
+            ng = len(self.u[cols])
+            g = _Segments(Ag, stride, cols,
+                          self._start[2 * at:2 * (at + size)].reshape(-1, 2, ng),
+                          self._start_exp[at:at + size].reshape(-1, ng),
+                          self._work[:8 * self._chunk * ng].reshape(8, self._chunk, ng))
+            at += size
+            X, E = g.start, g.start_exp
+            X[0, 0], X[0, 1], E[0] = self.u[cols], self.p[cols], self.exps[cols]
+            for j0 in range(0, g.nseg, self._chunk):
+                self._fold_chunk(g, j0)
+            self.u[cols], self.p[cols], self.exps[cols] = X[g.nseg, 0], X[g.nseg, 1], E[g.nseg]
+            self._groups.append(g)
 
-    def _fold_chunk(self, A: np.ndarray, stride: int, j0: int) -> None:
-        """Form the products of the segments of A (at most ``_chunk``) and
-        fold them onto the start state of segment j0."""
+    def _fold_chunk(self, g: _Segments, j0: int) -> None:
+        """Form the products of the segments j0, j0 + 1, ... (at most a work
+        chunk) of g and fold them onto the start state of segment j0."""
+        stride = g.stride
+        A = g.A[j0 * stride:(j0 + self._chunk) * stride]
         L = len(A)
         nseg = -(-L // stride)
         steps = min(stride, L)
         last = L - (nseg - 1) * stride
+        ng = g.work.shape[2]
         # [parity][seed][segment][column]
-        bufs = self._work[:4].reshape(2, 2, self._chunk, len(self.u))[:, :, :nseg]
+        bufs = g.work[:4].reshape(2, 2, self._chunk, ng)[:, :, :nseg]
         bufs[0, 0], bufs[0, 1], bufs[1, 0], bufs[1, 1] = 0.0, 1.0, 1.0, self.c
-        tmp = self._work[4:6, :nseg]
+        tmp = g.work[4:6, :nseg]
         for i in range(steps):
             rows = A[i::stride]
             m = len(rows)
@@ -431,7 +529,8 @@ class _FoldReplay:
             bufs[1, :, -1] = tmp[:, 0]
         # M[row, seed]: row 0 the segment's last entries, row 1 the ones before
         M = bufs[::-1] if steps % 2 == 0 else bufs
-        X, E, w = self._start[j0:], self._start_exp[j0:], self._fold_tmp
+        X, E = g.start[j0:], g.start_exp[j0:]
+        w = self._fold_tmp[:2 * ng].reshape(2, ng)
         alpha = w[0]   # the coefficient u - c p of the seed (1, 0)
         for j in range(nseg):
             np.multiply(self.c, X[j, 1], out=alpha)
@@ -442,68 +541,157 @@ class _FoldReplay:
             E[j + 1] = E[j]
             _rescale_where([X[j + 1, 0], X[j + 1, 1]], E[j + 1])
 
-    def _replay(self, segs: np.ndarray, steps: int):
-        """Step the segments ``segs`` (at most ``_chunk`` increasing indices
-        into the last fold) from their start states.  After step i yield
-        ``(i, m, u, p)``: rows [:m] of u and p hold the pair at shell i + 1 of
-        the first m segments, the short last segment dropping out after its
-        last shell."""
-        m0 = len(segs)
-        cur, prev, a, tmp = (buf[:m0] for buf in self._work[:4])
-        np.take(self._start[:, 0], segs, axis=0, out=cur, mode="clip")
-        np.take(self._start[:, 1], segs, axis=0, out=prev, mode="clip")
-        rows = segs * self._stride
-        short = segs[-1] == self._nseg - 1 and self._last < steps
-        for i in range(steps):
-            m = m0 - 1 if short and i >= self._last else m0
-            np.take(self._A, rows[:m] + i, axis=0, out=a[:m], mode="clip")
-            np.multiply(a[:m], cur[:m], out=tmp[:m])
-            np.subtract(tmp[:m], prev[:m], out=prev[:m])
-            cur, prev = prev, cur
-            yield i, m, cur, prev
-
     def log_radius(self, shells: np.ndarray, ck: float, sk: float, out: np.ndarray) -> None:
         """Write log hypot(u - ck p, sk p) + exps ln 2 at the increasing shells
         ``shells`` (1-based within the last fold) into the rows of ``out``."""
-        seg = (shells - 1) // self._stride
-        off = shells - seg * self._stride          # 1 .. stride
-        held, row = np.unique(seg, return_inverse=True)
-        for c0 in range(0, len(held), self._chunk):
-            segs = held[c0:c0 + self._chunk]
-            lo, hi = np.searchsorted(row, [c0, c0 + len(segs)])   # the shells in segs
-            at = {int(o): lo + np.flatnonzero(off[lo:hi] == o) for o in np.unique(off[lo:hi])}
-            for i, _, u, p in self._replay(segs, int(off[lo:hi].max())):
-                k = at.get(i + 1)
-                if k is not None:
-                    r = row[k] - c0
-                    out[k] = (np.log(np.hypot(u[r] - ck * p[r], sk * p[r]))
-                              + self._start_exp[seg[k]] * LN2)
+        for g in self._groups:
+            seg = (shells - 1) // g.stride
+            off = shells - seg * g.stride          # 1 .. stride
+            held, row = np.unique(seg, return_inverse=True)
+            for c0 in range(0, len(held), self._chunk):
+                segs = held[c0:c0 + self._chunk]
+                lo, hi = np.searchsorted(row, [c0, c0 + len(segs)])   # the shells in segs
+                at = {int(o): lo + np.flatnonzero(off[lo:hi] == o)
+                      for o in np.unique(off[lo:hi])}
+                for i, _, u, p, _ in g.replay(segs, int(off[lo:hi].max())):
+                    k = at.get(i + 1)
+                    if k is not None:
+                        r = row[k] - c0
+                        at_k = (k, g.cols) if isinstance(g.cols, slice) else np.ix_(k, g.cols)
+                        out[at_k] = (np.log(np.hypot(u[r] - ck * p[r], sk * p[r]))
+                                     + g.start_exp[seg[k]] * LN2)
 
     def window_sum(self, first: int) -> np.ndarray:
         """Sum of 2^(-2 exps) / (u^2 + p^2) over the shells from ``first``
         (1-based within the last fold) to the end of the block, per column:
         per segment in shell order, then over the segments in order."""
-        j0 = (first - 1) // self._stride
-        skip = first - 1 - j0 * self._stride   # shells of segment j0 before the window
         total = np.zeros(len(self.u))
-        for c0 in range(j0, self._nseg, self._chunk):
-            segs = np.arange(c0, min(self._nseg, c0 + self._chunk))
-            m0 = len(segs)
-            scale, acc, t1, t2 = (buf[:m0] for buf in self._work[4:])
-            np.multiply(self._start_exp[c0:c0 + m0], -2, out=self._scale_exp[:m0])
-            np.ldexp(1.0, self._scale_exp[:m0], out=scale)
-            acc[:] = 0.0
-            for i, m, u, p in self._replay(segs, min(self._stride, len(self._A))):
-                lo = 1 if c0 == j0 and i < skip else 0
-                np.multiply(u[lo:m], u[lo:m], out=t1[lo:m])
-                np.multiply(p[lo:m], p[lo:m], out=t2[lo:m])
-                t1[lo:m] += t2[lo:m]
-                np.divide(scale[lo:m], t1[lo:m], out=t1[lo:m])
-                acc[lo:m] += t1[lo:m]
-            acc[0] += total   # summed over the segments in order, whatever the chunks
-            np.add.accumulate(acc, axis=0, out=acc)
-            total[:] = acc[-1]
+        for g in self._groups:
+            j0 = (first - 1) // g.stride
+            skip = first - 1 - j0 * g.stride   # shells of segment j0 before the window
+            part = np.zeros(g.work.shape[2])
+            for c0 in range(j0, g.nseg, self._chunk):
+                segs = np.arange(c0, min(g.nseg, c0 + self._chunk))
+                m0 = len(segs)
+                scale, acc, t1, t2 = (buf[:m0] for buf in g.work[4:])
+                scale_exp = self._scale_exp[:m0 * len(part)].reshape(m0, -1)
+                np.multiply(g.start_exp[c0:c0 + m0], -2, out=scale_exp)
+                np.ldexp(1.0, scale_exp, out=scale)
+                acc[:] = 0.0
+                for i, m, u, p, _ in g.replay(segs, min(g.stride, len(g.A))):
+                    lo = 1 if c0 == j0 and i < skip else 0
+                    np.multiply(u[lo:m], u[lo:m], out=t1[lo:m])
+                    np.multiply(p[lo:m], p[lo:m], out=t2[lo:m])
+                    t1[lo:m] += t2[lo:m]
+                    np.divide(scale[lo:m], t1[lo:m], out=t1[lo:m])
+                    acc[lo:m] += t1[lo:m]
+                acc[0] += part   # summed over the segments in order, whatever the chunks
+                np.add.accumulate(acc, axis=0, out=acc)
+                part[:] = acc[-1]
+            total[g.cols] = part
         return total
+
+    def weighted_sums(self, W: np.ndarray, cuts: np.ndarray, acc: np.ndarray,
+                      acc_exp: np.ndarray, out: np.ndarray) -> None:
+        """Add W_n p_n^2 over the shells n of the last fold to the running
+        sums ``acc`` (in units 2^(2 acc_exp), both updated in place), per
+        column; p_n, the pair's second entry after shell n, is its first
+        before, and W is shaped like the folded block.  After each of the
+        increasing shells ``cuts`` (1-based within the block) write
+        log(acc) + 2 acc_exp ln 2 into the rows of ``out`` and restart the sum
+        at zero.  Each segment sums its terms in shell order; the segments'
+        sums are added in order, in the units of the later segment."""
+        for g in self._groups:
+            Wg = np.ascontiguousarray(W) if isinstance(g.cols, slice) else W[:, g.cols]
+            ng = g.work.shape[2]
+            pieces = np.empty((len(cuts), ng))   # the terms up to each cut
+            tails = np.empty((g.nseg, ng))       # the terms after a segment's last cut
+            for c0, segs, at in g.chunks(cuts):
+                m0 = len(segs)
+                part, t = g.work[5, :m0], g.work[6, :m0]
+                part[:] = 0.0
+                for i, m, _, p, w in g.replay(segs, min(g.stride, len(g.A)), W=Wg):
+                    np.multiply(p[:m], p[:m], out=t[:m])
+                    t[:m] *= w[:m]
+                    part[:m] += t[:m]
+                    k = at.get(i + 1)
+                    if k is not None:
+                        r = (cuts[k] - 1) // g.stride - c0
+                        pieces[k] = part[r]
+                        part[r] = 0.0
+                tails[c0:c0 + m0] = part
+            first = np.searchsorted((cuts - 1) // g.stride, np.arange(g.nseg + 1))
+            total, total_exp = acc[g.cols], acc_exp[g.cols]
+            logs = np.empty((len(cuts), ng))
+            with np.errstate(divide="ignore"):
+                for s in range(g.nseg):
+                    e = g.start_exp[s]
+                    total = np.ldexp(total, 2 * (total_exp - e))
+                    total_exp = e
+                    for k in range(first[s], first[s + 1]):
+                        total += pieces[k]
+                        logs[k] = np.log(total) + 2.0 * e * LN2
+                        total[:] = 0.0
+                    total += tails[s]
+            out[:, g.cols] = logs
+            acc[g.cols], acc_exp[g.cols] = total, total_exp
+
+    def gram(self, W: np.ndarray, shells: np.ndarray, factor: np.ndarray,
+             factor_exp: np.ndarray, out_dom: np.ndarray, out_grid: np.ndarray) -> None:
+        """For columns [u | v], the two solutions of each of ncol/2 trials, add
+        W_n x_n x_n^T with x_n = (u, v) before shell n, over the shells of the
+        last fold, to each trial's Gram matrix.  It is held as the lower
+        Cholesky factor ``factor`` (3, trials: l11, l21, l22) in units
+        2^factor_exp, both updated in place; W (shells x trials) holds the
+        weights.  At the increasing ``shells`` (1-based within the block)
+        write the Gram reads (``_gram_logs``) into the rows of ``out_dom``
+        and ``out_grid``.
+
+        A replay of every segment forms its own factor by per-shell rank-one
+        updates in the segment's units, recording it at the read shells.
+        The segment factors then fold in order onto the running factor, two
+        rank-one updates each, and a read combines the running factor at
+        its segment's start with the recorded partial factor the same way.
+        """
+        for g in self._groups:
+            h = g.work.shape[2] // 2
+            trials = g.cols if isinstance(g.cols, slice) else g.cols[:h]
+            Wg = np.ascontiguousarray(W) if isinstance(trials, slice) else W[:, trials]
+            # u and v of a trial are rescaled apart: the segments' units are
+            # the larger of their exponents
+            E0 = g.start_exp[:g.nseg]
+            seg_exp = np.maximum(E0[:, :h], E0[:, h:])
+            scale = np.ldexp(1.0, E0 - np.hstack([seg_exp, seg_exp]))
+            local = np.zeros((3, g.nseg, h))
+            partial = np.empty((3, len(shells), h))
+            seg = (shells - 1) // g.stride
+            for c0, segs, at in g.chunks(shells):
+                for i, m, _, p, w in g.replay(segs, min(g.stride, len(g.A)), W=Wg):
+                    rows = slice(c0, c0 + m)
+                    x = p[:m] * scale[rows]
+                    sw = np.sqrt(w[:m])
+                    local[:, rows] = _chol_rank1_update(local[0, rows], local[1, rows],
+                                                        local[2, rows], sw * x[:, :h],
+                                                        sw * x[:, h:])
+                    k = at.get(i + 1)
+                    if k is not None:
+                        partial[:, k] = local[:, seg[k]]
+            run = factor[:, trials]
+            run_exp = factor_exp[trials]
+            start = np.empty((g.nseg, 3, h))
+            start_exp = np.empty((g.nseg, h), dtype=np.int64)
+            for s in range(g.nseg):
+                start[s], start_exp[s] = run, run_exp
+                run = _fold_factor(run, local[:, s], np.ldexp(1.0, seg_exp[s] - run_exp))
+                _rescale_where(list(run), run_exp)
+            factor[:, trials], factor_exp[trials] = run, run_exp
+            if len(shells):
+                read_exp = start_exp[seg]
+                read = _fold_factor(np.moveaxis(start[seg], 1, 0), partial,
+                                    np.ldexp(1.0, seg_exp[seg] - read_exp))
+                _rescale_where(list(read), read_exp)
+                dom, grid = _gram_logs(read, read_exp)
+                out_dom[:, trials], out_grid[:, trials] = dom, grid
 
 
 def checkpoints_geometric(N: int) -> np.ndarray:
@@ -576,7 +764,7 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
     for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
         lo, hi = A.min(axis=0), A.max(axis=0)
         a_min, a_max = np.minimum(a_min, lo), np.maximum(a_max, hi)
-        scan.fold(A, _rescale_stride(max(hi.max(initial=0.0), -lo.min(initial=0.0))))
+        scan.fold(A, _rescale_stride(np.maximum(hi, -lo)))
         c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
         if c1 > c0:
             scan.log_radius(cps[c0:c1] - n0, ck, sk, cp_logr[c0:c1])
@@ -661,12 +849,42 @@ def _chol_rank1_update(l11, l21, l22, x1, x2):
     return r, l21n, np.hypot(l22, x2n)
 
 
+def _fold_factor(factor, other, scale):
+    """Lower Cholesky factor of F F^T + scale^2 O O^T, for the factors
+    F = ``factor`` and O = ``other`` given as (l11, l21, l22): two rank-one
+    updates, by the columns of scale * O."""
+    l11, l21, l22 = _chol_rank1_update(factor[0], factor[1], factor[2],
+                                       scale * other[0], scale * other[1])
+    return _chol_rank1_update(l11, l21, l22, np.zeros_like(l11), scale * other[2])
+
+
+def _gram_logs(factor, exp):
+    """For the Gram matrix G = L L^T 4^exp of the lower factor L = ``factor``
+    (l11, l21, l22): log of its top eigenvalue, and the log of the least over
+    the largest x^T G x over GRID_ANGLES unit directions x."""
+    l11, l21, l22 = factor
+    g11 = l11 * l11
+    g12 = l11 * l21
+    g22 = l21 * l21 + l22 * l22
+    half_tr = 0.5 * (g11 + g22)
+    disc = np.sqrt((0.5 * (g11 - g22)) ** 2 + g12 * g12)
+    angles = np.linspace(0.0, math.pi, GRID_ANGLES, endpoint=False)
+    with np.errstate(divide="ignore"):
+        q1 = np.multiply.outer(np.cos(angles), l11) + np.multiply.outer(np.sin(angles), l21)
+        q2 = np.multiply.outer(np.sin(angles), l22)
+        vals = q1 * q1 + q2 * q2
+        return (np.log(half_tr + disc) + 2.0 * exp * LN2,
+                np.log(vals.min(axis=0)) - np.log(vals.max(axis=0)))
+
+
 def _rescale_where(arrays, exps):
     """Divide each column by 2^e where its magnitude exponent e exceeds
     RESCALE_EXP; accumulate e into ``exps`` (int64, modified in place)."""
     m = np.abs(arrays[0])
     for arr in arrays[1:]:
         np.maximum(m, np.abs(arr), out=m)
+    if m.max(initial=0.0) < _RESCALE_AT:   # no exponent exceeds RESCALE_EXP
+        return exps
     ex = np.frexp(m)[1].astype(np.int64)
     sh = np.where(ex > RESCALE_EXP, ex, 0)
     if sh.any():
@@ -686,91 +904,67 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     accumulate the psi-weighted Gram factor over applied shells, record
     eigen-extreme ratios.  Backward: propagation from the seed (0, 1) at
     shell N isolates the forward-decaying solution wherever the dominant
-    contamination is small.  Both passes regenerate identical shell draws
-    from (trial, block)-keyed streams.
+    contamination is small.  Both passes run on the fold-and-replay kernel.
+    The forward pass keeps its latest blocks of draws up to _HOLD_BYTES,
+    and the backward pass redraws only the earlier blocks, identically,
+    from their (trial, block)-keyed streams; without the Gram pass every
+    block is drawn once.
     """
     eff = effective_quantities(dist, E, lam)
+    ck = math.cos(eff.k)
     trial_ids = list(trial_ids)
     T = len(trial_ids)
     cps = checkpoints_geometric(N)
-    cp_index = {int(n): i for i, n in enumerate(cps)}
     ncp = len(cps)
     cp_suminv = _checkpoint_sum_inv(law, cps)
     columns = [(E, cell, trial) for trial in trial_ids]
     cp_logmax = np.full((ncp, T), math.nan)
     cp_ratio_grid = np.full((ncp, T), math.nan)
-    angles = np.linspace(0.0, math.pi, GRID_ANGLES, endpoint=False)
-    cth = np.cos(angles)[:, None]
-    sth = np.sin(angles)[:, None]
 
+    held = []   # the forward pass's latest (n0, n1, A, W), oldest first
     if with_gram:
-        u_cur = np.ones(T); u_prev = np.zeros(T)
-        v_cur = np.zeros(T); v_prev = np.ones(T)
-        pair_exp = np.zeros(T, dtype=np.int64)
-        l11 = np.zeros(T); l21 = np.zeros(T); l22 = np.zeros(T)
-        gram_exp = np.zeros(T, dtype=np.int64)
+        # columns [u | v] of one kernel; a checkpoint at c covers shells < c
+        scan = _FoldReplay(2 * T, ck)
+        scan.u[T:], scan.p[T:] = 0.0, 1.0
+        factor = np.zeros((3, T))
+        factor_exp = np.zeros(T, dtype=np.int64)
         for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
                                           with_w=True):
-            stride = _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0)))
-            for n_applied, ai, wi in zip(range(n0 + 1, n1 + 1), A, W):
-                # Gram gains the current direction (u_n, v_n), then the pair
-                # advances; a checkpoint at c therefore covers shells < c
-                sw = np.sqrt(wi)
-                unit = np.ldexp(1.0, pair_exp - gram_exp)
-                l11, l21, l22 = _chol_rank1_update(
-                    l11, l21, l22, sw * u_cur * unit, sw * v_cur * unit)
-                u_cur, u_prev = ai * u_cur - u_prev, u_cur
-                v_cur, v_prev = ai * v_cur - v_prev, v_cur
-                ci = cp_index.get(n_applied)
-                if n_applied % stride == 0 or ci is not None:
-                    pair_exp = _rescale_where([u_cur, u_prev, v_cur, v_prev], pair_exp)
-                    gram_exp = _rescale_where([l11, l21, l22], gram_exp)
-                if ci is not None:
-                    g11 = l11 * l11
-                    g12 = l11 * l21
-                    g22 = l21 * l21 + l22 * l22
-                    half_tr = 0.5 * (g11 + g22)
-                    disc = np.sqrt((0.5 * (g11 - g22)) ** 2 + g12 * g12)
-                    with np.errstate(divide="ignore"):
-                        cp_logmax[ci] = np.log(half_tr + disc) + 2.0 * gram_exp * LN2
-                        q1 = cth * l11 + sth * l21
-                        q2 = sth * l22
-                        vals = q1 * q1 + q2 * q2
-                        cp_ratio_grid[ci] = np.log(vals.min(axis=0)) - np.log(vals.max(axis=0))
+            scan.fold(np.hstack([A, A]), np.tile(_column_strides(A), 2))
+            c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
+            scan.gram(W, cps[c0:c1] - n0, factor, factor_exp, cp_logmax[c0:c1],
+                      cp_ratio_grid[c0:c1])
+            held.append((n0, n1, A, W))
+            while sum(blk[2].nbytes + blk[3].nbytes for blk in held) > _HOLD_BYTES:
+                held.pop(0)
 
-    # backward pass: seed (w_N, w_{N-1}) = (0, 1), recursion
-    # w_{m-1} = a_m w_m - w_{m+1} for m = N-1 .. 0.  Alongside the amplitude
-    # we accumulate the psi-weighted norm sum w_k^2 psi_k^2 of each segment
-    # between checkpoints; prefixes are log-domain sums of positive terms,
-    # which cannot cancel.  The final state (w_0, w_{-1}) gives the
-    # coefficients of w in the (u, v) basis for unit normalization.
+    # backward pass: the forward step on reversed entries, the pair
+    # (w_m, w_{m+1}) seeded (w_{N-1}, w_N) = (1, 0), from which w_{m-1} =
+    # a_m w_m - w_{m+1}.  Between checkpoints it sums the psi-weighted norm
+    # sum W_k w_k^2; prefixes are log-domain sums of positive terms, which
+    # cannot cancel.  The final pair (w_{-1}, w_0) gives the coefficients of
+    # w in the (u, v) basis for unit normalization.
     cp_sub = np.full((ncp, T), math.nan)
     cp_logseg = np.full((ncp, T), -math.inf)
-    w_hi = np.zeros(T)   # w_{m+1}
-    w_mid = np.ones(T)   # w_m
-    back_exp = np.zeros(T, dtype=np.int64)
-    seg = np.zeros(T)    # segment sum in units 2^(2 back_exp)
-    for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
-                                      reverse=True, with_w=True):
-        stride = _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0)))
-        for m, ai, wi in zip(range(n1 - 1, n0 - 1, -1), A[::-1], W[::-1]):
-            ci = cp_index.get(m + 1)
-            if ci is not None:
-                # entering iteration m the state holds (w_{m+1}, w_m) and
-                # seg covers the shells m+1 <= k < next checkpoint
-                with np.errstate(divide="ignore"):
-                    cp_sub[ci] = 0.5 * np.log(w_hi * w_hi + w_mid * w_mid) + back_exp * LN2
-                    cp_logseg[ci] = np.log(seg) + 2.0 * back_exp * LN2
-                seg[:] = 0.0
-            seg += wi * w_mid * w_mid
-            w_hi, w_mid = w_mid, ai * w_mid - w_hi
-            if m % stride == 0:
-                old = back_exp.copy()
-                back_exp = _rescale_where([w_hi, w_mid], back_exp)
-                seg = np.ldexp(seg, 2 * (old - back_exp))
+    cp_sub[-1] = 0.0    # log hypot(w_N, w_{N-1}) at the seed
+    back = _FoldReplay(T, ck)
+    seg = np.zeros(T)   # the open sum, over k < the last checkpoint passed
+    seg_exp = np.zeros(T, dtype=np.int64)
+    first_held = held[0][0] if held else N
+    blocks = itertools.chain((held.pop() for _ in range(len(held))),
+                             _shell_blocks(dist, law, lam, first_held, columns, seed,
+                                           DOMAIN_SUBORDINACY, reverse=True, with_w=True))
+    for n0, n1, A, W in blocks:
+        back.fold(A[::-1], _column_strides(A))
+        # a checkpoint n0 <= c < n1 sits n1 - c shells into the reversed block,
+        # where the pair is (w_{c-1}, w_c) and the sum has just taken in w_c
+        lo, hi = np.searchsorted(cps, [n0, n1])
+        at = n1 - cps[lo:hi][::-1]
+        back.log_radius(at, 0.0, 1.0, cp_sub[lo:hi][::-1])
+        back.weighted_sums(W[::-1], at, seg, seg_exp, cp_logseg[lo:hi][::-1])
     with np.errstate(divide="ignore"):
-        log_bottom = np.log(seg) + 2.0 * back_exp * LN2   # shells k < c_0
-        log_coef = np.log(w_hi * w_hi + w_mid * w_mid) + 2.0 * back_exp * LN2
+        log_bottom = np.log(seg) + 2.0 * seg_exp * LN2   # shells k < c_0
+        log_coef = np.log(back.u * back.u + back.p * back.p) + 2.0 * back.exps * LN2
     # prefix(c_i) = bottom + seg_0 + ... + seg_{i-1}, with seg_i for c_i <= k < c_{i+1}
     log_prefix = np.logaddexp.accumulate(np.vstack([log_bottom, cp_logseg[:-1]]), axis=0)
     cp_ratio = log_prefix - log_coef[None, :] - cp_logmax
@@ -816,7 +1010,7 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     acc = np.zeros(len(columns))
     w0 = N // 2
     for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY):
-        scan.fold(A, _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0))))
+        scan.fold(A, _column_strides(A))
         if n1 >= w0:
             acc += scan.window_sum(max(w0 - n0, 1))
     count = N - max(w0, 1) + 1   # the shells w0 <= n <= N
@@ -860,7 +1054,7 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     v_cur, v_prev = 0.0 + 0.0j, 1.0 + 0.0j
     exps = np.zeros(1, dtype=np.int64)
     for n0, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
-        stride = _rescale_stride(float(np.abs(A).max()))
+        stride = int(_rescale_stride(np.abs(A).max()))
         # Python complex steps: numpy's complex product rounds differently
         for n, a in enumerate(A[:, 0].tolist(), n0 + 1):
             u_cur, u_prev = a * u_cur - u_prev, u_cur

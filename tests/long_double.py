@@ -51,3 +51,29 @@ def forward_log_radius(A, ck, sk, ns):
         if i is not None:
             out[i] = 0.5 * np.log((u - ck * p) ** 2 + (sk * p) ** 2)
     return out
+
+
+def gram_log_dom(A, W, ns):
+    """log of the top eigenvalue of the Gram sum sum_{n < c} W_n (u_n, v_n)^T (u_n, v_n)
+    of the pair seeded (u_0, u_{-1}) = (1, 0), (v_0, v_{-1}) = (0, 1), at each
+    checkpoint c in ``ns`` (rows)."""
+    ncol = A.shape[1]
+    u, u_prev = np.ones(ncol, dtype=np.longdouble), np.zeros(ncol, dtype=np.longdouble)
+    v, v_prev = np.zeros(ncol, dtype=np.longdouble), np.ones(ncol, dtype=np.longdouble)
+    g11, g12, g22 = (np.zeros(ncol, dtype=np.longdouble) for _ in range(3))
+    out = np.empty((len(ns), ncol), dtype=np.longdouble)
+    at = {int(n): i for i, n in enumerate(ns)}
+    for n, (a, w) in enumerate(zip(A, W), 1):
+        g11 += w * u * u
+        g12 += w * u * v
+        g22 += w * v * v
+        u, u_prev = a * u - u_prev, u
+        v, v_prev = a * v - v_prev, v
+        i = at.get(n)
+        if i is not None:
+            # in units of the trace, whose square could overflow at depth
+            tr = g11 + g22
+            x11, x12, x22 = g11 / tr, g12 / tr, g22 / tr
+            top = 0.5 * (x11 + x22) + np.sqrt((0.5 * (x11 - x22)) ** 2 + x12 * x12)
+            out[i] = np.log(tr) + np.log(top)
+    return out

@@ -370,6 +370,115 @@ def test_fold_replay_matches_per_shell_steps(amax, cap, lengths, ncol, k, where,
         assert np.array_equal(part_total, total[cols])
 
 
+def _log_top_eigenvalue(g11, g12, g22):
+    return math.log(0.5 * (g11 + g22) + math.hypot(0.5 * (g11 - g22), g12))
+
+
+def _per_shell_pair_reference(A, W, cuts):
+    """Per column, the pairs (u, p) seeded (1, 0) and (v, q) seeded (0, 1)
+    stepped shell by shell in Python floats, rescaled together at every shell:
+    log hypot(u, p) after every shell, the log of sum W_n u_n^2 (u before
+    shell n) over the shells after the previous of the sorted ``cuts`` up to
+    each cut, and the log top eigenvalue of sum W_n (u_n, v_n)^T (u_n, v_n)
+    after every shell."""
+    logs, doms = np.empty(A.shape), np.empty(A.shape)
+    sums = np.empty((len(cuts), A.shape[1]))
+    at = {int(c): i for i, c in enumerate(cuts)}
+    for j in range(A.shape[1]):
+        u, p, v, q, e = 1.0, 0.0, 0.0, 1.0, 0
+        g = [0.0, 0.0, 0.0]   # the Gram matrix in units 4^e
+        terms = []            # the open sum's terms, each with its e
+        for n, (a, w) in enumerate(zip(A[:, j].tolist(), W[:, j].tolist()), 1):
+            g = [g[0] + w * u * u, g[1] + w * u * v, g[2] + w * v * v]
+            terms.append((w * u * u, e))
+            u, p, v, q = a * u - p, u, a * v - q, v
+            ex = math.frexp(max(abs(u), abs(p), abs(v), abs(q)))[1]
+            u, p, v, q = (math.ldexp(x, -ex) for x in (u, p, v, q))
+            g = [math.ldexp(x, -2 * ex) for x in g]
+            e += ex
+            logs[n - 1, j] = math.log(math.hypot(u, p)) + e * eng.LN2
+            doms[n - 1, j] = _log_top_eigenvalue(*g) + 2 * e * eng.LN2
+            if n in at:
+                total = math.fsum(math.ldexp(x, 2 * (te - e)) for x, te in terms)
+                sums[at[n], j] = math.log(total) + 2 * e * eng.LN2
+                terms = []
+    return logs, sums, doms
+
+
+def _pair_reads(blocks, W, cols, c, cuts):
+    """Drive the backward-pass reads (log hypot(u, p) at every shell, sums
+    between ``cuts``) and the Gram read (log_dom at every shell) of the
+    kernel over ``blocks`` of (entries, per-column strides) for ``cols``."""
+    ncol = len(cols)
+    back, pairs = eng._FoldReplay(ncol, c), eng._FoldReplay(2 * ncol, c)
+    pairs.u[ncol:], pairs.p[ncol:] = 0.0, 1.0
+    acc, acc_exp = np.zeros(ncol), np.zeros(ncol, dtype=np.int64)
+    factor, factor_exp = np.zeros((3, ncol)), np.zeros(ncol, dtype=np.int64)
+    sums = np.empty((len(cuts), ncol))
+    logs, doms, n0 = [], [], 0
+    for A, strides in blocks:
+        L = len(A)
+        Ab, Wb, sb = A[:, cols], W[n0:n0 + L][:, cols], strides[cols]
+        shells = np.arange(1, L + 1)
+        back.fold(Ab, sb)
+        logs.append(np.empty((L, ncol)))
+        back.log_radius(shells, 0.0, 1.0, logs[-1])
+        lo, hi = np.searchsorted(cuts, [n0, n0 + L], side="right")
+        back.weighted_sums(Wb, cuts[lo:hi] - n0, acc, acc_exp, sums[lo:hi])
+        pairs.fold(np.hstack([Ab, Ab]), np.tile(sb, 2))
+        doms.append(np.empty((L, ncol)))
+        pairs.gram(Wb, shells, factor, factor_exp, doms[-1], np.empty((L, ncol)))
+        n0 += L
+    return np.concatenate(logs), sums, np.concatenate(doms)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(amax=st.floats(0.1, 1e4), cap=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+       lengths=st.lists(st.integers(1, 200), min_size=1, max_size=3),
+       ncol=st.integers(2, 4), k=st.floats(0.3, math.pi - 0.3),
+       cut_frac=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+       work_chunk=st.sampled_from([1, 7, 64, eng._WORK_CHUNK]))
+def test_fold_replay_pair_reads_match_per_shell_steps(amax, cap, lengths, ncol, k, cut_frac,
+                                                      seed, work_chunk):
+    # as above, with columns of different scales, hence strides, and blocks
+    # of any length; the sums are cut at a random share of the shells
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-amax, amax, (sum(lengths), ncol)) * rng.uniform(0.01, 1.0, ncol)
+    W = rng.uniform(1.0, 10.0, A.shape)
+    cuts = np.flatnonzero(rng.uniform(size=len(A)) < cut_frac) + 1
+    ends = np.cumsum(lengths)
+    blocks = [(A[n1 - L:n1], np.minimum(cap, eng._column_strides(A[n1 - L:n1])))
+              for L, n1 in zip(lengths, ends)]
+    with mock.patch.object(eng, "_WORK_CHUNK", work_chunk):
+        reads = _pair_reads(blocks, W, list(range(ncol)), math.cos(k), cuts)
+        split = ncol // 2
+        parts = [_pair_reads(blocks, W, cols, math.cos(k), cuts)
+                 for cols in (list(range(split)), list(range(split, ncol)))]
+    for got, ref in zip(reads, _per_shell_pair_reference(A, W, cuts)):
+        assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+    for part, cols in zip(parts, (slice(0, split), slice(split, ncol))):
+        for got, joint in zip(part, reads):
+            assert np.array_equal(got, joint[:, cols])
+
+
+def test_each_trial_alone_matches_the_joint_call():
+    # |a| = |E - lam v| reaches 3.03: columns whose block passes 3 fold in
+    # segments of 32 shells, the others of 64
+    law = GrowthLaw.uniform_power(1.0, 1.0)
+    args = (UNIF, law, -2.03, 1.0, 100)
+    (_, _, A, _), = eng._shell_blocks(UNIF, law, 1.0, 100, [(-2.03, 0, t) for t in range(32)],
+                                      3, DOMAIN_TRAJECTORY)
+    assert {int(eng._rescale_stride(x)) for x in np.abs(A).max(axis=0)} == {32, 64}
+    joint = lyapunov_batch(*args, range(32), seed=3)
+    joint_sub = subordinacy_batch(*args, range(32), seed=3)
+    for t in range(32):
+        assert np.array_equal(lyapunov_batch(*args, [t], seed=3)[0].log_r, joint[t].log_r)
+        alone = subordinacy_batch(*args, [t], seed=3)[0]
+        for field in SUB_FIELDS:
+            assert np.array_equal(getattr(alone, field), getattr(joint_sub[t], field),
+                                  equal_nan=True), field
+
+
 def test_trajectories_deterministic_and_chunk_invariant():
     law = GrowthLaw.uniform_power(1.5, 1.0)
     full = lyapunov_batch(BERN, law, 2.0, 1.0, 3000, range(6), seed=5)
@@ -599,21 +708,49 @@ def test_records_are_finite_or_typed_errors_across_the_domain(law_and_d, lam, wh
             assert np.isfinite(getattr(rec, field)).all(), field
 
 
+# (dist, d, E, lam, N): the paper's point for both law kinds, and the
+# large-disorder cell whose raw pairs grow so fast that the rescale stride is 16
+LONG_DOUBLE_CELLS = {"bernoulli": (BERN, 1.5, 2.0, 1.0, 3000),
+                     "uniform": (UNIF, 1.5, 2.0, 1.0, 3000),
+                     "stride-16": (BERN, 1.0, 10.5, 10.0, 1000)}
+
+
 @pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
-@pytest.mark.parametrize("dist", [BERN, UNIF], ids=["bernoulli", "uniform"])
-def test_log_ratio_matches_long_double_recomputation(dist):
+@pytest.mark.parametrize("cell, relative", [("bernoulli", False), ("uniform", False),
+                                            ("stride-16", True)],
+                         ids=["bernoulli", "uniform", "stride-16"])
+def test_log_ratio_matches_long_double_recomputation(cell, relative):
     # log_ratio + log_dom = log(sum_{k < c} psi_k^2 w_k^2 / (w_0^2 + w_{-1}^2))
     # for the backward solution w; recomputed in extended precision from the
-    # same draws, it must agree at every checkpoint, the smallest included
-    law = GrowthLaw.uniform_power(1.5, 1.0)
-    N, trials = 3000, 2
-    recs = subordinacy_batch(dist, law, 2.0, 1.0, N, range(trials), seed=5)
-    columns = [(2.0, 0, t) for t in range(trials)]
-    A, W = long_double.draws(dist, law, 1.0, N, columns, 5, DOMAIN_SUBORDINACY, with_w=True)
+    # same draws, it must agree at every checkpoint, the smallest included.
+    # In the stride-16 cell the two log norms are about 2600 and their
+    # difference is of order one, so there the bound is relative to the norms.
+    dist, d, E, lam, N = LONG_DOUBLE_CELLS[cell]
+    law = GrowthLaw.uniform_power(d, 1.0)
+    trials = 2
+    recs = subordinacy_batch(dist, law, E, lam, N, range(trials), seed=5)
+    columns = [(E, 0, t) for t in range(trials)]
+    A, W = long_double.draws(dist, law, lam, N, columns, 5, DOMAIN_SUBORDINACY, with_w=True)
     log_prefix, log_coef = long_double.backward_log_norms(A, W, recs[0].ns)
     for t, rec in enumerate(recs):
         expected = (log_prefix[:, t] - log_coef[t]).astype(np.float64)
-        assert np.abs(rec.log_ratio + rec.log_dom - expected).max() <= 1e-13
+        bound = 1e-13 * (np.maximum(1.0, np.abs(log_prefix[:, t])) if relative else 1.0)
+        assert (np.abs(rec.log_ratio + rec.log_dom - expected) <= bound).all()
+
+
+@pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("cell", sorted(LONG_DOUBLE_CELLS))
+def test_log_dom_matches_long_double_recomputation(cell):
+    dist, d, E, lam, N = LONG_DOUBLE_CELLS[cell]
+    law = GrowthLaw.uniform_power(d, 1.0)
+    trials = 2
+    recs = subordinacy_batch(dist, law, E, lam, N, range(trials), seed=5)
+    columns = [(E, 0, t) for t in range(trials)]
+    A, W = long_double.draws(dist, law, lam, N, columns, 5, DOMAIN_SUBORDINACY, with_w=True)
+    expected = long_double.gram_log_dom(A, W, recs[0].ns).astype(np.float64)
+    for t, rec in enumerate(recs):
+        err = np.abs(rec.log_dom - expected[:, t])
+        assert (err <= 1e-13 * np.maximum(1.0, np.abs(expected[:, t]))).all(), err.max()
 
 
 @pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
