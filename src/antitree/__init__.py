@@ -2,9 +2,9 @@
 
 Effective spectral quantities of the single-site law, antitree and radial
 lattice geometry, transfer dynamics with the polar radius read off rescaled
-raw solution pairs (``pruefer_step`` is the scalar polar reference),
-harmonic-mean moment checks, spectral estimators and the dimension-driven
-phase classifier, plus a reproducible experiment harness and CLI.
+raw solution pairs, harmonic-mean moment checks, spectral estimators and the
+dimension-driven phase classifier, plus a reproducible experiment harness
+and CLI.
 """
 
 __version__ = "0.1.0"
@@ -42,19 +42,14 @@ from .geometry import (
     zd_shell_counts,
 )
 from .engine import (
-    PrueferState,
     SubordinacyRecord,
     TrajectoryRecord,
     WeylPoint,
     checkpoints_geometric,
-    harmonic_a,
     lyapunov_batch,
     lyapunov_estimate,
     m_function,
-    pruefer_step,
-    psi_norm_sq,
     subordinacy_batch,
-    wronskian_drift,
 )
 from .harmonic import (
     MomentBounds,

@@ -6,38 +6,39 @@ through the harmonic entry
     a = [ (1/s) * sum_j 1/(E - lam*v_j) ]^(-1),
 
 the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
-steps this raw pair, rescaled by exact powers of two.  Every pass but the
-single-column complex m-function goes through one fold-and-replay kernel
-(``_FoldReplay``): per block, ``stride`` steps vectorized over (segments x
-columns) form each segment's two solutions, a fold over the segments carries
-the state and rescales at every segment end, and a replay steps the segments
-that a read needs from their start states at once.  The forward, density,
-backward subordinacy and Gram passes differ only in their reads; the backward
-pass is the forward step on reversed entries.  With x = (a - h)/sin k
-and M = ((sin k, cos k), (0, 1)) the step conjugates to shear times rotation,
+steps this raw pair, rescaled by exact powers of two, through one
+fold-and-replay kernel (``_FoldReplay``): per block, ``stride`` steps
+vectorized over (segments x columns) form each segment's two solutions, a
+fold over the segments carries the state and rescales at every segment end,
+and a replay steps the segments that a read needs from their start states at
+once.  The forward, density, backward subordinacy and Gram passes differ only
+in their reads; the backward pass is the forward step on reversed entries,
+and the m-function folds its complex fundamental pair and reads the final
+state.  With x = (a - h)/sin k and M = ((sin k, cos k), (0, 1)) the step
+conjugates to shear times rotation,
 ((a, -1), (1, 0)) M = M ((1, x), (0, 1)) Rot(k), and M e_1 = sin k (u_0, u_{-1})
 for the Dirichlet solution, so its polar radius is read off the raw pair:
 
     R_n^2 = (u_n - cos k * u_{n-1})^2 + (sin k * u_{n-1})^2.
 
 The polar (Pruefer) recursion R^2 -> R^2 (1 + x sin(2(theta+k)) +
-x^2 sin^2(theta+k)), cot(theta') = cot(theta+k) + x, stays as the scalar
-reference ``pruefer_step`` that tests compare against.  Radii are read in the
-log domain with the rescale exponents added back.  Batched drivers vectorize
-across trials and draw shell statistics from counter-based streams keyed by
-(seed, domain, cell, trial, block), so a trial's randomness is reproducible
-in any processing order; for discrete laws a shell of s draws is compressed
-into its multinomial atom counts, the sufficient statistic for the harmonic
-entry.  The counts come from a binomial chain, except that a fair first step
-(atom weight 1/2, as in the Bernoulli law) on a shell of at most _POP_MAX
-draws is the popcount of ceil(s/64) raw Philox words, whose bits are fair
-coins; the word layout depends only on the sizes and is computed once per
-block.  Subordinate solutions are extracted by backward propagation, stable
-because the forward-decaying direction dominates in reverse; weighted-norm
-extremes over all solution directions come from a rank-one updated Cholesky
-factor of the 2x2 Gram matrix, whose determinant is a product of diagonals
-and therefore immune to the cancellation that makes the raw min/max
-hopeless at depth.
+x^2 sin^2(theta+k)), cot(theta') = cot(theta+k) + x, and the other scalar
+references that tests compare against live in tests/reference.py.  Radii are
+read in the log domain with the rescale exponents added back.  Batched
+drivers vectorize across trials and draw shell statistics from counter-based
+streams keyed by (seed, domain, cell, trial, block), so a trial's randomness
+is reproducible in any processing order; for discrete laws a shell of s
+draws is compressed into its multinomial atom counts, the sufficient
+statistic for the harmonic entry.  The counts come from a binomial chain,
+except that a fair first step (atom weight 1/2, as in the Bernoulli law) on
+a shell of at most _POP_MAX draws is the popcount of ceil(s/64) raw Philox
+words, whose bits are fair coins; the word layout depends only on the sizes
+and is computed once per block.  Subordinate solutions are extracted by
+backward propagation, stable because the forward-decaying direction
+dominates in reverse; weighted-norm extremes over all solution directions
+come from a rank-one updated Cholesky factor of the 2x2 Gram matrix, whose
+determinant is a product of diagonals and therefore immune to the
+cancellation that makes the raw min/max hopeless at depth.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .geometry import GrowthLaw
 from .potentials import PotentialDistribution, effective_quantities, sample
 from .streams import (
     DOMAIN_DENSITY,
-    DOMAIN_DRIFT,
     DOMAIN_SUBORDINACY,
     DOMAIN_TRAJECTORY,
     DOMAIN_WEYL,
@@ -70,7 +70,6 @@ LN2 = math.log(2.0)
 BLOCK = 8192
 CHECKPOINTS = 192      # geometric checkpoints per trajectory
 GRID_ANGLES = 64       # fixed solution directions of the log_ratio_grid comparison
-DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound]
 # Raw passes divide a column by 2^e once its largest entry passes 2^RESCALE_EXP,
 # checking every ``_rescale_stride`` shells.  A step multiplies entries by at
 # most 1 + |a| and a stride grows them by at most 2^(RESCALE_EXP/2), so
@@ -91,74 +90,6 @@ _HOLD_BYTES = 1 << 25
 # the power of two below the measured crossover, between 320 and 384 draws,
 # above which numpy's binomial (BTPE) is the faster exact draw.
 _POP_MAX = 256
-
-
-# ---------------------------------------------------------------------------
-# scalar shell quantities
-# ---------------------------------------------------------------------------
-
-def harmonic_a(E: float, lam: float, potentials) -> float:
-    """Reciprocal of the shell average of 1/(E - lam*v).
-
-    Raises SingularShellError when the average vanishes, which is possible
-    only when the shifted values change sign (E inside the scaled support
-    hull).
-    """
-    x = E - lam * np.asarray(potentials, dtype=np.float64)
-    if np.any(x == 0.0):
-        raise DomainError("E - lam*v vanishes on the shell", reason="inside_support")
-    mean_inv = float(np.mean(1.0 / x))
-    if mean_inv == 0.0:
-        raise SingularShellError("shell inverse mean is zero")
-    return 1.0 / mean_inv
-
-
-def psi_norm_sq(E: float, lam: float, potentials) -> float:
-    """Squared norm of the normalized shell resolvent vector.
-
-    Equals a^2 * (1/s) * sum 1/(E - lam*v)^2, which is also the E-derivative
-    of the harmonic entry; always >= 1 by Cauchy-Schwarz.
-    """
-    a = harmonic_a(E, lam, potentials)
-    x = E - lam * np.asarray(potentials, dtype=np.float64)
-    return a * a * float(np.mean(1.0 / (x * x)))
-
-
-def sheared_rotation(x: float, k: float) -> np.ndarray:
-    """((1, x), (0, 1)) @ rotation(k): the step in the polar frame."""
-    ck, sk = math.cos(k), math.sin(k)
-    return np.array([[ck + x * sk, -sk + x * ck], [sk, ck]])
-
-
-# ---------------------------------------------------------------------------
-# polar recursion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrueferState:
-    theta: float
-    log_r: float = 0.0
-
-
-def pruefer_step(state: PrueferState, x: float, k: float) -> PrueferState:
-    """One polar step: rotate by k, shear by x.
-
-    The log-radius grows by half the log of 1 + x sin(2 tb) + x^2 sin^2(tb),
-    a sum of squares hence positive; the angle advances on the branch with
-    theta_new - theta_bar in (-pi/2, pi/2], making it continuous in x.
-    """
-    if not 0.0 < k < math.pi:
-        raise DomainError(f"phase k = {k} outside (0, pi)", reason="k")
-    tb = state.theta + k
-    s = math.sin(tb)
-    c = math.cos(tb)
-    w1 = c + x * s
-    growth = w1 * w1 + s * s
-    # branch selection: the new angle solves cot(theta') = cot(tb) + x
-    raw = math.atan2(s, w1)
-    delta = raw - tb
-    delta -= math.pi * math.ceil(delta / math.pi - 0.5)
-    return PrueferState(theta=tb + delta, log_r=state.log_r + 0.5 * math.log(growth))
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +375,16 @@ class _FoldReplay:
     (0, 1) grows linearly across a segment, and the product seeded (1, 0),
     (0, 1) misses the cancellation of the pair by up to 1/sin k.  Segments
     are formed and replayed in chunks of _WORK_CHUNK (segments x columns),
-    in work arrays allocated with the instance and written with out=.
+    in work arrays allocated with the instance and written with out=.  The
+    state and work arrays are complex when c is (the m-function folds
+    complex entries) and float64 otherwise.
     """
 
-    def __init__(self, ncol: int, c: float = 0.0):
+    def __init__(self, ncol: int, c: float | complex = 0.0):
         self.c = c
-        self.u = np.ones(ncol)
-        self.p = np.zeros(ncol)
+        dtype = np.result_type(float, c)
+        self.u = np.ones(ncol, dtype=dtype)
+        self.p = np.zeros(ncol, dtype=dtype)
         self.exps = np.zeros(ncol, dtype=np.int64)
         # segments at once: a block at the longest stride, fewer for many columns
         self._chunk = max(1, min(BLOCK // _MAX_STRIDE, _WORK_CHUNK // max(1, ncol)))
@@ -461,9 +395,9 @@ class _FoldReplay:
         # product, or the replay's pairs, gathered entries and product, then
         # the gathered weights or the window's scale, and three accumulators
         # or temporaries.  Each stride group views a prefix of these buffers.
-        self._work = np.empty(8 * self._chunk * ncol)
+        self._work = np.empty(8 * self._chunk * ncol, dtype=dtype)
         self._scale_exp = np.empty(self._chunk * ncol, dtype=np.int64)
-        self._fold_tmp = np.empty(2 * ncol)
+        self._fold_tmp = np.empty(2 * ncol, dtype=dtype)
         self._cap = 0
         self._reserve((BLOCK // _MAX_STRIDE + 1) * ncol)
         self._groups: list[_Segments] = []
@@ -471,7 +405,7 @@ class _FoldReplay:
     def _reserve(self, size: int) -> None:
         if size > self._cap:
             self._cap = size
-            self._start = np.empty(2 * size)      # (u, p) at segment starts
+            self._start = np.empty(2 * size, dtype=self.u.dtype)   # (u, p) at segment starts
             self._start_exp = np.empty(size, dtype=np.int64)
 
     def fold(self, A: np.ndarray, strides) -> None:
@@ -1039,79 +973,35 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
                lam: float = 0.0, law: GrowthLaw | None = None,
                seed: int | None = None) -> WeylPoint:
     """m = (beta*v_N + v_{N+1}) / (beta*u_N + u_{N+1}) from the fundamental
-    complex solution pair; the common power-of-two rescale cancels in the
+    complex solution pair, folded as the columns [u | v] of one kernel; each
+    column carries its own power-of-two rescale, whose difference scales the
     ratio.  Herglotz: Im z > 0 forces Im m > 0.  Random shells (``dist``
     with lam != 0) draw from the streams keyed (seed, DOMAIN_WEYL, 0, 0,
-    block)."""
+    block).  Raises DomainError unless z is finite with Im z >= 0, N is a
+    whole number >= 0 and beta is finite."""
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
+    if not (math.isfinite(N) and N == int(N) >= 0):
+        raise DomainError(f"need a whole shell count N >= 0, got {N}", reason="N")
+    if not math.isfinite(beta):
+        raise DomainError(f"need a finite beta, got {beta}", reason="beta")
     if lam != 0.0 and (dist is None or seed is None):
         raise DomainError("random potentials need a dist and a seed", reason="seed")
+    N = int(N)
     if law is None:
         law = GrowthLaw.uniform_power(1.0, 1.0)
-    u_cur, u_prev = 1.0 + 0.0j, 0.0 + 0.0j   # (u_0, u_{-1})
-    v_cur, v_prev = 0.0 + 0.0j, 1.0 + 0.0j
-    exps = np.zeros(1, dtype=np.int64)
-    for n0, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
-        stride = int(_rescale_stride(np.abs(A).max()))
-        # Python complex steps: numpy's complex product rounds differently
-        for n, a in enumerate(A[:, 0].tolist(), n0 + 1):
-            u_cur, u_prev = a * u_cur - u_prev, u_cur
-            v_cur, v_prev = a * v_cur - v_prev, v_cur
-            if n % stride == 0:
-                pair = np.array([[u_cur], [u_prev], [v_cur], [v_prev]])
-                _rescale_where(list(pair), exps)
-                u_cur, u_prev, v_cur, v_prev = pair[:, 0].tolist()
-    # after the loop *_prev sits at N, *_cur at N+1
-    num = beta * v_prev + v_cur
-    den = beta * u_prev + u_cur
+    scan = _FoldReplay(2, 0j)
+    scan.u[1], scan.p[1] = 0.0, 1.0   # (u_0, u_{-1}) = (1, 0), (v_0, v_{-1}) = (0, 1)
+    for _, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
+        # |a| per column: A.max would order complex entries lexicographically
+        scan.fold(np.hstack([A, A]), np.tile(_rescale_stride(np.abs(A).max(axis=0)), 2))
+    # column 0 holds (u_{N+1}, u_N), column 1 (v_{N+1}, v_N)
+    den = complex(beta * scan.p[0] + scan.u[0])
+    num = complex(beta * scan.p[1] + scan.u[1])
     if den == 0.0:
         raise DegenerateDenominatorError(f"boundary denominator vanished at z = {z}")
-    return WeylPoint(z=z, beta=float(beta), N=N, m=num / den)
-
-
-# ---------------------------------------------------------------------------
-# determinant drift of long products
-# ---------------------------------------------------------------------------
-
-def wronskian_drift(k: float, n_steps: int, seed: int) -> float:
-    """Worst accumulated log|det| of a random transfer product, in QR form.
-
-    Every exact step has determinant one.  The raw cross-difference of two
-    propagated columns cancels below machine precision once the product is
-    hyperbolic, so the determinant residue is tracked on the QR factor,
-    where it is a product of triangular diagonals: per step B = T Q has
-    |det B| = 1 and its Givens factorization exposes log|det| = log(r * r22)
-    stably.  The shears x are uniform in [-DRIFT_X_BOUND, DRIFT_X_BOUND].
-    Returns max over the run of |sum of per-step log dets|.
-    """
-    gen = seed_stream(seed, DOMAIN_DRIFT, 0, 0, 0)
-    q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
-    ck2 = 2.0 * math.cos(k)
-    sk = math.sin(k)
-    drift = 0.0
-    worst = 0.0
-    chunk = 1 << 16
-    done = 0
-    while done < n_steps:
-        mlen = min(chunk, n_steps - done)
-        xs = gen.uniform(-DRIFT_X_BOUND, DRIFT_X_BOUND, size=mlen)
-        for x in xs:
-            a = ck2 + x * sk
-            b00 = a * q00 - q10
-            b01 = a * q01 - q11
-            b10 = q00
-            b11 = q01
-            r = math.hypot(b00, b10)
-            cg = b00 / r
-            sg = b10 / r
-            r11 = cg * b11 - sg * b01
-            drift += math.log(abs(r * r11))
-            if abs(drift) > worst:
-                worst = abs(drift)
-            # next Q = Givens(cg, sg)^T, the orthogonal factor of B
-            q00, q10 = cg, sg
-            q01, q11 = -sg, cg
-        done += mlen
-    return worst
+    ratio = num / den
+    shift = int(scan.exps[1] - scan.exps[0])
+    m = complex(math.ldexp(ratio.real, shift), math.ldexp(ratio.imag, shift))
+    return WeylPoint(z=z, beta=float(beta), N=N, m=m)

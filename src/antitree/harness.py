@@ -28,7 +28,12 @@ import numpy as np
 
 from . import __version__
 from .errors import AntitreeError, ConfigError
-from .engine import dirichlet_window_average, lyapunov_batch
+from .engine import (
+    TrajectoryRecord,
+    dirichlet_window_average,
+    lyapunov_batch,
+    lyapunov_estimate,
+)
 from .geometry import GrowthLaw, load_custom_sizes, zd_brute_force, zd_printed_variant_count, zd_shell_counts
 from .harmonic import mc_moments
 from .potentials import PotentialDistribution, effective_quantities, i_lambda, j_lambda
@@ -234,19 +239,17 @@ def _lyapunov_cells(cfg: dict, base_dir: Path):
             for key, lam, E in _grid(cfg)]
 
 
-def _lyapunov_run(task: dict) -> list[float]:
-    records = lyapunov_batch(task["dist"], task["law"], task["E"], task["lam"], task["N"],
-                             task["trials"], task["seed"], cell=task["cell"])
-    return [r.slope for r in records]
+def _lyapunov_run(task: dict) -> list[TrajectoryRecord]:
+    return lyapunov_batch(task["dist"], task["law"], task["E"], task["lam"], task["N"],
+                          task["trials"], task["seed"], cell=task["cell"])
 
 
 def _lyapunov_rows(cfg: dict, task: dict, values: list):
-    slopes = np.array([x for chunk in values for x in chunk])
+    records = [r for chunk in values for r in chunk]
     d, C = _growth_params(cfg)
     gamma = effective_quantities(task["dist"], task["E"], task["lam"]).gamma
-    stderr = slopes.std(ddof=1) / math.sqrt(len(slopes))
-    return ([[task["E"], task["lam"], d, C, cfg["N"], len(slopes), slopes.mean(), stderr,
-              gamma]],)
+    mean, stderr = lyapunov_estimate(records)
+    return ([[task["E"], task["lam"], d, C, cfg["N"], len(records), mean, stderr, gamma]],)
 
 
 def _density_cells(cfg: dict, base_dir: Path):

@@ -1,0 +1,169 @@
+"""Scalar reference recursions that the tests compare the engine against.
+
+The library steps transfer matrices only through ``engine._FoldReplay``.
+These are the independent forms of the same dynamics, stepped one shell at a
+time in Python floats: the harmonic entry and shell-vector norm of explicit
+potentials, the polar (Pruefer) recursion and its step matrix, the
+determinant drift of a product in QR form, and the per-shell complex loop of
+the truncated m-function.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from antitree.engine import _rescale_stride, _rescale_where, _shell_blocks
+from antitree.errors import DegenerateDenominatorError, DomainError, SingularShellError
+from antitree.geometry import GrowthLaw
+from antitree.streams import DOMAIN_DRIFT, DOMAIN_WEYL, seed_stream
+
+DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound]
+
+
+# ---------------------------------------------------------------------------
+# scalar shell quantities
+# ---------------------------------------------------------------------------
+
+def harmonic_a(E: float, lam: float, potentials) -> float:
+    """Reciprocal of the shell average of 1/(E - lam*v).
+
+    Raises SingularShellError when the average vanishes, which is possible
+    only when the shifted values change sign (E inside the scaled support
+    hull).
+    """
+    x = E - lam * np.asarray(potentials, dtype=np.float64)
+    if np.any(x == 0.0):
+        raise DomainError("E - lam*v vanishes on the shell", reason="inside_support")
+    mean_inv = float(np.mean(1.0 / x))
+    if mean_inv == 0.0:
+        raise SingularShellError("shell inverse mean is zero")
+    return 1.0 / mean_inv
+
+
+def psi_norm_sq(E: float, lam: float, potentials) -> float:
+    """Squared norm of the normalized shell resolvent vector.
+
+    Equals a^2 * (1/s) * sum 1/(E - lam*v)^2, which is also the E-derivative
+    of the harmonic entry; always >= 1 by Cauchy-Schwarz.
+    """
+    a = harmonic_a(E, lam, potentials)
+    x = E - lam * np.asarray(potentials, dtype=np.float64)
+    return a * a * float(np.mean(1.0 / (x * x)))
+
+
+def sheared_rotation(x: float, k: float) -> np.ndarray:
+    """((1, x), (0, 1)) @ rotation(k): the step in the polar frame."""
+    ck, sk = math.cos(k), math.sin(k)
+    return np.array([[ck + x * sk, -sk + x * ck], [sk, ck]])
+
+
+# ---------------------------------------------------------------------------
+# polar recursion
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PrueferState:
+    theta: float
+    log_r: float = 0.0
+
+
+def pruefer_step(state: PrueferState, x: float, k: float) -> PrueferState:
+    """One polar step: rotate by k, shear by x.
+
+    The log-radius grows by half the log of 1 + x sin(2 tb) + x^2 sin^2(tb),
+    a sum of squares hence positive; the angle advances on the branch with
+    theta_new - theta_bar in (-pi/2, pi/2], making it continuous in x.
+    """
+    if not 0.0 < k < math.pi:
+        raise DomainError(f"phase k = {k} outside (0, pi)", reason="k")
+    tb = state.theta + k
+    s = math.sin(tb)
+    c = math.cos(tb)
+    w1 = c + x * s
+    growth = w1 * w1 + s * s
+    # branch selection: the new angle solves cot(theta') = cot(tb) + x
+    raw = math.atan2(s, w1)
+    delta = raw - tb
+    delta -= math.pi * math.ceil(delta / math.pi - 0.5)
+    return PrueferState(theta=tb + delta, log_r=state.log_r + 0.5 * math.log(growth))
+
+
+# ---------------------------------------------------------------------------
+# determinant drift of long products
+# ---------------------------------------------------------------------------
+
+def wronskian_drift(k: float, n_steps: int, seed: int) -> float:
+    """Worst accumulated log|det| of a random transfer product, in QR form.
+
+    Every exact step has determinant one.  The raw cross-difference of two
+    propagated columns cancels below machine precision once the product is
+    hyperbolic, so the determinant residue is tracked on the QR factor,
+    where it is a product of triangular diagonals: per step B = T Q has
+    |det B| = 1 and its Givens factorization exposes log|det| = log(r * r22)
+    stably.  The shears x are uniform in [-DRIFT_X_BOUND, DRIFT_X_BOUND].
+    Returns max over the run of |sum of per-step log dets|.
+    """
+    gen = seed_stream(seed, DOMAIN_DRIFT, 0, 0, 0)
+    q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
+    ck2 = 2.0 * math.cos(k)
+    sk = math.sin(k)
+    drift = 0.0
+    worst = 0.0
+    chunk = 1 << 16
+    done = 0
+    while done < n_steps:
+        mlen = min(chunk, n_steps - done)
+        xs = gen.uniform(-DRIFT_X_BOUND, DRIFT_X_BOUND, size=mlen)
+        for x in xs:
+            a = ck2 + x * sk
+            b00 = a * q00 - q10
+            b01 = a * q01 - q11
+            b10 = q00
+            b11 = q01
+            r = math.hypot(b00, b10)
+            cg = b00 / r
+            sg = b10 / r
+            r11 = cg * b11 - sg * b01
+            drift += math.log(abs(r * r11))
+            if abs(drift) > worst:
+                worst = abs(drift)
+            # next Q = Givens(cg, sg)^T, the orthogonal factor of B
+            q00, q10 = cg, sg
+            q01, q11 = -sg, cg
+        done += mlen
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# truncated m-function
+# ---------------------------------------------------------------------------
+
+def m_function_per_shell(z: complex, N: int, beta: float, *, dist=None, lam: float = 0.0,
+                         law: GrowthLaw | None = None, seed: int | None = None) -> complex:
+    """``engine.m_function``'s value from the same draws, stepping the
+    fundamental pair shell by shell in Python complex arithmetic with one
+    power-of-two rescale common to both solutions, every
+    ``_rescale_stride`` of the block's largest |a| shells."""
+    if law is None:
+        law = GrowthLaw.uniform_power(1.0, 1.0)
+    u_cur, u_prev = 1.0 + 0.0j, 0.0 + 0.0j   # (u_0, u_{-1})
+    v_cur, v_prev = 0.0 + 0.0j, 1.0 + 0.0j
+    exps = np.zeros(1, dtype=np.int64)
+    for n0, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
+        stride = int(_rescale_stride(np.abs(A).max()))
+        for n, a in enumerate(A[:, 0].tolist(), n0 + 1):
+            u_cur, u_prev = a * u_cur - u_prev, u_cur
+            v_cur, v_prev = a * v_cur - v_prev, v_cur
+            if n % stride == 0:
+                pair = np.array([[u_cur], [u_prev], [v_cur], [v_prev]])
+                _rescale_where(list(pair), exps)
+                u_cur, u_prev, v_cur, v_prev = pair[:, 0].tolist()
+    # after the loop *_prev sits at N, *_cur at N+1
+    num = beta * v_prev + v_cur
+    den = beta * u_prev + u_cur
+    if den == 0.0:
+        raise DegenerateDenominatorError(f"boundary denominator vanished at z = {z}")
+    return num / den

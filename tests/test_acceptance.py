@@ -20,23 +20,29 @@ from antitree import (
     effective_quantities,
     enumerate_moments,
     free_density_theory,
-    harmonic_a,
     i_lambda,
     lyapunov_batch,
     lyapunov_estimate,
     m_function,
     mc_moments,
     moment_bounds,
-    psi_norm_sq,
-    pruefer_step,
     seed_stream,
-    wronskian_drift,
     zd_brute_force,
     zd_hopping,
     zd_shell_counts,
 )
-from antitree.engine import PrueferState, _shell_stats_block, sheared_rotation
+from antitree.engine import _shell_blocks, _shell_stats_block
 from antitree.harness import normalize_config, run_experiment
+from antitree.streams import DOMAIN_TRAJECTORY
+
+from reference import (
+    PrueferState,
+    harmonic_a,
+    pruefer_step,
+    psi_norm_sq,
+    sheared_rotation,
+    wronskian_drift,
+)
 
 BERN = PotentialDistribution.bernoulli()
 UNI = PotentialDistribution.uniform()
@@ -187,6 +193,25 @@ def test_criterion_10_engine_invariants():
     dE = 1e-6
     fd = (harmonic_a(2.0 + dE, 1.0, pots) - harmonic_a(2.0 - dE, 1.0, pots)) / (2 * dE)
     assert psi_norm_sq(2.0, 1.0, pots) == pytest.approx(fd, abs=1e-6)
+
+    # the production forward pass against the polar recursion on its own
+    # draws, at every checkpoint of three blocks
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    N = 2 * 10 ** 4
+    for dist in (BERN, UNI):
+        eff = effective_quantities(dist, 2.0, 1.0)
+        records = lyapunov_batch(dist, law, 2.0, 1.0, N, [0, 1], seed=5)
+        blocks = _shell_blocks(dist, law, 1.0, N, [(2.0, 0, 0), (2.0, 0, 1)], 5,
+                               DOMAIN_TRAJECTORY)
+        A = np.concatenate([blk[2] for blk in blocks])
+        for t, rec in enumerate(records):
+            st = PrueferState(theta=0.0)
+            log_r = [st.log_r]
+            for a in A[:, t].tolist():
+                st = pruefer_step(st, (a - eff.h) / eff.sin_k, eff.k)
+                log_r.append(st.log_r)
+            ref = np.array(log_r)[rec.ns]
+            assert np.all(np.abs(rec.log_r - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_criterion_11_reproducibility(tmp_path):

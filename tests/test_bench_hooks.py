@@ -15,7 +15,7 @@ import antitree.engine
 from antitree import GrowthLaw, PotentialDistribution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+sys.path.append(str(PERFBENCH))   # last: perfbench/reference.py must not shadow tests/reference.py
 
 from tracer import PATCH_POINTS, Tracer  # noqa: E402
 

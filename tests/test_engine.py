@@ -15,26 +15,30 @@ from antitree import (
     GrowthLaw,
     InsufficientTrialsError,
     PotentialDistribution,
-    PrueferState,
     SingularShellError,
     SizeLimitError,
     TrajectoryRecord,
     effective_quantities,
-    harmonic_a,
     i_lambda,
     lyapunov_batch,
     lyapunov_estimate,
     m_function,
-    pruefer_step,
-    psi_norm_sq,
     seed_stream,
     subordinacy_batch,
-    wronskian_drift,
 )
 import antitree.engine as eng
 from antitree.streams import DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY
 
 import long_double
+from reference import (
+    PrueferState,
+    harmonic_a,
+    m_function_per_shell,
+    pruefer_step,
+    psi_norm_sq,
+    sheared_rotation,
+    wronskian_drift,
+)
 
 BERN = PotentialDistribution.bernoulli()
 UNIF = PotentialDistribution.uniform()
@@ -252,7 +256,7 @@ def test_pruefer_matches_matrix_product():
     for _ in range(2000):
         x = gen.uniform(-0.5, 0.5)
         st = pruefer_step(st, x, k)
-        vec = eng.sheared_rotation(x, k) @ vec
+        vec = sheared_rotation(x, k) @ vec
         nv = float(np.linalg.norm(vec))
         log_norm += math.log(nv)
         vec /= nv
@@ -269,7 +273,7 @@ def test_conjugation_identity():
         step = np.array([[a, -1.0], [1.0, 0.0]])
         M = np.array([[1.0, -math.cos(k)], [0.0, math.sin(k)]])
         lhs = M @ step @ np.linalg.inv(M)
-        assert np.abs(lhs - eng.sheared_rotation(x, k)).max() < 1e-12
+        assert np.abs(lhs - sheared_rotation(x, k)).max() < 1e-12
 
 
 def test_pruefer_rejects_bad_phase():
@@ -576,7 +580,7 @@ def test_single_step_polar_matrix_agreement_random_phase():
         theta = gen.uniform(0.0, 2.0 * math.pi)
         x = gen.uniform(-0.5, 0.5)
         st = pruefer_step(PrueferState(theta=theta), x, k)
-        vec = eng.sheared_rotation(x, k) @ np.array([math.cos(theta), math.sin(theta)])
+        vec = sheared_rotation(x, k) @ np.array([math.cos(theta), math.sin(theta)])
         assert st.log_r == pytest.approx(math.log(np.linalg.norm(vec)), abs=1e-12)
 
 
@@ -838,7 +842,32 @@ def test_random_shell_m_function_is_herglotz(law_name, lam, re, im, beta, N, d):
     assert w.m.imag > 0.0
 
 
+@pytest.mark.parametrize("shells", [(None, 0.0, None), (BERN, 1.0, 1.5), (UNIF, 0.7, 1.2)],
+                         ids=["free", "bernoulli", "uniform"])
+def test_m_function_matches_the_per_shell_loop(shells):
+    # z = 5j rescales within about 110 shells, and u and v take their own
+    # exponents there; N = 8193 and 20000 cross blocks
+    dist, lam, d = shells
+    law = None if d is None else GrowthLaw.uniform_power(d)
+    for z in (1j, 5j, 1 + 1e-3j, 2.2 + 0.01j, -15 + 5j):
+        for N in (0, 1, 110, 8193, 20000):
+            for beta in (0.0, -3.0):
+                m = m_function(z, N, beta, dist=dist, lam=lam, law=law, seed=7).m
+                ref = m_function_per_shell(z, N, beta, dist=dist, lam=lam, law=law, seed=7)
+                assert abs(m - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("N", [-1, -5, 10.5])
+def test_m_function_needs_a_whole_shell_count(N):
+    with pytest.raises(DomainError):
+        m_function(1j, N, 2.0)
+    with pytest.raises(DomainError):
+        m_function(1j, N, 0.0, dist=BERN, lam=1.0, seed=5)
+
+
 def test_m_function_degenerate_denominator():
     # at z = 0 the free solution is 4-periodic and u vanishes at odd shells
     with pytest.raises(DegenerateDenominatorError):
         m_function(0.0 + 0.0j, 2, 0.0)
+    with pytest.raises(DegenerateDenominatorError):
+        m_function_per_shell(0.0 + 0.0j, 2, 0.0)

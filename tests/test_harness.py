@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antitree import ConfigError, seed_stream
+from antitree import (
+    ConfigError,
+    GrowthLaw,
+    PotentialDistribution,
+    lyapunov_batch,
+    lyapunov_estimate,
+    seed_stream,
+)
 from antitree.cli import main as cli_main
 from antitree.harness import (
     build_tasks,
@@ -18,6 +25,29 @@ from antitree.harness import (
     normalize_config,
     run_experiment,
 )
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+def test_public_names_are_pinned():
+    # a name enters or leaves the package surface only by editing this list
+    import antitree
+    assert sorted(antitree.__all__) == [
+        "AntitreeError", "ConfigError", "DecayReport", "DegenerateDenominatorError",
+        "DensityEstimate", "DistributionError", "DomainError", "EffectiveQuantities",
+        "GrowthLaw", "InsufficientTrialsError", "Interval", "IntervalSet", "InvalidLawError",
+        "MomentBounds", "MomentReport", "PotentialDistribution", "SingularShellError",
+        "SizeLimitError", "SpectralClassification", "SubordinacyRecord", "TrajectoryRecord",
+        "WeylPoint", "ZdShellData", "checkpoints_geometric", "classify", "decay_check",
+        "density_estimate", "effective_quantities", "engine", "enumerate_moments", "errors",
+        "essential_spectrum", "free_density_theory", "geometry", "harmonic", "i_lambda",
+        "inverse_moment", "inverse_moment_quadrature", "j_lambda", "load_custom_sizes",
+        "lyapunov_batch", "lyapunov_estimate", "m_function", "mc_moments", "moment_bounds",
+        "potentials", "sample", "second_inverse_moment", "seed_stream", "spectral", "streams",
+        "subordinacy_batch", "zd_brute_force", "zd_hopping", "zd_shell_counts",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +186,20 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     _run(tmp_path, dict(cfg, output_dir="t4"), threads=4)
     assert (tmp_path / "t1" / "lyapunov.csv").read_bytes() == \
         (tmp_path / "t4" / "lyapunov.csv").read_bytes()
+
+
+def test_lyapunov_rows_are_the_api_estimate(tmp_path):
+    # the CSV's slope columns are lyapunov_estimate of the cell's records,
+    # bit for bit (17 significant digits round-trip), over several chunks
+    cfg = _config(trials=70, N=1000, energy={"min": 1.8, "max": 2.2, "steps": 2})
+    _run(tmp_path, dict(cfg, output_dir="e"))
+    rows = (tmp_path / "e" / "lyapunov.csv").read_text().splitlines()[1:]
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    for cell, (E, row) in enumerate(zip((1.8, 2.2), rows, strict=True)):
+        records = lyapunov_batch(PotentialDistribution.bernoulli(), law, E, 1.0, 1000,
+                                 range(70), seed=42, cell=cell)
+        mean, stderr = lyapunov_estimate(records)
+        assert row.split(",")[5:8] == ["70", fmt(mean), fmt(stderr)]
 
 
 def test_partial_failure_isolates_cells(tmp_path):

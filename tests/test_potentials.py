@@ -161,6 +161,8 @@ NAN = math.nan
     pytest.param(lambda: lyapunov_batch(BERN, GrowthLaw.uniform_power(1.5), NAN, 1.0, 100,
                                         [0], seed=1), DomainError, id="lyapunov-E"),
     pytest.param(lambda: m_function(complex(NAN, 1.0), 10, 0.0), DomainError, id="m-z"),
+    pytest.param(lambda: m_function(1j, 10, NAN), DomainError, id="m-beta"),
+    pytest.param(lambda: m_function(1j, 10, math.inf), DomainError, id="m-beta-inf"),
     pytest.param(lambda: classify(BERN, 1.0, NAN, 1.0, 2.0), DomainError, id="classify-d"),
     pytest.param(lambda: classify(BERN, 1.0, 2.0, NAN, 2.0), DomainError, id="classify-C"),
     pytest.param(lambda: classify(BERN, 1.0, 2.0, 1.0, NAN), DomainError, id="classify-E"),
