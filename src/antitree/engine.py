@@ -7,15 +7,15 @@ through the harmonic entry
 
 the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
 steps this raw pair, rescaled by exact powers of two, through one
-fold-and-replay kernel (``_FoldReplay``): per block, ``stride`` steps
-vectorized over (segments x columns) form each segment's two solutions, a
-fold over the segments carries the state and rescales at every segment end,
-and a replay steps the segments that a read needs from their start states at
-once.  The forward, density, backward subordinacy and Gram passes differ only
-in their reads; the backward pass is the forward step on reversed entries,
-and the m-function folds its complex fundamental pair and reads the final
-state.  With x = (a - h)/sin k and M = ((sin k, cos k), (0, 1)) the step
-conjugates to shear times rotation,
+fold-and-replay kernel (``_FoldReplay``): per block, each column's rescale
+stride comes from its entries, ``stride`` vectorized steps form each
+segment's two solutions, a fold over the segments carries the state and
+rescales at every segment end, and each read replays the segments it needs
+from their start states in one pass.  The forward, density, backward
+subordinacy and Gram passes differ only in their reads; the backward pass is
+the forward step on reversed entries, and the m-function folds its complex
+fundamental pair and reads the final state.  With x = (a - h)/sin k and
+M = ((sin k, cos k), (0, 1)) the step conjugates to shear times rotation,
 ((a, -1), (1, 0)) M = M ((1, x), (0, 1)) Rot(k), and M e_1 = sin k (u_0, u_{-1})
 for the Dirichlet solution, so its polar radius is read off the raw pair:
 
@@ -63,6 +63,7 @@ from .streams import (
     DOMAIN_SUBORDINACY,
     DOMAIN_TRAJECTORY,
     DOMAIN_WEYL,
+    _stream_key,
     seed_stream,
 )
 
@@ -79,9 +80,6 @@ GRID_ANGLES = 64       # fixed solution directions of the log_ratio_grid compari
 RESCALE_EXP = 256
 _RESCALE_AT = 2.0 ** RESCALE_EXP
 _MAX_STRIDE = 64
-# (segments x columns) that _FoldReplay forms or replays at once: many columns
-# bound its work arrays to 8 such chunks
-_WORK_CHUNK = 1 << 12
 _DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
 _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 # bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
@@ -285,12 +283,14 @@ def _rescale_stride(a_abs_max):
 
 
 def _column_strides(A: np.ndarray) -> np.ndarray:
-    """``_rescale_stride`` of each column of the real block A.
+    """``_rescale_stride`` of each column of the block A, from |a| when A is
+    complex.
 
     No column's stride is below the whole block's, so a block that allows
     _MAX_STRIDE skips the per-column reductions, which take ten times as
     long as whole-block ones on a block of 8 columns.
     """
+    A = np.abs(A) if np.iscomplexobj(A) else A
     if _rescale_stride(max(A.max(initial=0.0), -A.min(initial=0.0))) == _MAX_STRIDE:
         return np.full(A.shape[1], _MAX_STRIDE)
     return _rescale_stride(np.maximum(A.max(axis=0), -A.min(axis=0)))
@@ -298,33 +298,35 @@ def _column_strides(A: np.ndarray) -> np.ndarray:
 
 class _Segments:
     """One block of entries A cut into segments of ``stride`` shells, for the
-    columns ``cols`` of a _FoldReplay that share that stride.
+    columns ``cols`` (an index array) of a _FoldReplay that share that stride.
 
     ``start`` (segments + 1, 2, columns) holds the pair (u, p) at each
     segment start and ``start_exp`` its exponents, written by the fold;
-    ``work`` (8, chunk, columns) is the kernel's scratch space.
+    ``work``, viewed as (8, segments, columns), is the kernel's scratch space.
     """
 
     def __init__(self, A, stride, cols, start, start_exp, work):
         self.A, self.stride, self.cols = A, stride, cols
         self.nseg = -(-len(A) // stride)
+        self.steps = min(stride, len(A))                 # length of the longest segment
         self.last = len(A) - (self.nseg - 1) * stride    # length of the last segment
-        self.start, self.start_exp, self.work = start, start_exp, work
+        self.start, self.start_exp = start, start_exp
+        self.work = work[:8 * self.nseg * len(cols)].reshape(8, self.nseg, len(cols))
 
     def replay(self, segs, steps, W=None):
-        """Step the segments ``segs`` (at most a work chunk of increasing
-        indices) from their start states.  After step i yield
-        ``(i, m, u, p, w)``: rows [:m] of u and p hold the pair at shell
-        i + 1 of the first m segments, the short last segment dropping out
-        after its last shell, and rows [:m] of w the entries of W at that
-        shell, when W (shells x at most as many columns as A) is given."""
+        """Step the segments ``segs`` (increasing indices) from their start
+        states.  After step i yield ``(i, m, u, p, w)``: rows [:m] of u and p
+        hold the pair at shell i + 1 of the first m segments, the short last
+        segment dropping out after its last shell, and rows [:m] of w the
+        entries of W at that shell, when W (shells x at most as many columns
+        as A) is given."""
         m0 = len(segs)
         cur, prev, a, tmp = (buf[:m0] for buf in self.work[:4])
         w = None if W is None else self.work[4].reshape(-1)[:m0 * W.shape[1]].reshape(m0, -1)
         np.take(self.start[:, 0], segs, axis=0, out=cur, mode="clip")
         np.take(self.start[:, 1], segs, axis=0, out=prev, mode="clip")
         rows = segs * self.stride
-        short = segs[-1] == self.nseg - 1 and self.last < steps
+        short = self.last < steps and segs[-1] == self.nseg - 1
         for i in range(steps):
             m = m0 - 1 if short and i >= self.last else m0
             np.take(self.A, rows[:m] + i, axis=0, out=a[:m], mode="clip")
@@ -335,20 +337,15 @@ class _Segments:
             cur, prev = prev, cur
             yield i, m, cur, prev, w
 
-    def chunks(self, shells):
-        """Cut the segments into work chunks.  Per chunk yield ``(c0, segs,
-        at)``: ``segs`` the indices c0, c0 + 1, ..., and ``at`` maps an
-        offset o (1 .. stride) to the indices into the increasing ``shells``
-        (1-based within the block) that lie at offset o of a segment in
-        ``segs``."""
+    def offsets(self, segs, shells):
+        """Map each offset o (1 .. stride) within a segment to ``(k, row)``:
+        the indices k into the increasing ``shells`` (1-based within the
+        block) that lie at offset o, and the rows of their segments in the
+        increasing ``segs``, which hold every segment of a shell."""
         seg = (shells - 1) // self.stride
         off = shells - seg * self.stride
-        chunk = self.work.shape[1]
-        for c0 in range(0, self.nseg, chunk):
-            segs = np.arange(c0, min(self.nseg, c0 + chunk))
-            lo, hi = np.searchsorted(seg, [c0, c0 + len(segs)])
-            yield c0, segs, {int(o): lo + np.flatnonzero(off[lo:hi] == o)
-                             for o in np.unique(off[lo:hi])}
+        row = np.searchsorted(segs, seg)
+        return {int(o): (k, row[k]) for o in np.unique(off) for k in [np.flatnonzero(off == o)]}
 
 
 class _FoldReplay:
@@ -356,28 +353,29 @@ class _FoldReplay:
     columns, seeded (1, 0) unless the caller sets ``u`` and ``p``, block by
     block.
 
-    ``fold(A, strides)`` cuts a block of entries into segments of each
-    column's stride, the last one shorter when the stride does not divide
-    the block; columns of one stride go together, and A is used as it is
-    (copied only if strided) when they all share it.  The fold forms the segments' two solutions
-    seeded (1, 0) and (c, 1) in ``stride`` steps vectorized over
-    (segments x columns), then folds the segments in order onto the state,
-    (u, p) = (u - c p) (1, 0) + p (c, 1), keeping each segment's start state
-    and rescaling with ``_rescale_where`` at each segment end.  The reads
-    replay the segments they need from their start states, all at once and
-    with the per-shell loop's own steps: ``log_radius`` at checkpoints,
-    ``window_sum`` over the density window, ``weighted_sums`` between
-    checkpoints (the backward subordinacy pass) and ``gram`` (the weighted
-    Gram factor of pairs of columns).
+    ``fold(A)`` cuts a block of entries into segments of each column's
+    ``_column_strides`` stride, the last one shorter when the stride does not
+    divide the block; columns of one stride go together, gathered with
+    np.take, and A is used as it is (copied only if strided) when they all
+    share it.  The fold forms the segments' two solutions seeded (1, 0) and
+    (c, 1) in ``stride`` steps vectorized over (segments x columns), then
+    folds the segments in order onto the state, (u, p) = (u - c p) (1, 0) +
+    p (c, 1), keeping each segment's start state and rescaling with
+    ``_rescale_where`` at each segment end.  Each read replays every segment
+    it needs from its start state in one pass, with the per-shell loop's own
+    steps: ``log_radius`` at checkpoints, ``window_sum`` over the density
+    window, ``weighted_sums`` between checkpoints (the backward subordinacy
+    pass) and ``gram`` (the weighted Gram factor of pairs of columns).
 
     The seed c = cos k keeps the fold as accurate as the per-shell loop near
     band edges: there the raw pair lies close to (cos k, 1) while the seed
     (0, 1) grows linearly across a segment, and the product seeded (1, 0),
-    (0, 1) misses the cancellation of the pair by up to 1/sin k.  Segments
-    are formed and replayed in chunks of _WORK_CHUNK (segments x columns),
-    in work arrays allocated with the instance and written with out=.  The
-    state and work arrays are complex when c is (the m-function folds
-    complex entries) and float64 otherwise.
+    (0, 1) misses the cancellation of the pair by up to 1/sin k.  The start
+    states and the work arrays, 12 values per segment and column, are
+    allocated with the instance for a block at _MAX_STRIDE and grow only
+    when a smaller stride needs more, so they are bounded by the block and
+    never grow with the shell count.  They are complex when c is (the
+    m-function folds complex entries) and float64 otherwise.
     """
 
     def __init__(self, ncol: int, c: float | complex = 0.0):
@@ -386,85 +384,73 @@ class _FoldReplay:
         self.u = np.ones(ncol, dtype=dtype)
         self.p = np.zeros(ncol, dtype=dtype)
         self.exps = np.zeros(ncol, dtype=np.int64)
-        # segments at once: a block at the longest stride, fewer for many columns
-        self._chunk = max(1, min(BLOCK // _MAX_STRIDE, _WORK_CHUNK // max(1, ncol)))
         # allocated before any block is drawn: allocated between the blocks
         # and the records that callers keep, work arrays fragmented the heap
-        # and raised its peak by more than their size over repeated calls.
-        # Rows: the fold's leapfrog pair of both segment solutions and its
-        # product, or the replay's pairs, gathered entries and product, then
-        # the gathered weights or the window's scale, and three accumulators
-        # or temporaries.  Each stride group views a prefix of these buffers.
-        self._work = np.empty(8 * self._chunk * ncol, dtype=dtype)
-        self._scale_exp = np.empty(self._chunk * ncol, dtype=np.int64)
-        self._fold_tmp = np.empty(2 * ncol, dtype=dtype)
+        # and raised its peak by more than their size over repeated calls
         self._cap = 0
         self._reserve((BLOCK // _MAX_STRIDE + 1) * ncol)
         self._groups: list[_Segments] = []
 
     def _reserve(self, size: int) -> None:
+        """Hold ``size`` (segments + 1) x columns, summed over the groups.
+        Work rows: the fold's leapfrog pair of both segment solutions and its
+        product, or the replay's pairs, gathered entries and product, then the
+        gathered weights or the window's scale, and three accumulators or
+        temporaries.  Each group views a prefix of the work buffers."""
         if size > self._cap:
             self._cap = size
             self._start = np.empty(2 * size, dtype=self.u.dtype)   # (u, p) at segment starts
             self._start_exp = np.empty(size, dtype=np.int64)
+            self._work = np.empty(8 * size, dtype=self.u.dtype)
+            self._scale_exp = np.empty(size, dtype=np.int64)
 
-    def fold(self, A: np.ndarray, strides) -> None:
+    def fold(self, A: np.ndarray) -> None:
         """Advance the state across the block A (shells x columns), each
-        column in segments of its own stride (a scalar applies to all)."""
-        kinds = sorted(set(np.ravel(strides).tolist())) if len(self.u) else []
-        if len(kinds) == 1:   # np.take, which gathers the replays, copies a strided A whole
-            parts = [(slice(None), np.ascontiguousarray(A), kinds[0])]
-        else:
-            parts = [(cols, A[:, cols], s)
-                     for s in kinds for cols in [np.flatnonzero(strides == s)]]
-        sizes = [(-(-len(A) // s) + 1) * len(self.u[cols]) for cols, _, s in parts]
+        column in segments of its own stride."""
+        strides = _column_strides(A)
+        groups = [(np.flatnonzero(strides == s), s) for s in sorted(set(strides.tolist()))]
+        sizes = [(-(-len(A) // s) + 1) * len(cols) for cols, s in groups]
         self._reserve(sum(sizes))
         self._groups = []
         at = 0
-        for (cols, Ag, stride), size in zip(parts, sizes):
-            ng = len(self.u[cols])
+        for (cols, stride), size in zip(groups, sizes):
+            # one stride folds A as it is (np.take, which gathers the replays,
+            # copies a strided A whole); more gather each group C-contiguous
+            Ag = np.ascontiguousarray(A) if len(groups) == 1 else np.take(A, cols, axis=1)
             g = _Segments(Ag, stride, cols,
-                          self._start[2 * at:2 * (at + size)].reshape(-1, 2, ng),
-                          self._start_exp[at:at + size].reshape(-1, ng),
-                          self._work[:8 * self._chunk * ng].reshape(8, self._chunk, ng))
+                          self._start[2 * at:2 * (at + size)].reshape(-1, 2, len(cols)),
+                          self._start_exp[at:at + size].reshape(-1, len(cols)), self._work)
             at += size
             X, E = g.start, g.start_exp
             X[0, 0], X[0, 1], E[0] = self.u[cols], self.p[cols], self.exps[cols]
-            for j0 in range(0, g.nseg, self._chunk):
-                self._fold_chunk(g, j0)
-            self.u[cols], self.p[cols], self.exps[cols] = X[g.nseg, 0], X[g.nseg, 1], E[g.nseg]
+            self._fold_segments(g)
+            self.u[cols], self.p[cols], self.exps[cols] = X[-1, 0], X[-1, 1], E[-1]
             self._groups.append(g)
 
-    def _fold_chunk(self, g: _Segments, j0: int) -> None:
-        """Form the products of the segments j0, j0 + 1, ... (at most a work
-        chunk) of g and fold them onto the start state of segment j0."""
-        stride = g.stride
-        A = g.A[j0 * stride:(j0 + self._chunk) * stride]
-        L = len(A)
-        nseg = -(-L // stride)
-        steps = min(stride, L)
-        last = L - (nseg - 1) * stride
-        ng = g.work.shape[2]
+    def _fold_segments(self, g: _Segments) -> None:
+        """Form the products of the segments of g and fold them in order onto
+        its first start state."""
+        stride, nseg, steps = g.stride, g.nseg, g.steps
         # [parity][seed][segment][column]
-        bufs = g.work[:4].reshape(2, 2, self._chunk, ng)[:, :, :nseg]
+        bufs = g.work[:4].reshape(2, 2, nseg, -1)
         bufs[0, 0], bufs[0, 1], bufs[1, 0], bufs[1, 1] = 0.0, 1.0, 1.0, self.c
-        tmp = g.work[4:6, :nseg]
+        tmp = g.work[4:6]
         for i in range(steps):
-            rows = A[i::stride]
+            rows = g.A[i::stride]
             m = len(rows)
             new, cur = bufs[i % 2, :, :m], bufs[1 - i % 2, :, :m]
             np.multiply(rows, cur, out=tmp[:, :m])
             np.subtract(tmp[:, :m], new, out=new)
         # after n steps the current entries sit at parity (n - 1) % 2; a short
         # last segment that stopped on the other parity swaps its row back
-        if (steps - last) % 2:
+        if (steps - g.last) % 2:
             tmp[:, 0] = bufs[0, :, -1]
             bufs[0, :, -1] = bufs[1, :, -1]
             bufs[1, :, -1] = tmp[:, 0]
         # M[row, seed]: row 0 the segment's last entries, row 1 the ones before
         M = bufs[::-1] if steps % 2 == 0 else bufs
-        X, E = g.start[j0:], g.start_exp[j0:]
-        w = self._fold_tmp[:2 * ng].reshape(2, ng)
+        X, E = g.start, g.start_exp
+        w = tmp.reshape(-1)[:X[0].size].reshape(2, -1)   # contiguous, for fast small ufuncs
         alpha = w[0]   # the coefficient u - c p of the seed (1, 0)
         for j in range(nseg):
             np.multiply(self.c, X[j, 1], out=alpha)
@@ -479,21 +465,13 @@ class _FoldReplay:
         """Write log hypot(u - ck p, sk p) + exps ln 2 at the increasing shells
         ``shells`` (1-based within the last fold) into the rows of ``out``."""
         for g in self._groups:
-            seg = (shells - 1) // g.stride
-            off = shells - seg * g.stride          # 1 .. stride
-            held, row = np.unique(seg, return_inverse=True)
-            for c0 in range(0, len(held), self._chunk):
-                segs = held[c0:c0 + self._chunk]
-                lo, hi = np.searchsorted(row, [c0, c0 + len(segs)])   # the shells in segs
-                at = {int(o): lo + np.flatnonzero(off[lo:hi] == o)
-                      for o in np.unique(off[lo:hi])}
-                for i, _, u, p, _ in g.replay(segs, int(off[lo:hi].max())):
-                    k = at.get(i + 1)
-                    if k is not None:
-                        r = row[k] - c0
-                        at_k = (k, g.cols) if isinstance(g.cols, slice) else np.ix_(k, g.cols)
-                        out[at_k] = (np.log(np.hypot(u[r] - ck * p[r], sk * p[r]))
-                                     + g.start_exp[seg[k]] * LN2)
+            segs = np.unique((shells - 1) // g.stride)
+            at = g.offsets(segs, shells)
+            for i, _, u, p, _ in g.replay(segs, max(at, default=0)):
+                if (hit := at.get(i + 1)) is not None:
+                    k, r = hit
+                    out[np.ix_(k, g.cols)] = (np.log(np.hypot(u[r] - ck * p[r], sk * p[r]))
+                                              + g.start_exp[segs[r]] * LN2)
 
     def window_sum(self, first: int) -> np.ndarray:
         """Sum of 2^(-2 exps) / (u^2 + p^2) over the shells from ``first``
@@ -503,26 +481,21 @@ class _FoldReplay:
         for g in self._groups:
             j0 = (first - 1) // g.stride
             skip = first - 1 - j0 * g.stride   # shells of segment j0 before the window
-            part = np.zeros(g.work.shape[2])
-            for c0 in range(j0, g.nseg, self._chunk):
-                segs = np.arange(c0, min(g.nseg, c0 + self._chunk))
-                m0 = len(segs)
-                scale, acc, t1, t2 = (buf[:m0] for buf in g.work[4:])
-                scale_exp = self._scale_exp[:m0 * len(part)].reshape(m0, -1)
-                np.multiply(g.start_exp[c0:c0 + m0], -2, out=scale_exp)
-                np.ldexp(1.0, scale_exp, out=scale)
-                acc[:] = 0.0
-                for i, m, u, p, _ in g.replay(segs, min(g.stride, len(g.A))):
-                    lo = 1 if c0 == j0 and i < skip else 0
-                    np.multiply(u[lo:m], u[lo:m], out=t1[lo:m])
-                    np.multiply(p[lo:m], p[lo:m], out=t2[lo:m])
-                    t1[lo:m] += t2[lo:m]
-                    np.divide(scale[lo:m], t1[lo:m], out=t1[lo:m])
-                    acc[lo:m] += t1[lo:m]
-                acc[0] += part   # summed over the segments in order, whatever the chunks
-                np.add.accumulate(acc, axis=0, out=acc)
-                part[:] = acc[-1]
-            total[g.cols] = part
+            segs = np.arange(j0, g.nseg)
+            scale, acc, t1, t2 = (buf[:len(segs)] for buf in g.work[4:])
+            scale_exp = self._scale_exp[:scale.size].reshape(scale.shape)
+            np.multiply(g.start_exp[j0:g.nseg], -2, out=scale_exp)
+            np.ldexp(1.0, scale_exp, out=scale)
+            acc[:] = 0.0
+            for i, m, u, p, _ in g.replay(segs, g.steps):
+                lo = 1 if i < skip else 0
+                np.multiply(u[lo:m], u[lo:m], out=t1[lo:m])
+                np.multiply(p[lo:m], p[lo:m], out=t2[lo:m])
+                t1[lo:m] += t2[lo:m]
+                np.divide(scale[lo:m], t1[lo:m], out=t1[lo:m])
+                acc[lo:m] += t1[lo:m]
+            np.add.accumulate(acc, axis=0, out=acc)   # over the segments in order
+            total[g.cols] = acc[-1]
         return total
 
     def weighted_sums(self, W: np.ndarray, cuts: np.ndarray, acc: np.ndarray,
@@ -536,24 +509,20 @@ class _FoldReplay:
         at zero.  Each segment sums its terms in shell order; the segments'
         sums are added in order, in the units of the later segment."""
         for g in self._groups:
-            Wg = np.ascontiguousarray(W) if isinstance(g.cols, slice) else W[:, g.cols]
-            ng = g.work.shape[2]
+            ng = len(g.cols)
+            segs = np.arange(g.nseg)
+            at = g.offsets(segs, cuts)
             pieces = np.empty((len(cuts), ng))   # the terms up to each cut
-            tails = np.empty((g.nseg, ng))       # the terms after a segment's last cut
-            for c0, segs, at in g.chunks(cuts):
-                m0 = len(segs)
-                part, t = g.work[5, :m0], g.work[6, :m0]
-                part[:] = 0.0
-                for i, m, _, p, w in g.replay(segs, min(g.stride, len(g.A)), W=Wg):
-                    np.multiply(p[:m], p[:m], out=t[:m])
-                    t[:m] *= w[:m]
-                    part[:m] += t[:m]
-                    k = at.get(i + 1)
-                    if k is not None:
-                        r = (cuts[k] - 1) // g.stride - c0
-                        pieces[k] = part[r]
-                        part[r] = 0.0
-                tails[c0:c0 + m0] = part
+            tails, t = g.work[5], g.work[6]      # the terms after a segment's last cut
+            tails[:] = 0.0
+            for i, m, _, p, w in g.replay(segs, g.steps, W=np.take(W, g.cols, axis=1)):
+                np.multiply(p[:m], p[:m], out=t[:m])
+                t[:m] *= w[:m]
+                tails[:m] += t[:m]
+                if (hit := at.get(i + 1)) is not None:
+                    k, r = hit
+                    pieces[k] = tails[r]
+                    tails[r] = 0.0
             first = np.searchsorted((cuts - 1) // g.stride, np.arange(g.nseg + 1))
             total, total_exp = acc[g.cols], acc_exp[g.cols]
             logs = np.empty((len(cuts), ng))
@@ -588,9 +557,8 @@ class _FoldReplay:
         its segment's start with the recorded partial factor the same way.
         """
         for g in self._groups:
-            h = g.work.shape[2] // 2
-            trials = g.cols if isinstance(g.cols, slice) else g.cols[:h]
-            Wg = np.ascontiguousarray(W) if isinstance(trials, slice) else W[:, trials]
+            h = len(g.cols) // 2
+            trials = g.cols[:h]
             # u and v of a trial are rescaled apart: the segments' units are
             # the larger of their exponents
             E0 = g.start_exp[:g.nseg]
@@ -598,20 +566,17 @@ class _FoldReplay:
             scale = np.ldexp(1.0, E0 - np.hstack([seg_exp, seg_exp]))
             local = np.zeros((3, g.nseg, h))
             partial = np.empty((3, len(shells), h))
-            seg = (shells - 1) // g.stride
-            for c0, segs, at in g.chunks(shells):
-                for i, m, _, p, w in g.replay(segs, min(g.stride, len(g.A)), W=Wg):
-                    rows = slice(c0, c0 + m)
-                    x = p[:m] * scale[rows]
-                    sw = np.sqrt(w[:m])
-                    local[:, rows] = _chol_rank1_update(local[0, rows], local[1, rows],
-                                                        local[2, rows], sw * x[:, :h],
-                                                        sw * x[:, h:])
-                    k = at.get(i + 1)
-                    if k is not None:
-                        partial[:, k] = local[:, seg[k]]
-            run = factor[:, trials]
-            run_exp = factor_exp[trials]
+            segs = np.arange(g.nseg)
+            at = g.offsets(segs, shells)
+            for i, m, _, p, w in g.replay(segs, g.steps, W=np.take(W, trials, axis=1)):
+                x = p[:m] * scale[:m]
+                sw = np.sqrt(w[:m])
+                local[:, :m] = _chol_rank1_update(local[0, :m], local[1, :m], local[2, :m],
+                                                  sw * x[:, :h], sw * x[:, h:])
+                if (hit := at.get(i + 1)) is not None:
+                    k, r = hit
+                    partial[:, k] = local[:, r]
+            run, run_exp = factor[:, trials], factor_exp[trials]
             start = np.empty((g.nseg, 3, h))
             start_exp = np.empty((g.nseg, h), dtype=np.int64)
             for s in range(g.nseg):
@@ -620,6 +585,7 @@ class _FoldReplay:
                 _rescale_where(list(run), run_exp)
             factor[:, trials], factor_exp[trials] = run, run_exp
             if len(shells):
+                seg = (shells - 1) // g.stride
                 read_exp = start_exp[seg]
                 read = _fold_factor(np.moveaxis(start[seg], 1, 0), partial,
                                     np.ldexp(1.0, seg_exp[seg] - read_exp))
@@ -628,11 +594,18 @@ class _FoldReplay:
                 out_dom[:, trials], out_grid[:, trials] = dom, grid
 
 
+def _shell_count(N, least: int = 1) -> int:
+    """N as an int, integral floats included; DomainError (reason "N") unless
+    it is a whole number >= ``least``."""
+    if not (math.isfinite(N) and N == int(N) >= least):
+        raise DomainError(f"need a whole shell count N >= {least}, got {N}", reason="N")
+    return int(N)
+
+
 def checkpoints_geometric(N: int) -> np.ndarray:
     """Geometrically spaced shell indices in [1, N], always including N, as a
     read-only array that every record of a batch shares."""
-    if N < 1:
-        raise DomainError("need N >= 1")
+    N = _shell_count(N)
     cps = np.unique(np.rint(np.geomspace(1.0, float(N), CHECKPOINTS)).astype(np.int64))
     cps.flags.writeable = False
     return cps
@@ -698,7 +671,7 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
     for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
         lo, hi = A.min(axis=0), A.max(axis=0)
         a_min, a_max = np.minimum(a_min, lo), np.maximum(a_max, hi)
-        scan.fold(A, _rescale_stride(np.maximum(hi, -lo)))
+        scan.fold(A)
         c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
         if c1 > c0:
             scan.log_radius(cps[c0:c1] - n0, ck, sk, cp_logr[c0:c1])
@@ -715,10 +688,12 @@ def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: f
     """Forward trajectories for a set of trial ids with keyed streams.
 
     Per-trial draws are identical however trials are grouped, which keeps
-    sweep outputs independent of scheduling.
+    sweep outputs independent of scheduling.  Trial ids are stream keys,
+    checked even where lam = 0 draws nothing.
     """
+    N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
-    return _forward_polar_pass(dist, law, eff, N, list(trial_ids), seed, cell)
+    return _forward_polar_pass(dist, law, eff, N, list(map(_stream_key, trial_ids)), seed, cell)
 
 
 def lyapunov_estimate(records) -> tuple[float, float]:
@@ -844,9 +819,10 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     from their (trial, block)-keyed streams; without the Gram pass every
     block is drawn once.
     """
+    N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
     ck = math.cos(eff.k)
-    trial_ids = list(trial_ids)
+    trial_ids = list(map(_stream_key, trial_ids))
     T = len(trial_ids)
     cps = checkpoints_geometric(N)
     ncp = len(cps)
@@ -864,7 +840,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         factor_exp = np.zeros(T, dtype=np.int64)
         for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
                                           with_w=True):
-            scan.fold(np.hstack([A, A]), np.tile(_column_strides(A), 2))
+            scan.fold(np.hstack([A, A]))
             c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
             scan.gram(W, cps[c0:c1] - n0, factor, factor_exp, cp_logmax[c0:c1],
                       cp_ratio_grid[c0:c1])
@@ -889,7 +865,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
                              _shell_blocks(dist, law, lam, first_held, columns, seed,
                                            DOMAIN_SUBORDINACY, reverse=True, with_w=True))
     for n0, n1, A, W in blocks:
-        back.fold(A[::-1], _column_strides(A))
+        back.fold(A[::-1])
         # a checkpoint n0 <= c < n1 sits n1 - c shells into the reversed block,
         # where the pair is (w_{c-1}, w_c) and the sum has just taken in w_c
         lo, hi = np.searchsorted(cps, [n0, n1])
@@ -931,7 +907,10 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     a genuinely different limit).  Returns the mean over the window
     [N/2, N] and over trials, one value per energy, not yet divided by pi.
     """
+    N = _shell_count(N)
     energies = np.asarray(energies, dtype=np.float64)
+    if not (np.isfinite(energies).all() and math.isfinite(lam) and math.isfinite(halfwidth)):
+        raise DomainError("energies, lam and halfwidth must be finite", reason="nonfinite")
     if trials < 1:
         raise DomainError("need trials >= 1")
     if energy_ids is None:
@@ -944,12 +923,10 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     acc = np.zeros(len(columns))
     w0 = N // 2
     for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY):
-        scan.fold(A, _column_strides(A))
+        scan.fold(A)
         if n1 >= w0:
             acc += scan.window_sum(max(w0 - n0, 1))
     count = N - max(w0, 1) + 1   # the shells w0 <= n <= N
-    if count <= 0:
-        raise DomainError("empty averaging window")
     vals = (acc / count).reshape(len(energies), trials)
     return vals.mean(axis=1)
 
@@ -982,20 +959,17 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
-    if not (math.isfinite(N) and N == int(N) >= 0):
-        raise DomainError(f"need a whole shell count N >= 0, got {N}", reason="N")
+    N = _shell_count(N, 0)
     if not math.isfinite(beta):
         raise DomainError(f"need a finite beta, got {beta}", reason="beta")
     if lam != 0.0 and (dist is None or seed is None):
         raise DomainError("random potentials need a dist and a seed", reason="seed")
-    N = int(N)
     if law is None:
         law = GrowthLaw.uniform_power(1.0, 1.0)
     scan = _FoldReplay(2, 0j)
     scan.u[1], scan.p[1] = 0.0, 1.0   # (u_0, u_{-1}) = (1, 0), (v_0, v_{-1}) = (0, 1)
     for _, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
-        # |a| per column: A.max would order complex entries lexicographically
-        scan.fold(np.hstack([A, A]), np.tile(_rescale_stride(np.abs(A).max(axis=0)), 2))
+        scan.fold(np.hstack([A, A]))
     # column 0 holds (u_{N+1}, u_N), column 1 (v_{N+1}, v_N)
     den = complex(beta * scan.p[0] + scan.u[0])
     num = complex(beta * scan.p[1] + scan.u[1])

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 # stream domains: the first id of every key, so that different kinds of draws
 # never share randomness for the same (seed, cell, trial)
 DOMAIN_TRAJECTORY = 1
@@ -22,11 +24,25 @@ DOMAIN_MOMENT = 5
 DOMAIN_DRIFT = 0xD
 
 
+def _stream_key(x) -> int:
+    """``x`` as one component of a stream key: a whole number >= 0, numpy
+    integers and integral floats included; DomainError (reason "seed")
+    otherwise, rather than a truncated key that aliases another stream."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):
+        k = -1
+    if k < 0 or k != x:
+        raise DomainError(f"stream keys are whole numbers >= 0, got {x!r}", reason="seed")
+    return k
+
+
 def seed_stream(master_seed: int, *ids: int) -> np.random.Generator:
     """Return the Philox generator keyed by ``(master_seed, ids...)``.
 
     Calling twice with equal arguments yields identical streams; changing any
     component of the key decorrelates the output.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(i) for i in ids))
+    ss = np.random.SeedSequence(entropy=_stream_key(master_seed),
+                                spawn_key=tuple(map(_stream_key, ids)))
     return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))

@@ -18,6 +18,9 @@ from antitree import (
     SingularShellError,
     SizeLimitError,
     TrajectoryRecord,
+    checkpoints_geometric,
+    decay_check,
+    density_estimate,
     effective_quantities,
     i_lambda,
     lyapunov_batch,
@@ -44,6 +47,7 @@ BERN = PotentialDistribution.bernoulli()
 UNIF = PotentialDistribution.uniform()
 TRI = PotentialDistribution.triangular()
 EFF = effective_quantities(BERN, 2.0, 1.0)
+LAW15 = GrowthLaw.uniform_power(1.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +332,13 @@ def _per_shell_reference(A, ck, sk, first):
 
 
 def _fold_replay_reads(blocks, cols, ck, sk, first):
-    """Drive the kernel over ``blocks`` of (entries, stride) for the columns
-    ``cols``, reading log R at every shell and the window sum from ``first``."""
+    """Drive the kernel over ``blocks`` of entries for the columns ``cols``,
+    reading log R at every shell and the window sum from ``first``."""
     scan = eng._FoldReplay(len(cols), ck)
     logs, total, n0 = [], np.zeros(len(cols)), 0
-    for A, stride in blocks:
+    for A in blocks:
         L = len(A)
-        scan.fold(A[:, cols], stride)
+        scan.fold(A[:, cols])
         logs.append(np.empty((L, len(cols))))
         scan.log_radius(np.arange(1, L + 1), ck, sk, logs[-1])
         if n0 + L >= first:
@@ -347,20 +351,17 @@ def _fold_replay_reads(blocks, cols, ck, sk, first):
 @given(amax=st.floats(0.1, 1e4), cap=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
        lengths=st.lists(st.integers(1, 200), min_size=1, max_size=3),
        ncol=st.integers(2, 4), k=st.floats(0.3, math.pi - 0.3),
-       where=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
-       work_chunk=st.sampled_from([1, 7, 64, eng._WORK_CHUNK]))
-def test_fold_replay_matches_per_shell_steps(amax, cap, lengths, ncol, k, where, seed,
-                                             work_chunk):
-    # entries up to 1e4 and the cap give every stride from 1 to 64; blocks of
-    # any length, shorter than the stride too, and reads at every shell, so
-    # on every segment start and end; small work chunks split the segments
+       where=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_fold_replay_matches_per_shell_steps(amax, cap, lengths, ncol, k, where, seed):
+    # entries up to 1e4 and the stride cap give every stride from 1 to 64;
+    # blocks of any length, shorter than the stride too, and reads at every
+    # shell, so on every segment start and end
     A = np.random.default_rng(seed).uniform(-amax, amax, (sum(lengths), ncol))
     ends = np.cumsum(lengths)
-    blocks = [(A[n1 - L:n1], min(cap, eng._rescale_stride(np.abs(A[n1 - L:n1]).max())))
-              for L, n1 in zip(lengths, ends)]
+    blocks = [A[n1 - L:n1] for L, n1 in zip(lengths, ends)]
     ck, sk = math.cos(k), math.sin(k)
     first = 1 + int(where * (len(A) - 1))
-    with mock.patch.object(eng, "_WORK_CHUNK", work_chunk):
+    with mock.patch.object(eng, "_MAX_STRIDE", cap):
         logs, total = _fold_replay_reads(blocks, list(range(ncol)), ck, sk, first)
         split = ncol // 2
         parts = [_fold_replay_reads(blocks, cols, ck, sk, first)
@@ -412,7 +413,7 @@ def _per_shell_pair_reference(A, W, cuts):
 def _pair_reads(blocks, W, cols, c, cuts):
     """Drive the backward-pass reads (log hypot(u, p) at every shell, sums
     between ``cuts``) and the Gram read (log_dom at every shell) of the
-    kernel over ``blocks`` of (entries, per-column strides) for ``cols``."""
+    kernel over ``blocks`` of entries for the columns ``cols``."""
     ncol = len(cols)
     back, pairs = eng._FoldReplay(ncol, c), eng._FoldReplay(2 * ncol, c)
     pairs.u[ncol:], pairs.p[ncol:] = 0.0, 1.0
@@ -420,16 +421,16 @@ def _pair_reads(blocks, W, cols, c, cuts):
     factor, factor_exp = np.zeros((3, ncol)), np.zeros(ncol, dtype=np.int64)
     sums = np.empty((len(cuts), ncol))
     logs, doms, n0 = [], [], 0
-    for A, strides in blocks:
+    for A in blocks:
         L = len(A)
-        Ab, Wb, sb = A[:, cols], W[n0:n0 + L][:, cols], strides[cols]
+        Ab, Wb = A[:, cols], W[n0:n0 + L][:, cols]
         shells = np.arange(1, L + 1)
-        back.fold(Ab, sb)
+        back.fold(Ab)
         logs.append(np.empty((L, ncol)))
         back.log_radius(shells, 0.0, 1.0, logs[-1])
         lo, hi = np.searchsorted(cuts, [n0, n0 + L], side="right")
         back.weighted_sums(Wb, cuts[lo:hi] - n0, acc, acc_exp, sums[lo:hi])
-        pairs.fold(np.hstack([Ab, Ab]), np.tile(sb, 2))
+        pairs.fold(np.hstack([Ab, Ab]))
         doms.append(np.empty((L, ncol)))
         pairs.gram(Wb, shells, factor, factor_exp, doms[-1], np.empty((L, ncol)))
         n0 += L
@@ -440,10 +441,9 @@ def _pair_reads(blocks, W, cols, c, cuts):
 @given(amax=st.floats(0.1, 1e4), cap=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
        lengths=st.lists(st.integers(1, 200), min_size=1, max_size=3),
        ncol=st.integers(2, 4), k=st.floats(0.3, math.pi - 0.3),
-       cut_frac=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
-       work_chunk=st.sampled_from([1, 7, 64, eng._WORK_CHUNK]))
+       cut_frac=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_fold_replay_pair_reads_match_per_shell_steps(amax, cap, lengths, ncol, k, cut_frac,
-                                                      seed, work_chunk):
+                                                      seed):
     # as above, with columns of different scales, hence strides, and blocks
     # of any length; the sums are cut at a random share of the shells
     rng = np.random.default_rng(seed)
@@ -451,9 +451,8 @@ def test_fold_replay_pair_reads_match_per_shell_steps(amax, cap, lengths, ncol, 
     W = rng.uniform(1.0, 10.0, A.shape)
     cuts = np.flatnonzero(rng.uniform(size=len(A)) < cut_frac) + 1
     ends = np.cumsum(lengths)
-    blocks = [(A[n1 - L:n1], np.minimum(cap, eng._column_strides(A[n1 - L:n1])))
-              for L, n1 in zip(lengths, ends)]
-    with mock.patch.object(eng, "_WORK_CHUNK", work_chunk):
+    blocks = [A[n1 - L:n1] for L, n1 in zip(lengths, ends)]
+    with mock.patch.object(eng, "_MAX_STRIDE", cap):
         reads = _pair_reads(blocks, W, list(range(ncol)), math.cos(k), cuts)
         split = ncol // 2
         parts = [_pair_reads(blocks, W, cols, math.cos(k), cuts)
@@ -463,6 +462,40 @@ def test_fold_replay_pair_reads_match_per_shell_steps(amax, cap, lengths, ncol, 
     for part, cols in zip(parts, (slice(0, split), slice(split, ncol))):
         for got, joint in zip(part, reads):
             assert np.array_equal(got, joint[:, cols])
+
+
+def test_fold_replay_scratch_is_bounded_by_the_block():
+    # |a| up to 1e4 folds in segments of 8 shells: the buffers grow on the
+    # first block to 12 values per segment and column, and never again
+    ncol = 5
+    rng = np.random.default_rng(4)
+    scan = eng._FoldReplay(ncol, 0.3)
+    assert int(eng._rescale_stride(1e4)) == 8
+    buffers = []
+    for n in range(6):
+        A = rng.uniform(-1e4, 1e4, (eng.BLOCK, ncol))
+        scan.fold(A)
+        assert {g.stride for g in scan._groups} == {8}
+        scan.log_radius(np.array([1, 100, eng.BLOCK]), 0.3, 0.9, np.empty((3, ncol)))
+        scan.window_sum(eng.BLOCK // 2)
+        buffers.append((scan._start, scan._start_exp, scan._work, scan._scale_exp))
+    nbytes = [sum(buf.nbytes for buf in held) for held in buffers]
+    assert nbytes[2] == nbytes[5] <= 12 * 8 * (eng.BLOCK // 8 + 1) * ncol
+    assert all(a is b for a, b in zip(buffers[0], buffers[5]))   # not reallocated either
+
+
+def test_mixed_stride_fold_keeps_groups_contiguous():
+    # columns of scale 1, 20 and 1e4 fold in segments of 64, 16 and 8 shells;
+    # each group's entries are gathered C-contiguous, so the replays' row
+    # gathers read contiguous memory
+    A = np.random.default_rng(2).uniform(-1.0, 1.0, (300, 6)) * [1, 1e4, 1, 20, 1e4, 1]
+    scan = eng._FoldReplay(6)
+    scan.fold(A)
+    assert [g.stride for g in scan._groups] == [8, 16, 64]
+    assert sorted(np.concatenate([g.cols for g in scan._groups])) == list(range(6))
+    for g in scan._groups:
+        assert g.A.flags.c_contiguous
+        assert np.array_equal(g.A, A[:, g.cols])
 
 
 def test_each_trial_alone_matches_the_joint_call():
@@ -493,6 +526,24 @@ def test_trajectories_deterministic_and_chunk_invariant():
         assert np.array_equal(a.log_r, b.log_r)
     for a, b in zip(full, first + second):
         assert np.array_equal(a.log_r, b.log_r)
+
+
+def test_stream_keys_are_whole_numbers():
+    # numpy integers and integral floats key the stream of the whole number;
+    # a fraction, a negative or a nan is no key rather than a truncated one
+    log_r = lyapunov_batch(BERN, LAW15, 2.0, 1.0, 300, [3], seed=1)[0].log_r
+    for trials, seed in (([np.int64(3)], np.uint8(1)), ([3.0], 1.0)):
+        rec, = lyapunov_batch(BERN, LAW15, 2.0, 1.0, 300, trials, seed=seed)
+        assert rec.trial == 3 and np.array_equal(rec.log_r, log_r)
+    for trials, seed in (([0.5, 0], 1), ([0], 1.9), ([-1], 1), ([0], -1), ([0], math.nan)):
+        with pytest.raises(DomainError) as err:
+            lyapunov_batch(BERN, LAW15, 2.0, 1.0, 300, trials, seed=seed)
+        assert err.value.reason == "seed"
+    # lam = 0 draws nothing, but its records still carry the trial ids
+    for driver in (lyapunov_batch, subordinacy_batch):
+        with pytest.raises(DomainError) as err:
+            driver(BERN, LAW15, 1.3, 0.0, 300, [0.5, 0], seed=1)
+        assert err.value.reason == "seed"
 
 
 def test_continuous_draws_beyond_the_budget_raise_before_drawing(monkeypatch):
@@ -863,6 +914,28 @@ def test_m_function_needs_a_whole_shell_count(N):
         m_function(1j, N, 2.0)
     with pytest.raises(DomainError):
         m_function(1j, N, 0.0, dist=BERN, lam=1.0, seed=5)
+
+
+SHELL_COUNT_DRIVERS = {
+    "lyapunov": lambda N: lyapunov_batch(BERN, LAW15, 2.0, 1.0, N, [0, 1], seed=1),
+    "subordinacy": lambda N: subordinacy_batch(BERN, LAW15, 2.0, 1.0, N, [0], seed=1),
+    "window": lambda N: eng.dirichlet_window_average(BERN, 1.0, LAW15, [2.0], N, 2, 1, 0.01),
+    "density": lambda N: density_estimate(BERN, 1.0, LAW15, [2.0], N, 2, 1),
+    "decay": lambda N: decay_check(BERN, 1.0, 1.5, 1.0, 2.0, N, 2, 1),
+    "m_function": lambda N: m_function(1j, N, 0.0),
+    "checkpoints": checkpoints_geometric,
+}
+
+
+@pytest.mark.parametrize("driver", sorted(SHELL_COUNT_DRIVERS))
+def test_shell_counts_are_whole_numbers(driver):
+    call = SHELL_COUNT_DRIVERS[driver]
+    for N in (10.5, 1000.5, math.nan, math.inf, -3):
+        with pytest.raises(DomainError) as err:
+            call(N)
+        assert err.value.reason == "N"
+    # an integral float is the whole number, down to the records' N
+    assert repr(call(1000.0)) == repr(call(1000))
 
 
 def test_m_function_degenerate_denominator():

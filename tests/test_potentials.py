@@ -13,6 +13,7 @@ from antitree import (
     InvalidLawError,
     PotentialDistribution,
     classify,
+    density_estimate,
     effective_quantities,
     essential_spectrum,
     i_lambda,
@@ -160,6 +161,13 @@ NAN = math.nan
     pytest.param(lambda: inverse_moment(UNI, NAN, 1.0), DomainError, id="moment-E"),
     pytest.param(lambda: lyapunov_batch(BERN, GrowthLaw.uniform_power(1.5), NAN, 1.0, 100,
                                         [0], seed=1), DomainError, id="lyapunov-E"),
+    pytest.param(lambda: density_estimate(BERN, 1.0, GrowthLaw.uniform_power(1.5), [NAN],
+                                          1000, 2, 1), DomainError, id="density-E"),
+    pytest.param(lambda: density_estimate(BERN, NAN, GrowthLaw.uniform_power(1.5), [2.0],
+                                          1000, 2, 1), DomainError, id="density-lam"),
+    pytest.param(lambda: density_estimate(BERN, 1.0, GrowthLaw.uniform_power(1.5), [2.0],
+                                          1000, 2, 1, halfwidth=NAN), DomainError,
+                 id="density-halfwidth"),
     pytest.param(lambda: m_function(complex(NAN, 1.0), 10, 0.0), DomainError, id="m-z"),
     pytest.param(lambda: m_function(1j, 10, NAN), DomainError, id="m-beta"),
     pytest.param(lambda: m_function(1j, 10, math.inf), DomainError, id="m-beta-inf"),
