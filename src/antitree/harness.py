@@ -2,14 +2,20 @@
 
 An experiment is a JSON config naming a distribution, a disorder grid, a
 growth law, an energy grid, shell and trial counts and a master seed.  The
-harness expands the config into independent (grid cell x trial chunk)
-tasks, runs them inline or on a process pool, and reduces the results in a
-fixed order, so output files are byte-identical across reruns and across
-worker counts: every trial's randomness is keyed by (seed, cell, trial) and
-never by schedule.  Data files are written atomically (temp file + rename)
-and a JSON manifest records the canonicalized config, its digest, and a
-SHA-256 digest per emitted file.  Cell failures are isolated: the sweep
-continues, the manifest marks the cell, and the run exits with code 2.
+harness expands the config into independent tasks, one per grid cell (or,
+for lyapunov, per cell and chunk of trials), groups them into contiguous
+packs, runs the packs inline or on a process pool, and reduces the results
+in a fixed order, so output files are byte-identical across reruns and
+across worker counts: every trial's randomness is keyed by (seed, cell,
+trial) and never by schedule.  A density pack holds up to _PACK_COLUMNS
+columns (energies x trials) and makes one kernel call for all its cells;
+the kernel's columns are independent of their grouping, and when the joint
+call raises, the pack's cells run one at a time, so each value and error is
+the cell's own.  Other experiments run one task per pack.  Data files are
+written atomically (temp file + rename) and a JSON manifest records the
+canonicalized config, its digest, and a SHA-256 digest per emitted file.
+Cell failures are isolated: the sweep continues, the manifest marks the
+cell, and the run exits with code 2.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ from .spectral import (
 )
 
 _TRIAL_CHUNK = 32
+# widest density pack: the kernel's cost per block hardly depends on its
+# columns, while each one holds about 87 KiB of blocks and scratch
+_PACK_COLUMNS = 64
 _HARMONIC_LADDER = (2, 4, 8, 100, 1000, 10000)
 _GEOMETRY_DIMS = (2, 3, 4)
 _GEOMETRY_NMAX = 8
@@ -263,11 +272,14 @@ def _density_cells(cfg: dict, base_dir: Path):
             for E in energies]
 
 
-def _density_run(task: dict) -> float:
-    vals = dirichlet_window_average(task["dist"], task["lam"], task["law"], [task["E"]],
-                                    task["N"], task["trials"], task["seed"],
-                                    task["halfwidth"], energy_ids=[task["cell"]])
-    return float(vals[0]) / math.pi
+def _density_pack(tasks: list[dict]) -> list[float]:
+    """The cells' densities from one call; columns are keyed by cell id, so
+    each equals the cell's own call bit for bit."""
+    t = tasks[0]
+    vals = dirichlet_window_average(t["dist"], t["lam"], t["law"], [s["E"] for s in tasks],
+                                    t["N"], t["trials"], t["seed"], t["halfwidth"],
+                                    energy_ids=[s["cell"] for s in tasks])
+    return [float(v) / math.pi for v in vals]
 
 
 def _density_rows(cfg: dict, task: dict, values: list):
@@ -365,7 +377,9 @@ class _Experiment:
     ``rows(cfg, task, values)`` turns a cell's first task and the values of
     all its tasks, in task order, into one row list per entry of ``files``,
     which pairs each CSV name with its header; ``notes(cfg)`` are the
-    manifest's audit notes.
+    manifest's audit notes.  ``run_pack(tasks)``, where given, computes the
+    values of several tasks of ``trials`` columns each in one call, as
+    ``run`` would one by one.
     """
 
     cells: Callable
@@ -373,6 +387,7 @@ class _Experiment:
     files: tuple[tuple[str, str], ...]
     rows: Callable
     notes: Callable = lambda cfg: []
+    run_pack: Callable | None = None
 
 
 _SPECS = {
@@ -386,9 +401,9 @@ _SPECS = {
         (("lyapunov.csv", "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory"),),
         _lyapunov_rows),
     "density": _Experiment(
-        _density_cells, _density_run,
+        _density_cells, lambda t: _density_pack([t])[0],
         (("density.csv", "E,rho_hat,rho_free_theory"),),
-        _density_rows),
+        _density_rows, run_pack=_density_pack),
     "harmonic-check": _Experiment(
         _harmonic_cells,
         lambda t: mc_moments(t["dist"], t["E"], t["lam"], t["n"], t["trials"], t["seed"]),
@@ -429,12 +444,42 @@ def build_tasks(cfg: dict, base_dir: Path) -> list[dict]:
             for payload in payloads]
 
 
-def _execute_task(task: dict) -> dict:
-    """Run one task; never raises (errors are data for the manifest)."""
-    try:
-        return {"value": _SPECS[task["experiment"]].run(task)}
-    except AntitreeError as exc:
-        return {"error": str(exc), "error_type": type(exc).__name__}
+def _pack(tasks: list[dict], threads: int) -> list[list[dict]]:
+    """Contiguous runs of the tasks, in order, for the pool to map.
+
+    Tasks of an experiment with ``run_pack`` share packs of at most
+    _PACK_COLUMNS columns, a task wider than that being a pack of its own;
+    the pack count is the least multiple of ``threads`` (at most one pack per
+    task) that keeps to the budget, so the workers get equal shares, and pack
+    sizes differ by at most one task.  Other experiments run one task per pack.
+    """
+    n = len(tasks)
+    if not n or _SPECS[tasks[0]["experiment"]].run_pack is None:
+        return [[t] for t in tasks]
+    per = max(1, _PACK_COLUMNS // tasks[0]["trials"])
+    threads = max(1, threads)
+    fewest = -(-n // per)
+    count = min(n, -(-fewest // threads) * threads)
+    return [tasks[i * n // count:(i + 1) * n // count] for i in range(count)]
+
+
+def _execute_task(pack: list[dict]) -> list[dict]:
+    """Run one pack of tasks, one result per task; never raises (errors are
+    data for the manifest).  A pack of several tasks runs as one joint call;
+    if that raises, each task runs alone, so its value or error is its own."""
+    spec = _SPECS[pack[0]["experiment"]]
+    if len(pack) > 1:
+        try:
+            return [{"value": v} for v in spec.run_pack(pack)]
+        except AntitreeError:
+            pass
+    results = []
+    for task in pack:
+        try:
+            results.append({"value": spec.run(task)})
+        except AntitreeError as exc:
+            results.append({"error": str(exc), "error_type": type(exc).__name__})
+    return results
 
 
 def _reduce(cfg: dict, tasks: list[dict], results: list[dict]):
@@ -471,12 +516,13 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
     t_start = time.monotonic()
     base_dir = Path(base_dir)
     tasks = build_tasks(config, base_dir)
-    if threads > 1 and len(tasks) > 1:
+    packs = _pack(tasks, threads)
+    if threads > 1 and len(packs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_execute_task, tasks))
+            done = list(pool.map(_execute_task, packs))
     else:
-        results = [_execute_task(t) for t in tasks]
-    files, cells = _reduce(config, tasks, results)
+        done = [_execute_task(p) for p in packs]
+    files, cells = _reduce(config, tasks, [r for results in done for r in results])
 
     out_dir = base_dir / config["output_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -77,3 +77,19 @@ def gram_log_dom(A, W, ns):
             top = 0.5 * (x11 + x22) + np.sqrt((0.5 * (x11 - x22)) ** 2 + x12 * x12)
             out[i] = np.log(tr) + np.log(top)
     return out
+
+
+def window_mean(A, trials):
+    """Mean of 1/(u_n^2 + u_{n-1}^2) over the shells N/2 <= n <= N of the
+    Dirichlet pair seeded (u_0, u_{-1}) = (1, 0), per column, then over each
+    run of ``trials`` columns (one energy's)."""
+    N, ncol = A.shape
+    first = max(N // 2, 1)
+    u = np.ones(ncol, dtype=np.longdouble)
+    p = np.zeros(ncol, dtype=np.longdouble)
+    acc = np.zeros(ncol, dtype=np.longdouble)
+    for n, a in enumerate(A, 1):
+        u, p = a * u - p, u
+        if n >= first:
+            acc += 1 / (u * u + p * p)
+    return (acc / (N - first + 1)).reshape(-1, trials).mean(axis=1)

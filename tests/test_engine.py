@@ -30,7 +30,7 @@ from antitree import (
     subordinacy_batch,
 )
 import antitree.engine as eng
-from antitree.streams import DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY
+from antitree.streams import DOMAIN_DENSITY, DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY
 
 import long_double
 from reference import (
@@ -218,6 +218,30 @@ def test_shell_draws_ignore_column_grouping_and_direction(dist, pattern, extra, 
 
 def test_determinant_drift_long_product():
     assert wronskian_drift(EFF.k, 10 ** 5, seed=2) < 1e-10
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(dist=st.sampled_from([BERN, UNIF]), lam=st.floats(1e-3, 0.2),
+       where=st.floats(0.01, 0.99), piece=st.integers(0, 1), d=st.floats(1.5, 2.5),
+       blocks=st.integers(0, 2), extra=st.integers(1, eng.BLOCK), centred=st.booleans())
+def test_fold_keeps_the_determinant_of_the_fundamental_pair(dist, lam, where, piece, d, blocks,
+                                                             extra, centred):
+    # the columns seeded (1, 0) and (0, 1) are a fundamental pair: every step
+    # has determinant one, so u0 p1 - u1 p0 times 2^(exps0 + exps1) stays 1,
+    # up to rounding of the larger of its two products
+    pieces = i_lambda(dist, lam).intervals
+    iv = pieces[piece % len(pieces)]
+    E = iv.lo + where * (iv.hi - iv.lo)
+    law = GrowthLaw.uniform_power(min(d, 1.5) if dist is UNIF else d, 1.0)
+    N = blocks * eng.BLOCK + extra
+    scan = eng._FoldReplay(2, 0.5 * E if centred else 0.0)
+    scan.u[1], scan.p[1] = 0.0, 1.0
+    for _, _, A, _ in eng._shell_blocks(dist, law, lam, N, [(E, 0, 0)], 3, DOMAIN_TRAJECTORY):
+        scan.fold(np.hstack([A, A]))
+    (u0, u1), (p0, p1), e = scan.u, scan.p, int(scan.exps.sum())
+    det = math.ldexp(u0 * p1 - u1 * p0, e)
+    scale = math.ldexp(abs(u0 * p1) + abs(u1 * p0), e)
+    assert abs(det - 1.0) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +849,23 @@ def test_forward_log_radius_matches_long_double_recomputation(E, lam, N):
     for t, rec in enumerate(recs):
         err = np.abs(rec.log_r - expected[:, t])
         assert (err <= 1e-12 * np.maximum(1.0, np.abs(expected[:, t]))).all(), err.max()
+
+
+@pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
+@pytest.mark.xfail(strict=True, reason="the fold's segment products lose accuracy on the "
+                   "growing solution: 3.0e-12 here, against 5.6e-13 for a per-shell loop")
+def test_density_window_matches_long_double_recomputation():
+    # at the paper's point the solutions grow and the window mean is ~1e-25;
+    # a per-shell float64 loop on these draws is 5.6e-13 from its
+    # extended-precision recomputation
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    E, N, trials, seed, halfwidth = 2.0, 2 * 10 ** 4, 4, 10, 0.025
+    got = eng.dirichlet_window_average(BERN, 1.0, law, [E], N, trials, seed, halfwidth)
+    offs = halfwidth * ((2.0 * np.arange(trials) + 1.0) / trials - 1.0)
+    A = long_double.draws(BERN, law, 1.0, N, [(E + off, 0, t) for t, off in enumerate(offs)],
+                          seed, DOMAIN_DENSITY)
+    expected = long_double.window_mean(A, trials).astype(np.float64)
+    assert abs(got[0] - expected[0]) <= 2e-12 * expected[0]
 
 
 def test_gram_ratio_matches_dense_eigensolve_at_small_depth():

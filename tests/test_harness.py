@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antitree import (
+    AntitreeError,
     ConfigError,
     GrowthLaw,
     PotentialDistribution,
@@ -16,15 +19,20 @@ from antitree import (
     seed_stream,
 )
 from antitree.cli import main as cli_main
+from antitree.engine import dirichlet_window_average
 from antitree.harness import (
+    _PACK_COLUMNS,
+    _pack,
     build_tasks,
     canonical_json,
     config_digest,
+    energy_grid,
     fmt,
     load_config,
     normalize_config,
     run_experiment,
 )
+from antitree.spectral import grid_halfwidth
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +253,87 @@ def test_density_experiment_headers_and_theory(tmp_path):
     assert float(mid[0]) == 0.0
     assert float(mid[1]) == pytest.approx(1.0 / math.pi, rel=0.05)
     assert float(mid[2]) == pytest.approx(1.0 / math.pi, rel=1e-12)
+
+
+def _density_config(**overrides):
+    cfg = {"experiment": "density", "distribution": {"kind": "bernoulli"}, "lambda": 1.0,
+           "growth": {"d": 1.5, "C": 1.0}, "N": 1000, "seed": 9}
+    cfg.update(overrides)
+    return cfg
+
+
+def _cell_lines(cfg):
+    """density.csv's rows from one dirichlet_window_average call per cell, or
+    the cell's typed error."""
+    cfg = normalize_config(cfg)
+    energies = energy_grid(cfg)
+    law = GrowthLaw.uniform_power(cfg["growth"]["d"], cfg["growth"]["C"])
+    out = []
+    for cell, E in enumerate(energies):
+        try:
+            val = dirichlet_window_average(PotentialDistribution.bernoulli(), cfg["lambda"][0],
+                                           law, [float(E)], cfg["N"], cfg["trials"],
+                                           cfg["seed"], grid_halfwidth(energies),
+                                           energy_ids=[cell])[0]
+        except AntitreeError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+        else:
+            out.append(f"{fmt(float(E))},{fmt(float(val) / math.pi)},")
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_density_packs_equal_per_cell_calls(tmp_path, threads):
+    # 20 energies x 8 trials span several packs; the lambda = 1 draws are
+    # keyed by the cell, so any mix-up of cells within a pack shows
+    cfg = _density_config(energy={"min": 1.8, "max": 2.6, "steps": 20}, trials=8,
+                          output_dir="o")
+    assert len(_pack(build_tasks(normalize_config(cfg), tmp_path), threads)) > 1
+    _, code = _run(tmp_path, cfg, threads)
+    assert code == 0
+    lines = (tmp_path / "o" / "density.csv").read_text().splitlines()
+    assert lines[1:] == _cell_lines(cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_density_pack_failure_falls_back_to_cells(tmp_path, threads):
+    # with an odd trial count the middle offset is 0: E = 1.0 sits on the
+    # atom v = 1 and fails, which fails its pack's joint call
+    cfg = _density_config(energy={"min": 0.5, "max": 1.5, "steps": 3}, trials=3,
+                          output_dir="f")
+    manifest, code = _run(tmp_path, cfg, threads)
+    assert code == 2
+    expected = _cell_lines(cfg)
+    assert expected[1] == "DomainError: E - lam*v vanishes at an atom"
+    assert manifest["cells"] == [{"key": "E=0.5", "status": "ok"},
+                                 {"key": "E=1.0", "status": "failed", "error": expected[1]},
+                                 {"key": "E=1.5", "status": "ok"}]
+    lines = (tmp_path / "f" / "density.csv").read_text().splitlines()
+    assert lines[1:] == [expected[0], expected[2]]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cells=st.integers(1, 120), trials=st.integers(1, 100), threads=st.integers(1, 8))
+def test_pack_is_contiguous_budgeted_and_balanced(cells, trials, threads):
+    tasks = [{"experiment": "density", "cell": c, "trials": trials} for c in range(cells)]
+    packs = _pack(tasks, threads)
+    # contiguous runs that cover every cell in order
+    assert all(packs) and [t for p in packs for t in p] == tasks
+    # within the budget, but for a lone oversized cell
+    assert all(len(p) * trials <= _PACK_COLUMNS or len(p) == 1 for p in packs)
+    # equal shares per worker: a multiple of the threads, unless every cell
+    # already has a pack of its own, and sizes within one of each other
+    assert len(packs) % threads == 0 or len(packs) == cells
+    assert max(map(len, packs)) - min(map(len, packs)) <= 1
+    # and no more of them: one share fewer would break the budget
+    per = max(1, _PACK_COLUMNS // trials)
+    assert len(packs) <= threads or (len(packs) - threads) * per < cells
+
+
+def test_unpacked_experiments_run_one_task_per_pack():
+    tasks = build_tasks(normalize_config(_config(trials=70)), Path("."))
+    assert len(tasks) == 3   # trial chunks of 32
+    assert _pack(tasks, 2) == [[t] for t in tasks]
 
 
 def test_phase_diagram_experiment(tmp_path):
