@@ -28,7 +28,6 @@ from .potentials import (
     effective_quantities,
     i_lambda,
     inverse_moment,
-    inverse_moment_quadrature,
     j_lambda,
     sample,
     second_inverse_moment,

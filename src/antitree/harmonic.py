@@ -30,8 +30,6 @@ from .potentials import (
     _hull_side,
     _inverse_variance,
     inverse_moment,
-    inverse_moment_quadrature,
-    second_inverse_moment,
 )
 from .streams import DOMAIN_MOMENT, seed_stream
 
@@ -87,18 +85,6 @@ def moment_bounds(dist: PotentialDistribution, E: float, lam: float, n: int) -> 
         second_asym=h2 * h2 * sigma2,
         sign=sign,
     )
-
-
-def sigma3(dist: PotentialDistribution, E: float, lam: float) -> float:
-    """Third centered moment of 1/X, reported informationally."""
-    m1 = inverse_moment(dist, E, lam)
-    if dist.is_discrete:
-        return math.fsum(w * (1.0 / (E - lam * v) - m1) ** 3 for v, w in dist.atoms)
-    if lam == 0.0:
-        return 0.0
-    m3 = inverse_moment_quadrature(dist, E, lam, power=3)
-    m2 = second_inverse_moment(dist, E, lam)
-    return m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +149,6 @@ class MomentReport:
     m3: float
     m3_stderr: float
     bounds: MomentBounds
-    sigma3: float
     exact: dict | None = None
     flags: dict = field(default_factory=dict)
 
@@ -220,6 +205,5 @@ def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
     }
     return MomentReport(
         n=n, trials=trials, h=h, m1=m1, m1_stderr=se1, m2=m2, m2_stderr=se2,
-        m3=m3, m3_stderr=se3, bounds=bounds, sigma3=sigma3(dist, E, lam),
-        exact=exact, flags=flags,
+        m3=m3, m3_stderr=se3, bounds=bounds, exact=exact, flags=flags,
     )

@@ -25,9 +25,9 @@ consists of at most two intervals; its sub-window
     J(lam, C) = { E in I(lam) : gamma / C <= 1/2 }
 
 separates singular continuous from pure point behaviour at growth rate
-dimension 2.  All of these are computed here from closed forms where the law
-admits one (two-point, uniform, triangular) and from exact weighted sums or
-adaptive quadrature otherwise, with bisection for the window endpoints.
+dimension 2.  All of these are computed here from closed forms for the
+continuous laws (uniform, triangular) and from exact weighted sums for the
+discrete ones, with bisection for the window endpoints.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DistributionError, DomainError
 
@@ -57,8 +56,8 @@ _BISECT_TOL_J = 1e-8
 class PotentialDistribution:
     """A single-site law: two-point, uniform, triangular or finite discrete.
 
-    ``atoms`` is the (value, weight) table for discrete kinds; continuous
-    kinds carry an analytic density on [-1, 1].
+    ``atoms`` is the (value, weight) table for discrete kinds; the
+    continuous kinds are known by name and have closed-form inverse moments.
     """
 
     kind: str
@@ -130,14 +129,6 @@ class PotentialDistribution:
     @property
     def is_discrete(self) -> bool:
         return self.kind in ("bernoulli", "discrete")
-
-    def density(self, v: float) -> float:
-        """Lebesgue density for the continuous kinds."""
-        if self.kind == "uniform":
-            return 0.5 if -1.0 <= v <= 1.0 else 0.0
-        if self.kind == "triangular":
-            return max(0.0, 1.0 - abs(v))
-        raise DistributionError(f"{self.kind} law has no density")
 
     def support_components(self, lam: float) -> list[tuple[float, float]]:
         """Connected components of lam * supp(law), as closed intervals."""
@@ -225,21 +216,6 @@ def second_inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> 
     if dist.kind == "uniform":
         return 1.0 / (E * E - lam * lam)
     return math.log(E * E / (E * E - lam * lam)) / (lam * lam)
-
-
-def inverse_moment_quadrature(dist: PotentialDistribution, E: float, lam: float,
-                              power: int = 1) -> float:
-    """Adaptive Gauss-Kronrod evaluation of E_v[ 1/(E - lam*v)^power ].
-
-    Cross-check route for the continuous closed forms, and the general path
-    for laws given only by a density.
-    """
-    _hull_side(dist, E, lam)
-    val, _ = integrate.quad(
-        lambda v: dist.density(v) / (E - lam * v) ** power,
-        dist.v_minus, dist.v_plus, epsabs=0.0, epsrel=1e-10, limit=200,
-    )
-    return val
 
 
 def _variance_series(even_moment) -> tuple[float, ...]:

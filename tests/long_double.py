@@ -2,7 +2,8 @@
 
 The entries come from ``engine._shell_blocks`` in float64 and are stepped in
 numpy's long double (80-bit on x86), whose 64-bit mantissa and 15-bit
-exponent hold the raw pair of these test sizes without rescaling.
+exponent hold the raw pair of these test sizes without rescaling, except in
+the real-axis m-function, whose pair is rescaled by exact powers of two.
 """
 
 import numpy as np
@@ -93,3 +94,20 @@ def window_mean(A, trials):
         if n >= first:
             acc += 1 / (u * u + p * p)
     return (acc / (N - first + 1)).reshape(-1, trials).mean(axis=1)
+
+
+def m_function(A, beta):
+    """(beta v_N + v_{N+1}) / (beta u_N + u_{N+1}) for the fundamental pair
+    seeded (u_0, u_{-1}) = (1, 0), (v_0, v_{-1}) = (0, 1) and stepped by the
+    real entries A[0..N] (one column).  Every 64 shells one power-of-two
+    rescale, common to both solutions, keeps the pair in range."""
+    u, u_prev = np.longdouble(1), np.longdouble(0)
+    v, v_prev = np.longdouble(0), np.longdouble(1)
+    for n, a in enumerate(A[:, 0], 1):
+        u, u_prev = a * u - u_prev, u
+        v, v_prev = a * v - v_prev, v
+        if n % 64 == 0:
+            _, e = np.frexp(max(abs(u), abs(u_prev), abs(v), abs(v_prev)))
+            u, u_prev, v, v_prev = (np.ldexp(x, -e) for x in (u, u_prev, v, v_prev))
+    beta = np.longdouble(beta)
+    return (beta * v_prev + v) / (beta * u_prev + u)

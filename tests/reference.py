@@ -1,11 +1,13 @@
-"""Scalar reference recursions that the tests compare the engine against.
+"""Scalar references that the tests compare the library against.
 
 The library steps transfer matrices only through ``engine._FoldReplay``.
 These are the independent forms of the same dynamics, stepped one shell at a
 time in Python floats: the harmonic entry and shell-vector norm of explicit
 potentials, the polar (Pruefer) recursion and its step matrix, the
 determinant drift of a product in QR form, and the per-shell complex loop of
-the truncated m-function.
+the truncated m-function.  The inverse moments of the continuous laws, which
+``potentials`` takes from closed forms, are also computed here by adaptive
+quadrature of the laws' densities.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from antitree.engine import _rescale_stride, _rescale_where, _shell_blocks
 from antitree.errors import DegenerateDenominatorError, DomainError, SingularShellError
@@ -21,6 +24,25 @@ from antitree.geometry import GrowthLaw
 from antitree.streams import DOMAIN_DRIFT, DOMAIN_WEYL, seed_stream
 
 DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound]
+
+
+# ---------------------------------------------------------------------------
+# inverse moments of the continuous laws
+# ---------------------------------------------------------------------------
+
+DENSITIES = {
+    "uniform": lambda v: 0.5,              # on [-1, 1]
+    "triangular": lambda v: 1.0 - abs(v),  # on [-1, 1]
+}
+
+
+def inverse_moment_quadrature(dist, E: float, lam: float, power: int = 1) -> float:
+    """Adaptive Gauss-Kronrod evaluation of E_v[ 1/(E - lam*v)^power ] for a
+    continuous law; E must lie outside the scaled support lam*[-1, 1]."""
+    density = DENSITIES[dist.kind]
+    val, _ = integrate.quad(lambda v: density(v) / (E - lam * v) ** power,
+                            dist.v_minus, dist.v_plus, epsabs=0.0, epsrel=1e-10, limit=200)
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,12 @@ from antitree import (
     subordinacy_batch,
 )
 import antitree.engine as eng
-from antitree.streams import DOMAIN_DENSITY, DOMAIN_SUBORDINACY, DOMAIN_TRAJECTORY
+from antitree.streams import (
+    DOMAIN_DENSITY,
+    DOMAIN_SUBORDINACY,
+    DOMAIN_TRAJECTORY,
+    DOMAIN_WEYL,
+)
 
 import long_double
 from reference import (
@@ -833,17 +838,20 @@ def test_log_dom_matches_long_double_recomputation(cell):
 
 
 @pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
-@pytest.mark.parametrize("E, lam, N", [(-2.004986, 0.1, 10 ** 5), (2.0, 1.0, 2 * 10 ** 5)],
-                         ids=["band-edge", "bernoulli-2-1"])
-def test_forward_log_radius_matches_long_double_recomputation(E, lam, N):
+@pytest.mark.parametrize("E, lam, N, trials", [
+    (-2.004986, 0.1, 10 ** 5, (0, 1)),
+    (2.0, 1.0, 2 * 10 ** 5, (0, 1)),
+    pytest.param(-2.004986, 0.1, 10 ** 5, (7, 15), marks=pytest.mark.xfail(
+        strict=True, reason="the fold's segment products lose accuracy at the band edge: "
+        "8.4e-12 and 2.0e-12 for these trials")),
+], ids=["band-edge", "bernoulli-2-1", "band-edge-trials-7-15"])
+def test_forward_log_radius_matches_long_double_recomputation(E, lam, N, trials):
     # the band-edge cell has sin k = 1.25e-3, where reading R off the raw pair
     # amplifies rounding by about 1/sin k
     law = GrowthLaw.uniform_power(1.5, 1.0)
-    trials = 2
-    recs = lyapunov_batch(BERN, law, E, lam, N, range(trials), seed=5)
+    recs = lyapunov_batch(BERN, law, E, lam, N, trials, seed=5)
     eff = effective_quantities(BERN, E, lam)
-    A = long_double.draws(BERN, law, lam, N, [(E, 0, t) for t in range(trials)], 5,
-                          DOMAIN_TRAJECTORY)
+    A = long_double.draws(BERN, law, lam, N, [(E, 0, t) for t in trials], 5, DOMAIN_TRAJECTORY)
     expected = long_double.forward_log_radius(A, math.cos(eff.k), math.sin(eff.k),
                                               recs[0].ns).astype(np.float64)
     for t, rec in enumerate(recs):
@@ -947,6 +955,21 @@ def test_m_function_matches_the_per_shell_loop(shells):
                 m = m_function(z, N, beta, dist=dist, lam=lam, law=law, seed=7).m
                 ref = m_function_per_shell(z, N, beta, dist=dist, lam=lam, law=law, seed=7)
                 assert abs(m - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
+@pytest.mark.xfail(strict=True, reason="the fold's segment products lose accuracy on the real "
+                   "axis: 1.8e-12 here, against 1.3e-13 for the per-shell loop")
+def test_real_axis_m_function_matches_long_double_recomputation():
+    # z = 1 lies inside the scaled support [-2, 2]; at d = 1 every shell holds
+    # one draw, so the real entries are the m-function's own.
+    # m_function_per_shell on these draws is 1.3e-13 from the recomputation
+    law = GrowthLaw.uniform_power(1.0, 1.0)
+    z, N, seed = 1.0, 2 * 10 ** 4, 3
+    m = m_function(z, N, 0.0, dist=TRI, lam=2.0, law=law, seed=seed).m
+    A = long_double.draws(TRI, law, 2.0, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL)
+    expected = float(long_double.m_function(A, 0.0))
+    assert abs(m - expected) <= 5e-13 * abs(expected)
 
 
 @pytest.mark.parametrize("N", [-1, -5, 10.5])

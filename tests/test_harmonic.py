@@ -15,7 +15,7 @@ from antitree import (
     moment_bounds,
 )
 from antitree.engine import BLOCK, _shell_stats_block
-from antitree.harmonic import _harmonic_means, _jackknife, sigma3
+from antitree.harmonic import _harmonic_means, _jackknife
 from antitree.streams import DOMAIN_MOMENT, seed_stream
 
 BERN = PotentialDistribution.bernoulli()
@@ -190,19 +190,3 @@ def test_jackknife_tracks_naive_stderr():
     naive = vals.std(ddof=1) / math.sqrt(len(vals))
     assert mean == pytest.approx(vals.mean(), abs=1e-12)
     assert se == pytest.approx(naive, rel=0.2)
-
-
-def test_sigma3_two_point_vanishes():
-    # symmetric reciprocals around the mean: exact zero third moment is not
-    # expected, but the two-point law at E=2, lam=1 gives deviations +-1/3
-    assert sigma3(BERN, 2.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_sigma3_quadrature_path():
-    uni = PotentialDistribution.uniform()
-    val = sigma3(uni, 2.0, 1.0)
-    # direct quadrature of (1/(E-v) - m1)^3 on [-1, 1]/2
-    from scipy import integrate
-    m1 = math.log(3.0) / 2.0
-    ref, _ = integrate.quad(lambda v: 0.5 * (1.0 / (2.0 - v) - m1) ** 3, -1, 1)
-    assert val == pytest.approx(ref, rel=1e-8)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +54,25 @@ def test_public_names_are_pinned():
         "WeylPoint", "ZdShellData", "checkpoints_geometric", "classify", "decay_check",
         "density_estimate", "effective_quantities", "engine", "enumerate_moments", "errors",
         "essential_spectrum", "free_density_theory", "geometry", "harmonic", "i_lambda",
-        "inverse_moment", "inverse_moment_quadrature", "j_lambda", "load_custom_sizes",
+        "inverse_moment", "j_lambda", "load_custom_sizes",
         "lyapunov_batch", "lyapunov_estimate", "m_function", "mc_moments", "moment_bounds",
         "potentials", "sample", "second_inverse_moment", "seed_stream", "spectral", "streams",
         "subordinacy_batch", "zd_brute_force", "zd_hopping", "zd_shell_counts",
     ]
+
+
+def test_package_imports_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the package and its CLI holds no scipy module
+    import antitree
+    src = str(Path(antitree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, antitree, antitree.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, text=True,
+                         stdout=subprocess.PIPE, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +345,27 @@ def test_pack_is_contiguous_budgeted_and_balanced(cells, trials, threads):
     # and no more of them: one share fewer would break the budget
     per = max(1, _PACK_COLUMNS // trials)
     assert len(packs) <= threads or (len(packs) - threads) * per < cells
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(experiment=st.sampled_from(["lyapunov", "density"]), cells=st.integers(1, 6),
+       trials=st.integers(1, 70), N=st.integers(1000, 2000), lam=st.sampled_from([0.0, 1.0]),
+       E0=st.floats(-2.5, 2.0))
+def test_csv_and_cells_are_identical_across_thread_counts(tmp_path_factory, experiment, cells,
+                                                          trials, N, lam, E0):
+    # up to 70 trials: density packs cross the 64-column budget and lyapunov
+    # cells the 32-trial chunk; cells outside I(lam) fail, and must fail alike
+    if experiment == "lyapunov":
+        trials = max(trials, 2)
+    cfg = {"experiment": experiment, "distribution": {"kind": "bernoulli"}, "lambda": lam,
+           "growth": {"d": 1.5, "C": 1.0}, "N": N, "trials": trials, "seed": 13,
+           "energy": {"min": E0, "max": E0 + 0.5, "steps": cells}}
+    base = tmp_path_factory.mktemp("threads")
+    runs = [_run(base, dict(cfg, output_dir=f"t{threads}"), threads)[0]
+            for threads in (1, 2, 3)]
+    assert runs[1]["cells"] == runs[0]["cells"] == runs[2]["cells"]
+    csv = [(base / f"t{threads}" / f"{experiment}.csv").read_bytes() for threads in (1, 2, 3)]
+    assert csv[1] == csv[0] == csv[2]
 
 
 def test_unpacked_experiments_run_one_task_per_pack():

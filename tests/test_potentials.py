@@ -18,7 +18,6 @@ from antitree import (
     essential_spectrum,
     i_lambda,
     inverse_moment,
-    inverse_moment_quadrature,
     j_lambda,
     lyapunov_batch,
     m_function,
@@ -26,6 +25,8 @@ from antitree import (
     second_inverse_moment,
     seed_stream,
 )
+
+from reference import inverse_moment_quadrature
 
 BERN = PotentialDistribution.bernoulli()
 UNI = PotentialDistribution.uniform()
