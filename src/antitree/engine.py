@@ -552,9 +552,9 @@ class _FoldReplay:
 
         A replay of every segment forms its own factor by per-shell rank-one
         updates in the segment's units, recording it at the read shells.
-        The segment factors then fold in order onto the running factor, two
-        rank-one updates each, and a read combines the running factor at
-        its segment's start with the recorded partial factor the same way.
+        The segment factors then fold in order onto the running factor by
+        ``_fold_factor``, and a read combines the running factor at its
+        segment's start with the recorded partial factor the same way.
         """
         for g in self._groups:
             h = len(g.cols) // 2
@@ -642,8 +642,6 @@ class TrajectoryRecord:
     ns: np.ndarray         # checkpoint shell counts
     sum_inv: np.ndarray    # sum of 1/s_j over applied shells, per checkpoint
     log_r: np.ndarray      # log R at each checkpoint
-    a_min: float = math.nan
-    a_max: float = math.nan
 
     @property
     def final_log_r(self) -> float:
@@ -665,21 +663,14 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
     cp_suminv = _checkpoint_sum_inv(law, cps)
     cp_logr = np.empty((len(cps), T))
     scan = _FoldReplay(T, ck)
-    a_min = np.full(T, math.inf)
-    a_max = np.full(T, -math.inf)
     columns = [(E, cell, trial) for trial in trial_ids]
     for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
-        lo, hi = A.min(axis=0), A.max(axis=0)
-        a_min, a_max = np.minimum(a_min, lo), np.maximum(a_max, hi)
         scan.fold(A)
         c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
         if c1 > c0:
             scan.log_radius(cps[c0:c1] - n0, ck, sk, cp_logr[c0:c1])
-    if lam == 0.0:   # the free case draws no entries
-        a_min[:] = a_max[:] = math.nan
     return [TrajectoryRecord(E=E, lam=lam, N=N, trial=int(trial), ns=cps, sum_inv=cp_suminv,
-                             log_r=cp_logr[:, t].copy(), a_min=float(a_min[t]),
-                             a_max=float(a_max[t]))
+                             log_r=cp_logr[:, t].copy())
             for t, trial in enumerate(trial_ids)]
 
 
@@ -760,11 +751,12 @@ def _chol_rank1_update(l11, l21, l22, x1, x2):
 
 def _fold_factor(factor, other, scale):
     """Lower Cholesky factor of F F^T + scale^2 O O^T, for the factors
-    F = ``factor`` and O = ``other`` given as (l11, l21, l22): two rank-one
-    updates, by the columns of scale * O."""
+    F = ``factor`` and O = ``other`` given as (l11, l21, l22): a rank-one
+    update by the first column of scale * O; the second, (0, scale * o22),
+    leaves l11 and l21 as they are and only lengthens l22."""
     l11, l21, l22 = _chol_rank1_update(factor[0], factor[1], factor[2],
                                        scale * other[0], scale * other[1])
-    return _chol_rank1_update(l11, l21, l22, np.zeros_like(l11), scale * other[2])
+    return l11, l21, np.hypot(l22, scale * other[2])
 
 
 def _gram_logs(factor, exp):
@@ -816,8 +808,9 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     contamination is small.  Both passes run on the fold-and-replay kernel.
     The forward pass keeps its latest blocks of draws up to _HOLD_BYTES,
     and the backward pass redraws only the earlier blocks, identically,
-    from their (trial, block)-keyed streams; without the Gram pass every
-    block is drawn once.
+    from their (trial, block)-keyed streams.  Without the Gram pass (decay
+    fits) every block is drawn once, without the weights W, and only
+    ``log_sub`` is filled; the other fields are NaN.
     """
     N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
@@ -850,10 +843,10 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
 
     # backward pass: the forward step on reversed entries, the pair
     # (w_m, w_{m+1}) seeded (w_{N-1}, w_N) = (1, 0), from which w_{m-1} =
-    # a_m w_m - w_{m+1}.  Between checkpoints it sums the psi-weighted norm
-    # sum W_k w_k^2; prefixes are log-domain sums of positive terms, which
-    # cannot cancel.  The final pair (w_{-1}, w_0) gives the coefficients of
-    # w in the (u, v) basis for unit normalization.
+    # a_m w_m - w_{m+1}.  With the Gram pass it sums the psi-weighted norm
+    # sum W_k w_k^2 between checkpoints, in log-domain prefixes of positive
+    # terms, which cannot cancel.  The final pair (w_{-1}, w_0) gives the
+    # coefficients of w in the (u, v) basis for unit normalization.
     cp_sub = np.full((ncp, T), math.nan)
     cp_logseg = np.full((ncp, T), -math.inf)
     cp_sub[-1] = 0.0    # log hypot(w_N, w_{N-1}) at the seed
@@ -863,7 +856,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     first_held = held[0][0] if held else N
     blocks = itertools.chain((held.pop() for _ in range(len(held))),
                              _shell_blocks(dist, law, lam, first_held, columns, seed,
-                                           DOMAIN_SUBORDINACY, reverse=True, with_w=True))
+                                           DOMAIN_SUBORDINACY, reverse=True, with_w=with_gram))
     for n0, n1, A, W in blocks:
         back.fold(A[::-1])
         # a checkpoint n0 <= c < n1 sits n1 - c shells into the reversed block,
@@ -871,7 +864,8 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         lo, hi = np.searchsorted(cps, [n0, n1])
         at = n1 - cps[lo:hi][::-1]
         back.log_radius(at, 0.0, 1.0, cp_sub[lo:hi][::-1])
-        back.weighted_sums(W[::-1], at, seg, seg_exp, cp_logseg[lo:hi][::-1])
+        if with_gram:
+            back.weighted_sums(W[::-1], at, seg, seg_exp, cp_logseg[lo:hi][::-1])
     with np.errstate(divide="ignore"):
         log_bottom = np.log(seg) + 2.0 * seg_exp * LN2   # shells k < c_0
         log_coef = np.log(back.u * back.u + back.p * back.p) + 2.0 * back.exps * LN2

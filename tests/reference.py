@@ -4,8 +4,9 @@ The library steps transfer matrices only through ``engine._FoldReplay``.
 These are the independent forms of the same dynamics, stepped one shell at a
 time in Python floats: the harmonic entry and shell-vector norm of explicit
 potentials, the polar (Pruefer) recursion and its step matrix, the
-determinant drift of a product in QR form, and the per-shell complex loop of
-the truncated m-function.  The inverse moments of the continuous laws, which
+determinant drift of a product in QR form, the fold of two Gram factors by
+two rank-one updates, and the per-shell complex loop of the truncated
+m-function.  The inverse moments of the continuous laws, which
 ``potentials`` takes from closed forms, are also computed here by adaptive
 quadrature of the laws' densities.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from antitree.engine import _rescale_stride, _rescale_where, _shell_blocks
+from antitree.engine import _chol_rank1_update, _rescale_stride, _rescale_where, _shell_blocks
 from antitree.errors import DegenerateDenominatorError, DomainError, SingularShellError
 from antitree.geometry import GrowthLaw
 from antitree.streams import DOMAIN_DRIFT, DOMAIN_WEYL, seed_stream
@@ -157,6 +158,19 @@ def wronskian_drift(k: float, n_steps: int, seed: int) -> float:
             q01, q11 = -sg, cg
         done += mlen
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Gram factors
+# ---------------------------------------------------------------------------
+
+def fold_factor(factor, other, scale):
+    """Lower Cholesky factor of F F^T + scale^2 O O^T, for the factors
+    F = ``factor`` and O = ``other`` given as (l11, l21, l22): two rank-one
+    updates, by the columns (o11, o21) and (0, o22) of scale * O."""
+    l11, l21, l22 = _chol_rank1_update(factor[0], factor[1], factor[2],
+                                       scale * other[0], scale * other[1])
+    return _chol_rank1_update(l11, l21, l22, np.zeros_like(l11), scale * other[2])
 
 
 # ---------------------------------------------------------------------------

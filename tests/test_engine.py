@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from antitree import (
@@ -40,6 +40,7 @@ from antitree.streams import (
 import long_double
 from reference import (
     PrueferState,
+    fold_factor,
     harmonic_a,
     m_function_per_shell,
     pruefer_step,
@@ -493,6 +494,30 @@ def test_fold_replay_pair_reads_match_per_shell_steps(amax, cap, lengths, ncol, 
             assert np.array_equal(got, joint[:, cols])
 
 
+# a Cholesky factor (l11 >= 0, l21, l22 >= 0), or a zero column
+_FACTOR_ENTRY = st.floats(-2.0 ** 200, 2.0 ** 200)
+_FACTOR = st.one_of(st.just((0.0, 0.0, 0.0)),
+                    st.tuples(_FACTOR_ENTRY.map(abs) | st.just(0.0), _FACTOR_ENTRY,
+                              _FACTOR_ENTRY.map(abs)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(_FACTOR, _FACTOR, st.integers(-60, 60)), min_size=1,
+                      max_size=8))
+@example(pairs=[((0.0, -0.0, 0.0), (0.0, -0.0, 1.0), 0), ((1.0, -0.0, 0.0), (0.0, 0.0, 0.0), 3)])
+def test_fold_factor_matches_two_rank_one_updates(pairs):
+    factor, other, exps = zip(*pairs)
+    factor, other = (np.array(x, dtype=np.float64).T.copy() for x in (factor, other))
+    scale = np.ldexp(1.0, np.array(exps))
+    got = eng._fold_factor(factor, other, scale)
+    ref = fold_factor(factor, other, scale)
+    bits = [np.asarray(x).view(np.int64) for x in (*got, *ref)]
+    assert np.array_equal(bits[0], bits[3]) and np.array_equal(bits[2], bits[5])
+    # the second update of the reference adds 0 * scale * o22 = +0 to l21,
+    # which turns a -0.0 into +0.0; a zero's sign reads only through squares
+    assert np.array_equal((got[1] + 0.0).view(np.int64), bits[4])
+
+
 def test_fold_replay_scratch_is_bounded_by_the_block():
     # |a| up to 1e4 folds in segments of 8 shells: the buffers grow on the
     # first block to 12 values per segment and column, and never again
@@ -593,12 +618,20 @@ def test_continuous_draws_beyond_the_budget_raise_before_drawing(monkeypatch):
 @pytest.mark.parametrize("dist", [UNIF, TRI], ids=["uniform", "triangular"])
 def test_chunked_continuous_draws_are_bit_identical(dist, monkeypatch):
     law = GrowthLaw.uniform_power(1.5, 1.0)
+    columns = [(2.0, 0, t) for t in range(2)]   # the trajectories' own columns
+
+    def draws():
+        return [(A, W) for _, _, A, W in eng._shell_blocks(dist, law, 1.0, 3000, columns, 4,
+                                                          DOMAIN_TRAJECTORY, with_w=True)]
+
     whole = lyapunov_batch(dist, law, 2.0, 1.0, 3000, range(2), seed=4)
+    whole_draws = draws()
     monkeypatch.setattr(eng, "_DRAW_CHUNK", 100)   # shells reach 55 draws
     chunked = lyapunov_batch(dist, law, 2.0, 1.0, 3000, range(2), seed=4)
     for a, b in zip(whole, chunked, strict=True):
         assert np.array_equal(a.log_r, b.log_r)
-        assert (a.a_min, a.a_max) == (b.a_min, b.a_max)
+    for (A, W), (B, V) in zip(whole_draws, draws(), strict=True):
+        assert np.array_equal(A, B) and np.array_equal(W, V)
 
 
 def test_empty_column_sets_give_empty_results():
@@ -628,11 +661,12 @@ def test_shell_blocks_reverse_is_forward_reversed():
 
 
 def test_entries_of_trajectories_bounded():
+    # a = 1/mean(1/(E - lam v)) over v = +-1 lies within [E - lam, E + lam]
     law = GrowthLaw.uniform_power(1.5, 1.0)
-    recs = lyapunov_batch(BERN, law, 2.0, 1.0, 2000, range(4), seed=8)
-    for r in recs:
-        assert r.a_min >= 2.0 - 1.0 - 1e-12
-        assert r.a_max <= 2.0 + 1.0 + 1e-12
+    columns = [(2.0, 0, t) for t in range(4)]
+    for _, _, A, _ in eng._shell_blocks(BERN, law, 1.0, 2000, columns, 8, DOMAIN_TRAJECTORY):
+        assert A.min() >= 2.0 - 1.0 - 1e-12
+        assert A.max() <= 2.0 + 1.0 + 1e-12
 
 
 def test_one_dimensional_growth_has_positive_rate():
@@ -731,6 +765,58 @@ def test_subordinacy_split_over_trials_is_bit_identical():
         assert a.trial == b.trial
         for field in ("log_ratio", "log_ratio_grid", "log_sub", "log_dom"):
             assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
+
+
+@pytest.mark.parametrize("dist", [BERN, UNIF], ids=["bernoulli", "uniform"])
+def test_decay_mode_fills_only_the_backward_amplitude(dist, monkeypatch):
+    # without the Gram pass, log_sub keeps its bits and the backward pass
+    # draws no weights and sums no weighted norms
+    args = (dist, LAW15, 2.0, 1.0, eng.BLOCK + 3000, range(3))
+    gram = subordinacy_batch(*args, seed=6, cell=1)
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("weighted norms summed without the Gram pass")
+
+    stats = eng._shell_stats_block
+
+    def no_weights(*args, with_w=False, **kwargs):
+        assert not with_w, "weights drawn without the Gram pass"
+        return stats(*args, with_w=with_w, **kwargs)
+
+    monkeypatch.setattr(eng._FoldReplay, "weighted_sums", no_sums)
+    monkeypatch.setattr(eng, "_shell_stats_block", no_weights)
+    decay = subordinacy_batch(*args, seed=6, cell=1, with_gram=False)
+    for a, b in zip(gram, decay, strict=True):
+        assert a.log_sub.tobytes() == b.log_sub.tobytes()
+        for field in ("log_ratio", "log_dom", "log_ratio_grid"):
+            assert np.isnan(getattr(b, field)).all(), field
+
+
+def test_held_and_redrawn_blocks_give_identical_records(monkeypatch):
+    # three blocks of 2 trials: the forward Gram pass holds none of them for
+    # the backward pass, only the last (dropping the first two on the way),
+    # or all of them, so the backward pass redraws 3, 2 or 0 blocks
+    law = GrowthLaw.uniform_power(1.0, 1.0)
+    N = 2 * eng.BLOCK + 500
+    one_block = 2 * eng.BLOCK * 2 * 8   # the bytes of a full block's A and W
+    stats = eng._shell_stats_block
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return stats(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "_shell_stats_block", counted)
+    runs = []
+    for hold in (0, one_block, eng._HOLD_BYTES):
+        monkeypatch.setattr(eng, "_HOLD_BYTES", hold)
+        calls.append(0)
+        runs.append(subordinacy_batch(BERN, law, 2.0, 1.0, N, range(2), seed=4))
+    assert calls == [2 * (3 + 3), 2 * (3 + 2), 2 * 3]   # per trial and block
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run, strict=True):
+            for field in SUB_FIELDS:
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 def test_density_split_over_energies_is_bit_identical():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antitree import (
@@ -348,16 +348,18 @@ def test_pack_is_contiguous_budgeted_and_balanced(cells, trials, threads):
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)
-@given(experiment=st.sampled_from(["lyapunov", "density"]), cells=st.integers(1, 6),
+@given(experiment=st.sampled_from(["lyapunov", "density"]),
+       law=st.sampled_from(["bernoulli", "uniform", "triangular"]), cells=st.integers(1, 6),
        trials=st.integers(1, 70), N=st.integers(1000, 2000), lam=st.sampled_from([0.0, 1.0]),
        E0=st.floats(-2.5, 2.0))
-def test_csv_and_cells_are_identical_across_thread_counts(tmp_path_factory, experiment, cells,
-                                                          trials, N, lam, E0):
+@example(experiment="lyapunov", law="triangular", cells=3, trials=33, N=1500, lam=1.0, E0=1.5)
+def test_csv_and_cells_are_identical_across_thread_counts(tmp_path_factory, experiment, law,
+                                                          cells, trials, N, lam, E0):
     # up to 70 trials: density packs cross the 64-column budget and lyapunov
     # cells the 32-trial chunk; cells outside I(lam) fail, and must fail alike
     if experiment == "lyapunov":
         trials = max(trials, 2)
-    cfg = {"experiment": experiment, "distribution": {"kind": "bernoulli"}, "lambda": lam,
+    cfg = {"experiment": experiment, "distribution": {"kind": law}, "lambda": lam,
            "growth": {"d": 1.5, "C": 1.0}, "N": N, "trials": trials, "seed": 13,
            "energy": {"min": E0, "max": E0 + 0.5, "steps": cells}}
     base = tmp_path_factory.mktemp("threads")
