@@ -352,6 +352,7 @@ def test_pack_is_contiguous_budgeted_and_balanced(cells, trials, threads):
        law=st.sampled_from(["bernoulli", "uniform", "triangular"]), cells=st.integers(1, 6),
        trials=st.integers(1, 70), N=st.integers(1000, 2000), lam=st.sampled_from([0.0, 1.0]),
        E0=st.floats(-2.5, 2.0))
+# the derandomized examples draw continuous potentials only once (uniform, density)
 @example(experiment="lyapunov", law="triangular", cells=3, trials=33, N=1500, lam=1.0, E0=1.5)
 def test_csv_and_cells_are_identical_across_thread_counts(tmp_path_factory, experiment, law,
                                                           cells, trials, N, lam, E0):
