@@ -107,20 +107,19 @@ def _atom_tables(dist: PotentialDistribution, E: float, lam: float):
 class _PopcountLayout:
     """Where a fair first step finds each shell's raw words, from the sizes alone.
 
-    Shells of at most _POP_MAX draws (``small``, in shell order) take
-    ceil(s/64) consecutive raw 64-bit words each, the first at ``starts``;
+    Shells of at most _POP_MAX draws take ceil(s/64) consecutive raw 64-bit
+    words each, in shell order; ``owner`` holds each word's shell index and
     ``mask`` keeps every bit of a shell's words but those of its last word
     beyond s.  The ``large`` shells go through the binomial.
     """
 
-    small: np.ndarray
+    owner: np.ndarray
     large: np.ndarray
-    starts: np.ndarray
     mask: np.ndarray
 
 
 def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
-    s_int = sizes.astype(np.int64)
+    s_int = sizes.astype(np.int64, copy=False)
     small = np.flatnonzero(s_int <= _POP_MAX)
     s = s_int[small]
     nwords = (s + 63) // 64
@@ -128,8 +127,8 @@ def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
     ones = np.uint64(2 ** 64 - 1)
     mask = np.full(int(ends[-1]) if len(ends) else 0, ones)
     mask[ends - 1] = ones >> ((-s) % 64).astype(np.uint64)
-    return _PopcountLayout(small=small, large=np.flatnonzero(s_int > _POP_MAX),
-                           starts=ends - nwords, mask=mask)
+    return _PopcountLayout(owner=np.repeat(small, nwords),
+                           large=np.flatnonzero(s_int > _POP_MAX), mask=mask)
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
@@ -151,12 +150,11 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
         if i == 0 and p == 0.5:
             if layout is None:
                 layout = _popcount_layout(remaining)
-            c = np.empty_like(remaining)
-            if len(layout.small):
-                words = gen.bit_generator.random_raw(len(layout.mask))
-                words &= layout.mask
-                c[layout.small] = np.add.reduceat(np.bitwise_count(words), layout.starts,
-                                                  dtype=np.int64)
+            words = gen.bit_generator.random_raw(len(layout.mask))
+            words &= layout.mask
+            # float64 sums of at most _POP_MAX bits are exact
+            c = np.bincount(layout.owner, weights=np.bitwise_count(words),
+                            minlength=len(remaining)).astype(np.int64)
             if len(layout.large):
                 c[layout.large] = gen.binomial(remaining[layout.large], p)
         else:
@@ -170,19 +168,21 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
 
 def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
                        sizes: np.ndarray, gen: np.random.Generator, *,
-                       with_w: bool = False, layout: _PopcountLayout | None = None):
+                       with_w: bool = False, layout: _PopcountLayout | None = None,
+                       tables=None):
     """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial;
     the second is formed only ``with_w`` and is None otherwise.
 
     Discrete laws reduce to multinomial atom counts (``layout`` is passed on
-    to _multinomial_counts); continuous laws draw every potential and
+    to _multinomial_counts, ``tables`` is ``_atom_tables(dist, E, lam)``,
+    built here when not given); continuous laws draw every potential and
     segment-sum, in chunks of whole shells of at most _DRAW_CHUNK draws that
     continue one stream, so they reproduce one draw bit for bit (a split
     shell would be summed in a different order).
     """
-    s_int = sizes.astype(np.int64)
+    s_int = sizes.astype(np.int64, copy=False)
     if dist.is_discrete:
-        probs, r1, r2 = _atom_tables(dist, E, lam)
+        probs, r1, r2 = _atom_tables(dist, E, lam) if tables is None else tables
         counts = _multinomial_counts(gen, s_int, probs, layout=layout)
         sum1 = counts @ r1
         sum2 = counts @ r2 if with_w else None
@@ -208,7 +208,7 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
         sum1 = np.concatenate(sum1)
         sum2 = np.concatenate(sum2) if with_w else None
     mean1 = sum1 / sizes
-    if np.any(mean1 == 0.0):
+    if (mean1 == 0.0).any():
         shell = int(np.nonzero(mean1 == 0.0)[0][0])
         raise SingularShellError("sampled shell has vanishing inverse mean", shell=shell)
     return mean1, (sum2 / sizes if with_w else None)
@@ -243,11 +243,14 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     energies = [E for E, _, _ in columns]
     dtype = np.result_type(float, *energies)
     energies = np.array(energies, dtype=dtype)
+    # atom tables once per energy, not per column and block
+    tables = ({E: _atom_tables(dist, E, lam) for E, _, _ in columns}
+              if lam != 0.0 and dist.is_discrete else {})
     nblocks = (N + BLOCK - 1) // BLOCK
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
         n0 = b * BLOCK
         n1 = min(N, n0 + BLOCK)
-        sizes = law.sizes_block(n0, n1)
+        sizes = law.sizes_block(n0, n1).astype(np.int64)
         A = np.empty((n1 - n0, len(columns)), dtype=dtype)
         W = np.empty_like(A) if with_w else None
         if lam == 0.0:
@@ -259,10 +262,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             for j, (E, cell, trial) in enumerate(columns):
                 m1, m2 = _shell_stats_block(dist, E, lam, sizes,
                                             seed_stream(seed, domain, cell, trial, b),
-                                            with_w=with_w, layout=layout)
-                A[:, j] = 1.0 / m1
+                                            with_w=with_w, layout=layout, tables=tables.get(E))
+                np.divide(1.0, m1, out=A[:, j])
                 if with_w:
-                    W[:, j] = m2 / (m1 * m1)
+                    np.multiply(m1, m1, out=m1)
+                    np.divide(m2, m1, out=W[:, j])
         yield n0, n1, A, W
 
 

@@ -160,6 +160,28 @@ def test_popcount_counts_do_not_wrap():
     assert np.all(counts[:, 1] == 0)
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(sizes=st.lists(st.one_of(st.integers(1, eng._POP_MAX),
+                                st.sampled_from(range(64, eng._POP_MAX + 1, 64)),
+                                st.integers(eng._POP_MAX + 1, 4 * eng._POP_MAX)),
+                      min_size=1, max_size=40))
+def test_popcount_sums_equal_segment_sums_of_the_masked_words(sizes):
+    # the per-shell sums are a bincount over each word's shell; a segment sum
+    # of the same masked words is the reference, the binomial rows follow
+    sizes = np.array(sizes)
+    layout = eng._popcount_layout(sizes)
+    counts = eng._multinomial_counts(seed_stream(17, len(sizes)), sizes, FAIR, layout=layout)
+    ref = seed_stream(17, len(sizes))
+    small = sizes <= eng._POP_MAX
+    nwords = -(-sizes[small] // 64)
+    words = ref.bit_generator.random_raw(nwords.sum()) & layout.mask
+    if small.any():
+        starts = np.cumsum(nwords) - nwords
+        assert np.array_equal(counts[small, 0],
+                              np.add.reduceat(np.bitwise_count(words), starts, dtype=np.int64))
+    assert np.array_equal(counts[~small, 0], ref.binomial(sizes[~small], 0.5))
+
+
 @pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [2.0 / 3.0, 1.0 / 3.0]],
                          ids=["three-atom", "asymmetric"])
 def test_unfair_laws_keep_the_binomial_chain(probs):
@@ -820,14 +842,19 @@ def test_held_and_redrawn_blocks_give_identical_records(monkeypatch):
 
 
 def test_density_split_over_energies_is_bit_identical():
-    law = GrowthLaw.uniform_power(1.5, 1.0)
+    # the joint call shares each block's popcount layout and each energy's
+    # atom tables between its columns
+    mixed = GrowthLaw.from_sizes(np.resize([1, 64, 65, eng._POP_MAX, eng._POP_MAX + 1, 600],
+                                           2000))   # popcount and binomial shells
+    three = PotentialDistribution.discrete([(-0.75, 0.5), (0.5, 0.25), (1.0, 0.25)])
     energies = [2.0, 2.1, 2.2]
-    joint = eng.dirichlet_window_average(BERN, 1.0, law, energies, 2000, 3, 4, 0.01,
-                                         energy_ids=[7, 8, 9])
-    single = [eng.dirichlet_window_average(BERN, 1.0, law, [E], 2000, 3, 4, 0.01,
-                                           energy_ids=[i])[0]
-              for E, i in zip(energies, [7, 8, 9])]
-    assert np.array_equal(joint, single)
+    for dist, law in [(BERN, LAW15), (BERN, mixed), (three, LAW15), (UNIF, LAW15)]:
+        joint = eng.dirichlet_window_average(dist, 1.0, law, energies, 2000, 3, 4, 0.01,
+                                             energy_ids=[7, 8, 9])
+        single = [eng.dirichlet_window_average(dist, 1.0, law, [E], 2000, 3, 4, 0.01,
+                                               energy_ids=[i])[0]
+                  for E, i in zip(energies, [7, 8, 9])]
+        assert np.array_equal(joint, single), dist.kind
 
 
 SUB_FIELDS = ("log_ratio", "log_ratio_grid", "log_sub", "log_dom")
