@@ -25,14 +25,15 @@ The polar (Pruefer) recursion R^2 -> R^2 (1 + x sin(2(theta+k)) +
 x^2 sin^2(theta+k)), cot(theta') = cot(theta+k) + x, and the other scalar
 references that tests compare against live in tests/reference.py.  Radii are
 read in the log domain with the rescale exponents added back.  Batched
-drivers vectorize across trials and draw shell statistics from counter-based
+drivers vectorize across trials and draw shell statistics from SFC64
 streams keyed by (seed, domain, cell, trial, block), so a trial's randomness
 is reproducible in any processing order; for discrete laws a shell of s
 draws is compressed into its multinomial atom counts, the sufficient
 statistic for the harmonic entry.  The counts come from a binomial chain,
 except that a fair first step (atom weight 1/2, as in the Bernoulli law) on
-a shell of at most _POP_MAX draws is the popcount of ceil(s/64) raw Philox
-words, whose bits are fair coins; the word layout depends only on the sizes
+a shell of at most _POP_MAX draws is the popcount of ceil(s/64) raw 64-bit
+words of its stream, whose bits are fair coins, summed per shell by a
+bincount over each word's shell; the word layout depends only on the sizes
 and is computed once per block.  Subordinate solutions are extracted by
 backward propagation, stable because the forward-decaying direction
 dominates in reverse; weighted-norm extremes over all solution directions
@@ -85,9 +86,10 @@ _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 # bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
 _HOLD_BYTES = 1 << 25
 # Largest shell whose fair first multinomial step is a popcount of raw words:
-# the power of two below the measured crossover, between 320 and 384 draws,
-# above which numpy's binomial (BTPE) is the faster exact draw.
-_POP_MAX = 256
+# the power of two below the measured crossover under SFC64, between 640 and
+# 768 draws (85-105 ns per shell at either end on a 2-vCPU x86 host), above
+# which numpy's binomial (BTPE) is the faster exact draw.
+_POP_MAX = 512
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,7 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
 
     The counts follow a binomial chain, atom by atom.  When its first step is
     fair (probs[0] == 1/2), rows of at most _POP_MAX draws take that count as
-    the popcount of their raw Philox words, each word being 64 fair coins,
+    the popcount of their raw SFC64 words, each word being 64 fair coins,
     all drawn before the binomials of the other rows; ``layout`` is
     ``_popcount_layout(n_arr)``, built here when not given.
     """

@@ -540,7 +540,7 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
         "config": config,
         "config_digest": config_digest(config),
         "seed": config["seed"],
-        "stream_scheme": "philox(seed_sequence(entropy=seed, "
+        "stream_scheme": "sfc64(seed_sequence(entropy=seed, "
                          "spawn_key=(domain, cell, trial, block)))",
         "threads": threads,
         "wall_time_s": time.monotonic() - t_start,

@@ -250,7 +250,8 @@ def test_manifest_digests_match_files(tmp_path):
     assert on_disk["config_digest"] == manifest["config_digest"]
     # the manifest echoes the config
     assert on_disk["config"]["seed"] == 42
-    assert "stream_scheme" in on_disk
+    assert on_disk["stream_scheme"] == ("sfc64(seed_sequence(entropy=seed, "
+                                        "spawn_key=(domain, cell, trial, block)))")
 
 
 def test_density_experiment_headers_and_theory(tmp_path):
