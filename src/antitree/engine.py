@@ -86,9 +86,9 @@ _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 # bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
 _HOLD_BYTES = 1 << 25
 # Largest shell whose fair first multinomial step is a popcount of raw words:
-# the power of two below the measured crossover under SFC64, between 640 and
-# 768 draws (85-105 ns per shell at either end on a 2-vCPU x86 host), above
-# which numpy's binomial (BTPE) is the faster exact draw.
+# the power of two below the crossover measured under SFC64 on a 2-vCPU x86
+# host, between 640 and 768 draws, above which numpy's binomial (BTPE) is the
+# faster exact draw.
 _POP_MAX = 512
 
 
