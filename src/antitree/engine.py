@@ -171,9 +171,11 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
 def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
                        sizes: np.ndarray, gen: np.random.Generator, *,
                        with_w: bool = False, layout: _PopcountLayout | None = None,
-                       tables=None):
+                       tables=None, first: int = 0):
     """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial;
-    the second is formed only ``with_w`` and is None otherwise.
+    the second is formed only ``with_w`` and is None otherwise.  A vanishing
+    mean raises SingularShellError naming its shell, ``first`` being the
+    index of the block's first one.
 
     Discrete laws reduce to multinomial atom counts (``layout`` is passed on
     to _multinomial_counts, ``tables`` is ``_atom_tables(dist, E, lam)``,
@@ -211,8 +213,8 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
         sum2 = np.concatenate(sum2) if with_w else None
     mean1 = sum1 / sizes
     if (mean1 == 0.0).any():
-        shell = int(np.nonzero(mean1 == 0.0)[0][0])
-        raise SingularShellError("sampled shell has vanishing inverse mean", shell=shell)
+        shell = first + int(np.nonzero(mean1 == 0.0)[0][0])
+        raise SingularShellError(f"sampled shell {shell} has vanishing inverse mean", shell=shell)
     return mean1, (sum2 / sizes if with_w else None)
 
 
@@ -264,7 +266,8 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             for j, (E, cell, trial) in enumerate(columns):
                 m1, m2 = _shell_stats_block(dist, E, lam, sizes,
                                             seed_stream(seed, domain, cell, trial, b),
-                                            with_w=with_w, layout=layout, tables=tables.get(E))
+                                            with_w=with_w, layout=layout, tables=tables.get(E),
+                                            first=n0)
                 np.divide(1.0, m1, out=A[:, j])
                 if with_w:
                     np.multiply(m1, m1, out=m1)
@@ -600,18 +603,18 @@ class _FoldReplay:
                 out_dom[:, trials], out_grid[:, trials] = dom, grid
 
 
-def _shell_count(N, least: int = 1) -> int:
-    """N as an int, integral floats included; DomainError (reason "N") unless
-    it is a whole number >= ``least``."""
-    if not (math.isfinite(N) and N == int(N) >= least):
-        raise DomainError(f"need a whole shell count N >= {least}, got {N}", reason="N")
-    return int(N)
+def _whole_count(value, least: int = 1, what: str = "N") -> int:
+    """A count such as N as an int, integral floats included; DomainError
+    (reason ``what``) unless it is a whole number >= ``least``."""
+    if isinstance(value, bool) or not (math.isfinite(value) and value == int(value) >= least):
+        raise DomainError(f"need a whole count {what} >= {least}, got {value!r}", reason=what)
+    return int(value)
 
 
 def checkpoints_geometric(N: int) -> np.ndarray:
     """Geometrically spaced shell indices in [1, N], always including N, as a
     read-only array that every record of a batch shares."""
-    N = _shell_count(N)
+    N = _whole_count(N)
     cps = np.unique(np.rint(np.geomspace(1.0, float(N), CHECKPOINTS)).astype(np.int64))
     cps.flags.writeable = False
     return cps
@@ -688,7 +691,7 @@ def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: f
     sweep outputs independent of scheduling.  Trial ids are stream keys,
     checked even where lam = 0 draws nothing.
     """
-    N = _shell_count(N)
+    N = _whole_count(N)
     eff = effective_quantities(dist, E, lam)
     return _forward_polar_pass(dist, law, eff, N, list(map(_stream_key, trial_ids)), seed, cell)
 
@@ -818,7 +821,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     fits) every block is drawn once, without the weights W, and only
     ``log_sub`` is filled; the other fields are NaN.
     """
-    N = _shell_count(N)
+    N = _whole_count(N)
     eff = effective_quantities(dist, E, lam)
     ck = math.cos(eff.k)
     trial_ids = list(map(_stream_key, trial_ids))
@@ -907,12 +910,11 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     a genuinely different limit).  Returns the mean over the window
     [N/2, N] and over trials, one value per energy, not yet divided by pi.
     """
-    N = _shell_count(N)
+    N = _whole_count(N)
     energies = np.asarray(energies, dtype=np.float64)
     if not (np.isfinite(energies).all() and math.isfinite(lam) and math.isfinite(halfwidth)):
         raise DomainError("energies, lam and halfwidth must be finite", reason="nonfinite")
-    if trials < 1:
-        raise DomainError("need trials >= 1")
+    trials = _whole_count(trials, what="trials")
     if energy_ids is None:
         energy_ids = list(range(len(energies)))
     offs = halfwidth * ((2.0 * np.arange(trials) + 1.0) / trials - 1.0)
@@ -959,7 +961,7 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
-    N = _shell_count(N, 0)
+    N = _whole_count(N, 0)
     if not math.isfinite(beta):
         raise DomainError(f"need a finite beta, got {beta}", reason="beta")
     if lam != 0.0 and (dist is None or seed is None):

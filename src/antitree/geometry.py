@@ -65,15 +65,8 @@ class GrowthLaw:
         return GrowthLaw(mode="custom", custom=tuple(int(s) for s in sizes))
 
     def size(self, n: int) -> int:
-        """s_n for a single shell index."""
-        if self.mode == "custom":
-            if n >= len(self.custom):
-                raise InvalidLawError(f"custom sequence has no shell {n}")
-            return self.custom[n]
-        if n == 0:
-            return 1
-        # round half away from zero, floored at 1
-        return max(1, int(math.floor(self.C * float(n) ** (self.d - 1.0) + 0.5)))
+        """s_n for a single shell index, as ``sizes_block`` gives it."""
+        return int(self.sizes_block(n, n + 1)[0])
 
     def sizes_block(self, n0: int, n1: int) -> np.ndarray:
         """s_n for n in [n0, n1) as a float array, streamed (no global table)."""

@@ -2,20 +2,20 @@
 
 An experiment is a JSON config naming a distribution, a disorder grid, a
 growth law, an energy grid, shell and trial counts and a master seed.  The
-harness expands the config into independent tasks, one per grid cell (or,
-for lyapunov, per cell and chunk of trials), groups them into contiguous
-packs, runs the packs inline or on a process pool, and reduces the results
-in a fixed order, so output files are byte-identical across reruns and
-across worker counts: every trial's randomness is keyed by (seed, cell,
-trial) and never by schedule.  A density pack holds up to _PACK_COLUMNS
-columns (energies x trials) and makes one kernel call for all its cells;
-the kernel's columns are independent of their grouping, and when the joint
-call raises, the pack's cells run one at a time, so each value and error is
-the cell's own.  Other experiments run one task per pack.  Data files are
-written atomically (temp file + rename) and a JSON manifest records the
-canonicalized config, its digest, and a SHA-256 digest per emitted file.
-Cell failures are isolated: the sweep continues, the manifest marks the
-cell, and the run exits with code 2.
+harness expands the config into independent tasks (one per lyapunov trial,
+one per cell otherwise), groups them into contiguous packs of at most
+_PACK_COLUMNS columns, runs the packs inline or on a process pool, and
+reduces the results in a fixed order, so output files are byte-identical
+across reruns and across worker counts: every trial's randomness is keyed
+by (seed, cell, trial) and never by schedule.  A pack runs as one call: one
+kernel call for a density pack, one per cell for lyapunov, a loop over the
+cells otherwise.  A column's value does not depend on which columns share
+its call, and when the pack's call raises, its cells run one at a time, so
+each value and error is the cell's own.  Data files are written atomically
+(temp file + rename) and a JSON manifest records the canonicalized config,
+its digest, and a SHA-256 digest per emitted file.  Cell failures are
+isolated: the sweep continues, the manifest marks the cell, and the run
+exits with code 2.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable
 
@@ -51,9 +52,8 @@ from .spectral import (
     grid_halfwidth,
 )
 
-_TRIAL_CHUNK = 32
-# widest density pack: the kernel's cost per block hardly depends on its
-# columns, while each one holds about 87 KiB of blocks and scratch
+# widest pack: the kernel's cost per block hardly depends on its columns,
+# while each one holds about 87 KiB of blocks and scratch
 _PACK_COLUMNS = 64
 _HARMONIC_LADDER = (2, 4, 8, 100, 1000, 10000)
 _GEOMETRY_DIMS = (2, 3, 4)
@@ -238,27 +238,33 @@ def _grid(cfg: dict) -> list[tuple[str, float, float]]:
             for lam in cfg["lambda"] for E in energy_grid(cfg)]
 
 
+def _by_cell(tasks: list[dict]) -> list[list[dict]]:
+    """The tasks' contiguous runs of one cell each."""
+    return [list(run) for _, run in groupby(tasks, key=lambda t: t["cell"])]
+
+
 def _lyapunov_cells(cfg: dict, base_dir: Path):
     law = build_growth(cfg["growth"], base_dir)
-    trials = cfg["trials"]
-    return [(key, [{"law": law, "E": E, "lam": lam, "N": cfg["N"],
-                    "trials": list(range(t0, min(trials, t0 + _TRIAL_CHUNK))),
-                    "seed": cfg["seed"]}
-                   for t0 in range(0, trials, _TRIAL_CHUNK)])
+    return [(key, [{"law": law, "E": E, "lam": lam, "N": cfg["N"], "trial": trial,
+                    "seed": cfg["seed"]} for trial in range(cfg["trials"])])
             for key, lam, E in _grid(cfg)]
 
 
-def _lyapunov_run(task: dict) -> list[TrajectoryRecord]:
-    return lyapunov_batch(task["dist"], task["law"], task["E"], task["lam"], task["N"],
-                          task["trials"], task["seed"], cell=task["cell"])
+def _lyapunov_pack(tasks: list[dict]) -> list[TrajectoryRecord]:
+    """The trials' records, one lyapunov_batch call per cell of the pack."""
+    records = []
+    for cell in _by_cell(tasks):
+        t = cell[0]
+        records += lyapunov_batch(t["dist"], t["law"], t["E"], t["lam"], t["N"],
+                                  [s["trial"] for s in cell], t["seed"], cell=t["cell"])
+    return records
 
 
 def _lyapunov_rows(cfg: dict, task: dict, values: list):
-    records = [r for chunk in values for r in chunk]
     d, C = _growth_params(cfg)
     gamma = effective_quantities(task["dist"], task["E"], task["lam"]).gamma
-    mean, stderr = lyapunov_estimate(records)
-    return ([[task["E"], task["lam"], d, C, cfg["N"], len(records), mean, stderr, gamma]],)
+    mean, stderr = lyapunov_estimate(values)
+    return ([[task["E"], task["lam"], d, C, cfg["N"], len(values), mean, stderr, gamma]],)
 
 
 def _density_cells(cfg: dict, base_dir: Path):
@@ -373,13 +379,13 @@ class _Experiment:
     """Everything the harness knows about one experiment.
 
     ``cells(cfg, base_dir)`` lists the cells in output order as
-    ``(key, [task payload, ...])``; ``run(task)`` computes one task's value;
-    ``rows(cfg, task, values)`` turns a cell's first task and the values of
-    all its tasks, in task order, into one row list per entry of ``files``,
-    which pairs each CSV name with its header; ``notes(cfg)`` are the
-    manifest's audit notes.  ``run_pack(tasks)``, where given, computes the
-    values of several tasks of ``trials`` columns each in one call, as
-    ``run`` would one by one.
+    ``(key, [task payload, ...])``, a task being ``trials`` columns wide
+    (one when it has no such count); ``run(pack)`` computes the values of a
+    pack of contiguous tasks, one per task, in one call, each value as the
+    task's cell alone would give it; ``rows(cfg, task, values)`` turns a
+    cell's first task and the values of all its tasks, in task order, into
+    one row list per entry of ``files``, which pairs each CSV name with its
+    header; ``notes(cfg)`` are the manifest's audit notes.
     """
 
     cells: Callable
@@ -387,32 +393,32 @@ class _Experiment:
     files: tuple[tuple[str, str], ...]
     rows: Callable
     notes: Callable = lambda cfg: []
-    run_pack: Callable | None = None
 
 
 _SPECS = {
     "phase-diagram": _Experiment(
         _phase_cells,
-        lambda t: classify(t["dist"], t["lam"], t["d"], t["C"], t["E"]),
+        lambda p: [classify(t["dist"], t["lam"], t["d"], t["C"], t["E"]) for t in p],
         (("phase_diagram.csv", "E,lambda,d,C,verdict,gamma,decay_kind,decay_constant"),),
         _phase_rows),
     "lyapunov": _Experiment(
-        _lyapunov_cells, _lyapunov_run,
+        _lyapunov_cells, _lyapunov_pack,
         (("lyapunov.csv", "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory"),),
         _lyapunov_rows),
     "density": _Experiment(
-        _density_cells, lambda t: _density_pack([t])[0],
+        _density_cells, _density_pack,
         (("density.csv", "E,rho_hat,rho_free_theory"),),
-        _density_rows, run_pack=_density_pack),
+        _density_rows),
     "harmonic-check": _Experiment(
         _harmonic_cells,
-        lambda t: mc_moments(t["dist"], t["E"], t["lam"], t["n"], t["trials"], t["seed"]),
+        lambda p: [mc_moments(t["dist"], t["E"], t["lam"], t["n"], t["trials"], t["seed"])
+                   for t in p],
         (("harmonic_check.csv",
           "n,m1,m1_stderr,m1_bound,m2,m2_stderr,m2_lo,m2_hi,m3,exact_m1,exact_m2"),),
         _harmonic_rows),
     "geometry-audit": _Experiment(
         lambda cfg, base_dir: [(f"d={d}", [{"d": d}]) for d in _GEOMETRY_DIMS],
-        lambda t: _geometry_audit(t["d"], _GEOMETRY_NMAX),
+        lambda p: [_geometry_audit(t["d"], _GEOMETRY_NMAX) for t in p],
         (("geometry_counts.csv", "d,n,k,s_formula,s_bruteforce,s_printed_variant,"
                                  "formula_matches,variant_matches"),
          ("geometry_hopping.csv", "d,n,alpha_formula,alpha_bruteforce,a_formula,a_bruteforce")),
@@ -420,7 +426,7 @@ _SPECS = {
         lambda cfg: [_GEOMETRY_NOTE]),
     "spectrum-sets": _Experiment(
         _sets_cells,
-        lambda t: _spectrum_sets(t["dist"], t["lam"], t["C"]),
+        lambda p: [_spectrum_sets(t["dist"], t["lam"], t["C"]) for t in p],
         (("spectrum_sets.csv", "lambda,set,component,lo,hi,lo_closed,hi_closed"),),
         lambda cfg, task, values: (values[0],),
         lambda cfg: [_BERNOULLI_ESS_NOTE]
@@ -447,16 +453,13 @@ def build_tasks(cfg: dict, base_dir: Path) -> list[dict]:
 def _pack(tasks: list[dict], threads: int) -> list[list[dict]]:
     """Contiguous runs of the tasks, in order, for the pool to map.
 
-    Tasks of an experiment with ``run_pack`` share packs of at most
-    _PACK_COLUMNS columns, a task wider than that being a pack of its own;
-    the pack count is the least multiple of ``threads`` (at most one pack per
-    task) that keeps to the budget, so the workers get equal shares, and pack
-    sizes differ by at most one task.  Other experiments run one task per pack.
+    Tasks share packs of at most _PACK_COLUMNS columns, a task wider than
+    that being a pack of its own; the pack count is the least multiple of
+    ``threads`` (at most one pack per task) that keeps to the budget, so the
+    workers get equal shares, and pack sizes differ by at most one task.
     """
     n = len(tasks)
-    if not n or _SPECS[tasks[0]["experiment"]].run_pack is None:
-        return [[t] for t in tasks]
-    per = max(1, _PACK_COLUMNS // tasks[0]["trials"])
+    per = max(1, _PACK_COLUMNS // max((t.get("trials", 1) for t in tasks), default=1))
     threads = max(1, threads)
     fewest = -(-n // per)
     count = min(n, -(-fewest // threads) * threads)
@@ -465,20 +468,21 @@ def _pack(tasks: list[dict], threads: int) -> list[list[dict]]:
 
 def _execute_task(pack: list[dict]) -> list[dict]:
     """Run one pack of tasks, one result per task; never raises (errors are
-    data for the manifest).  A pack of several tasks runs as one joint call;
-    if that raises, each task runs alone, so its value or error is its own."""
-    spec = _SPECS[pack[0]["experiment"]]
-    if len(pack) > 1:
+    data for the manifest).  A pack of several cells runs as one joint call;
+    if that raises, each cell runs alone, so its values or error are its own."""
+    run = _SPECS[pack[0]["experiment"]].run
+    cells = _by_cell(pack)
+    if len(cells) > 1:
         try:
-            return [{"value": v} for v in spec.run_pack(pack)]
+            return [{"value": v} for v in run(pack)]
         except AntitreeError:
             pass
     results = []
-    for task in pack:
+    for cell in cells:
         try:
-            results.append({"value": spec.run(task)})
+            results += [{"value": v} for v in run(cell)]
         except AntitreeError as exc:
-            results.append({"error": str(exc), "error_type": type(exc).__name__})
+            results += [{"error": str(exc), "error_type": type(exc).__name__}] * len(cell)
     return results
 
 

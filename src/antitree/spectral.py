@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _shell_count, dirichlet_window_average, subordinacy_batch
+from .engine import _whole_count, dirichlet_window_average, subordinacy_batch
 from .errors import DomainError
 from .geometry import GrowthLaw
 from .potentials import (
@@ -82,7 +82,8 @@ def density_estimate(dist: PotentialDistribution, lam: float, law: GrowthLaw,
     free case at E = +-1).
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
-    N = _shell_count(N, DENSITY_MIN_N)
+    N = _whole_count(N, DENSITY_MIN_N)
+    trials = _whole_count(trials, what="trials")
     if halfwidth is None:
         halfwidth = grid_halfwidth(grid)
     vals = dirichlet_window_average(dist, lam, law, grid, N, trials, seed, halfwidth)
@@ -198,7 +199,7 @@ def decay_check(dist: PotentialDistribution, lam: float, d: float, C: float,
     """
     if not 1.0 < d <= 2.0:
         raise DomainError("decay fit covers 1 < d <= 2")
-    N = _shell_count(N)
+    N = _whole_count(N)
     eff = effective_quantities(dist, E, lam)
     law = GrowthLaw.uniform_power(d, C)
     records = subordinacy_batch(dist, law, E, lam, N, range(trials), seed,

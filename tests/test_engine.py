@@ -1127,6 +1127,43 @@ def test_shell_counts_are_whole_numbers(driver):
     assert repr(call(1000.0)) == repr(call(1000))
 
 
+TRIAL_COUNT_DRIVERS = {
+    "window": lambda t: eng.dirichlet_window_average(BERN, 1.0, LAW15, [2.0], 1000, t, 1, 0.01),
+    "density": lambda t: density_estimate(BERN, 1.0, LAW15, [2.0], 1000, t, 1),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, math.nan, True])
+@pytest.mark.parametrize("driver", sorted(TRIAL_COUNT_DRIVERS))
+def test_trial_counts_are_whole_numbers(driver, trials):
+    with pytest.raises(DomainError) as err:
+        TRIAL_COUNT_DRIVERS[driver](trials)
+    assert err.value.reason == "trials"
+
+
+@pytest.mark.parametrize("driver", sorted(TRIAL_COUNT_DRIVERS))
+def test_an_integral_float_trial_count_is_the_whole_number(driver):
+    # down to the estimate's trial count
+    call = TRIAL_COUNT_DRIVERS[driver]
+    assert repr(call(3.0)) == repr(call(3))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_singular_shell_is_named_by_its_index_past_the_first_block(reverse):
+    # at E = 0 a shell that draws both atoms has a vanishing inverse mean; the
+    # first shell of two draws, n = BLOCK + 10, does so at this seed
+    n = eng.BLOCK + 10
+    law = GrowthLaw.from_sizes([1] * n + [2] * 200)
+    with pytest.raises(SingularShellError) as err:
+        if reverse:
+            list(eng._shell_blocks(BERN, law, 1.0, n + 200, [(0.0, 0, 0)], 5, DOMAIN_DENSITY,
+                                   reverse=True))
+        else:
+            eng.dirichlet_window_average(BERN, 1.0, law, [0.0], n + 200, 1, 5, 0.0)
+    assert err.value.shell == n
+    assert str(err.value) == f"sampled shell {n} has vanishing inverse mean"
+
+
 def test_m_function_degenerate_denominator():
     # at z = 0 the free solution is 4-periodic and u vanishes at odd shells
     with pytest.raises(DegenerateDenominatorError):

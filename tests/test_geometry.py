@@ -51,6 +51,13 @@ def test_sizes_block_matches_scalar():
     law = GrowthLaw.uniform_power(1.7, 0.9)
     blk = law.sizes_block(0, 50)
     assert [int(x) for x in blk] == [law.size(n) for n in range(50)]
+    # a rounding tie, where a scalar formula in Python floats gave one more
+    tie = GrowthLaw.uniform_power(3.3, 1.0)
+    assert tie.size(191735) == int(tie.sizes_block(191735, 191736)[0])
+    custom = GrowthLaw.from_sizes([1, 3, 9, 27])
+    assert [custom.size(n) for n in range(4)] == [1, 3, 9, 27]
+    with pytest.raises(InvalidLawError):
+        custom.size(4)
 
 
 # ---------------------------------------------------------------------------

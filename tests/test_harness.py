@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import antitree.harness as harness
 from antitree import (
     AntitreeError,
     ConfigError,
     GrowthLaw,
     PotentialDistribution,
+    effective_quantities,
     lyapunov_batch,
     lyapunov_estimate,
     seed_stream,
@@ -215,7 +217,8 @@ def test_thread_count_does_not_change_bytes(tmp_path):
 
 def test_lyapunov_rows_are_the_api_estimate(tmp_path):
     # the CSV's slope columns are lyapunov_estimate of the cell's records,
-    # bit for bit (17 significant digits round-trip), over several chunks
+    # bit for bit (17 significant digits round-trip), though the first
+    # cell's trials are split over two packs
     cfg = _config(trials=70, N=1000, energy={"min": 1.8, "max": 2.2, "steps": 2})
     _run(tmp_path, dict(cfg, output_dir="e"))
     rows = (tmp_path / "e" / "lyapunov.csv").read_text().splitlines()[1:]
@@ -330,22 +333,35 @@ def test_density_pack_failure_falls_back_to_cells(tmp_path, threads):
     assert lines[1:] == [expected[0], expected[2]]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(cells=st.integers(1, 120), trials=st.integers(1, 100), threads=st.integers(1, 8))
-def test_pack_is_contiguous_budgeted_and_balanced(cells, trials, threads):
-    tasks = [{"experiment": "density", "cell": c, "trials": trials} for c in range(cells)]
+def _pack_tasks(kind, cells, trials):
+    """Tasks as build_tasks shapes them: a density cell of ``trials``
+    columns, a lyapunov trial of one, an analytic cell of one."""
+    if kind == "density":
+        return [{"experiment": kind, "cell": c, "trials": trials} for c in range(cells)]
+    if kind == "lyapunov":
+        return [{"experiment": kind, "cell": c, "trial": t}
+                for c in range(cells) for t in range(trials)]
+    return [{"experiment": kind, "cell": c} for c in range(cells)]
+
+
+@settings(max_examples=90, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["density", "lyapunov", "phase-diagram"]),
+       cells=st.integers(1, 120), trials=st.integers(1, 100), threads=st.integers(1, 8))
+def test_pack_is_contiguous_budgeted_and_balanced(kind, cells, trials, threads):
+    tasks = _pack_tasks(kind, cells, trials)
+    width = trials if kind == "density" else 1
     packs = _pack(tasks, threads)
-    # contiguous runs that cover every cell in order
+    # contiguous runs that cover every task in order
     assert all(packs) and [t for p in packs for t in p] == tasks
-    # within the budget, but for a lone oversized cell
-    assert all(len(p) * trials <= _PACK_COLUMNS or len(p) == 1 for p in packs)
-    # equal shares per worker: a multiple of the threads, unless every cell
+    # within the budget, but for a lone oversized task
+    assert all(len(p) * width <= _PACK_COLUMNS or len(p) == 1 for p in packs)
+    # equal shares per worker: a multiple of the threads, unless every task
     # already has a pack of its own, and sizes within one of each other
-    assert len(packs) % threads == 0 or len(packs) == cells
+    assert len(packs) % threads == 0 or len(packs) == len(tasks)
     assert max(map(len, packs)) - min(map(len, packs)) <= 1
     # and no more of them: one share fewer would break the budget
-    per = max(1, _PACK_COLUMNS // trials)
-    assert len(packs) <= threads or (len(packs) - threads) * per < cells
+    per = max(1, _PACK_COLUMNS // width)
+    assert len(packs) <= threads or (len(packs) - threads) * per < len(tasks)
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)
@@ -358,7 +374,7 @@ def test_pack_is_contiguous_budgeted_and_balanced(cells, trials, threads):
 def test_csv_and_cells_are_identical_across_thread_counts(tmp_path_factory, experiment, law,
                                                           cells, trials, N, lam, E0):
     # up to 70 trials: density packs cross the 64-column budget and lyapunov
-    # cells the 32-trial chunk; cells outside I(lam) fail, and must fail alike
+    # cells straddle packs; cells outside I(lam) fail, and must fail alike
     if experiment == "lyapunov":
         trials = max(trials, 2)
     cfg = {"experiment": experiment, "distribution": {"kind": law}, "lambda": lam,
@@ -372,10 +388,95 @@ def test_csv_and_cells_are_identical_across_thread_counts(tmp_path_factory, expe
     assert csv[1] == csv[0] == csv[2]
 
 
-def test_unpacked_experiments_run_one_task_per_pack():
-    tasks = build_tasks(normalize_config(_config(trials=70)), Path("."))
-    assert len(tasks) == 3   # trial chunks of 32
-    assert _pack(tasks, 2) == [[t] for t in tasks]
+def _lyapunov_lines(cfg):
+    """lyapunov.csv's rows and the manifest's cells from one lyapunov_batch
+    call per cell."""
+    cfg = normalize_config(cfg)
+    law = GrowthLaw.uniform_power(cfg["growth"]["d"], cfg["growth"]["C"])
+    rows, cells = [], []
+    for cell, E in enumerate(energy_grid(cfg)):
+        key = f"lambda=1.0,E={E}"
+        try:
+            records = lyapunov_batch(PotentialDistribution.bernoulli(), law, float(E), 1.0,
+                                     cfg["N"], range(cfg["trials"]), cfg["seed"], cell=cell)
+        except AntitreeError as exc:
+            cells.append({"key": key, "status": "failed",
+                          "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        cells.append({"key": key, "status": "ok"})
+        mean, stderr = lyapunov_estimate(records)
+        gamma = effective_quantities(PotentialDistribution.bernoulli(), float(E), 1.0).gamma
+        rows.append(",".join(fmt(v) for v in (float(E), 1.0, 1.5, 1.0, cfg["N"],
+                                              cfg["trials"], mean, stderr, gamma)))
+    return rows, cells
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lyapunov_packs_equal_per_cell_calls(tmp_path, threads):
+    # 4 cells x 65 trials make 5 packs at one thread and 6 at two or three;
+    # E = 0 lies in the support hull and fails, which fails the joint call
+    # of the packs that hold it and a neighbour
+    cfg = _config(energy={"min": -2.4, "max": 1.2, "steps": 4}, trials=65, N=500,
+                  output_dir="o")
+    packs = _pack(build_tasks(normalize_config(cfg), tmp_path), threads)
+    assert any({t["cell"] for t in p} == {2, 3} for p in packs)
+    manifest, code = _run(tmp_path, cfg, threads)
+    assert code == 2
+    rows, cells = _lyapunov_lines(cfg)
+    assert [c["status"] for c in cells] == ["ok", "ok", "failed", "ok"]
+    assert manifest["cells"] == cells
+    assert (tmp_path / "o" / "lyapunov.csv").read_text().splitlines()[1:] == rows
+
+
+class _InlinePool:
+    """ProcessPoolExecutor's context and map, run in this process."""
+
+    def __init__(self, max_workers):
+        self.maps = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.maps.append(len(items))
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("energies, threads, calls", [
+    # one cell of 100 trials: 2 packs of 50, one call each
+    (1, 2, [(0, 0, 50), (0, 50, 100)]),
+    # 300 trials: 5 packs of 60, one call per pack and cell
+    (3, 1, [(0, 0, 60), (0, 60, 100), (1, 0, 20), (1, 20, 80), (1, 80, 100),
+            (2, 0, 40), (2, 40, 100)]),
+])
+def test_lyapunov_makes_one_call_per_pack_and_cell(tmp_path, monkeypatch, energies, threads,
+                                                   calls):
+    made, pools = [], []
+    batch = harness.lyapunov_batch
+
+    def counted(dist, law, E, lam, N, trial_ids, seed, cell):
+        made.append((cell, trial_ids[0], trial_ids[-1] + 1))
+        assert trial_ids == list(range(trial_ids[0], trial_ids[-1] + 1))
+        return batch(dist, law, E, lam, N, trial_ids, seed, cell=cell)
+
+    def pool(max_workers):
+        pools.append(_InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(harness, "lyapunov_batch", counted)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    cfg = _config(energy={"min": 1.8, "max": 2.2, "steps": energies}, trials=100, N=500,
+                  output_dir="c")
+    _, code = _run(tmp_path, cfg, threads)
+    assert code == 0
+    assert made == calls
+    assert [p.maps for p in pools] == ([[2]] if threads > 1 else [])
+    assert (tmp_path / "c" / "lyapunov.csv").read_text().splitlines()[1:] == \
+        _lyapunov_lines(cfg)[0]
 
 
 def test_phase_diagram_experiment(tmp_path):
