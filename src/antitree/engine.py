@@ -34,16 +34,22 @@ except that a fair first step (atom weight 1/2, as in the Bernoulli law) on
 a shell of at most _POP_MAX draws is the popcount of ceil(s/64) raw 64-bit
 words of its stream, whose bits are fair coins, summed per shell by a
 bincount over each word's shell; the word layout depends only on the sizes
-and is computed once per block.  Subordinate solutions are extracted by
-backward propagation, stable because the forward-decaying direction
-dominates in reverse; weighted-norm extremes over all solution directions
-come from a rank-one updated Cholesky factor of the 2x2 Gram matrix, whose
-determinant is a product of diagonals and therefore immune to the
-cancellation that makes the raw min/max hopeless at depth.
+and is computed once per block.  A two-atom law's shell means depend only on
+the size s and the first-atom count c: per block and energy they are
+tabulated for every (s, c) of the block's sizes, while the table has no
+more entries than the block has shell x column pairs, and each column draws
+c alone and gathers its means.  The means of a tile of _TILE columns are
+staged contiguously and written into the block once per tile.  Subordinate
+solutions are extracted by backward propagation, stable because the
+forward-decaying direction dominates in reverse; weighted-norm extremes over
+all solution directions come from a rank-one updated Cholesky factor of the
+2x2 Gram matrix, whose determinant is a product of diagonals and therefore
+immune to the cancellation that makes the raw min/max hopeless at depth.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,6 +96,9 @@ _HOLD_BYTES = 1 << 25
 # host, between 640 and 768 draws, above which numpy's binomial (BTPE) is the
 # faster exact draw.
 _POP_MAX = 512
+# columns of a block whose shell means are staged together before A and W are
+# written: 16 rows of a block's means fill 1 MiB
+_TILE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +143,21 @@ def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
-                        layout: _PopcountLayout | None = None) -> np.ndarray:
+                        layout: _PopcountLayout | None = None,
+                        first_only: bool = False) -> np.ndarray:
     """Exact multinomial counts for per-row totals.
 
     The counts follow a binomial chain, atom by atom.  When its first step is
     fair (probs[0] == 1/2), rows of at most _POP_MAX draws take that count as
     the popcount of their raw SFC64 words, each word being 64 fair coins,
     all drawn before the binomials of the other rows; ``layout`` is
-    ``_popcount_layout(n_arr)``, built here when not given.
+    ``_popcount_layout(n_arr)``, built here when not given.  ``first_only``
+    stops the chain after its first step and returns the first atom's
+    counts alone, as a 1-D array.
     """
     k = len(probs)
-    counts = np.empty((len(n_arr), k), dtype=np.int64)
-    remaining = n_arr.astype(np.int64)
+    remaining = np.asarray(n_arr, dtype=np.int64)
+    cols = []
     rem_p = 1.0
     for i in range(k - 1):
         p = min(1.0, probs[i] / rem_p)
@@ -154,68 +166,150 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
                 layout = _popcount_layout(remaining)
             words = gen.bit_generator.random_raw(len(layout.mask))
             words &= layout.mask
-            # float64 sums of at most _POP_MAX bits are exact
-            c = np.bincount(layout.owner, weights=np.bitwise_count(words),
+            # popcounts as float64 in the words' own memory: bincount would
+            # convert uint8 weights into a fresh buffer, page-faulted in on
+            # every call; float64 sums of at most _POP_MAX bits are exact
+            ones = np.bitwise_count(words, out=words.view(np.float64))
+            c = np.bincount(layout.owner, weights=ones,
                             minlength=len(remaining)).astype(np.int64)
             if len(layout.large):
                 c[layout.large] = gen.binomial(remaining[layout.large], p)
         else:
             c = gen.binomial(remaining, p)
-        counts[:, i] = c
-        remaining -= c
+        if first_only:
+            return c
+        cols.append(c)
+        remaining = remaining - c
         rem_p -= probs[i]
-    counts[:, k - 1] = remaining
-    return counts
+    counts = np.stack(cols + [remaining], axis=1)
+    return counts[:, 0] if first_only else counts
+
+
+@dataclass(frozen=True)
+class _MeanTable:
+    """A two-atom law's shell means at one energy, for every pair (s, c) of
+    a size s of a block and a first-atom count 0 <= c <= s.
+
+    A shell with c first atoms reads row ``start[shell] + c`` of ``m1``, the
+    mean of 1/(E - lam*v), and of ``m2``, the mean of 1/(E - lam*v)^2 (None
+    unless weights were asked for).  Each row is ``counts @ r / s`` on the
+    row's counts (c, s - c), as a per-shell computation forms it.
+    ``singular`` is set when some entry of ``m1`` vanishes.
+    """
+
+    start: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray | None
+    singular: bool
+
+
+def _mean_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -> dict:
+    """``{E: _MeanTable}`` for one block of ``sizes`` (int64), for each energy
+    E of ``tables`` (``_atom_tables`` of a two-atom law) whose table has no
+    more rows than the block has shells times ``widths[E]``, the columns at
+    E; so the tables take no more memory than the block itself.
+
+    Only blocks of two or more shells take tables: numpy's matmul forms a
+    one-row product with a dot, not the gemv of the longer ones, and the two
+    can round differently.
+    """
+    sizes_u, inverse = np.unique(sizes, return_inverse=True)
+    rows = sizes_u + 1
+    nrows = int(rows.sum())
+    fits = [E for E in tables if len(sizes) > 1 and nrows <= len(sizes) * widths[E]]
+    if not fits:
+        return {}
+    first = np.cumsum(rows) - rows
+    s = np.repeat(sizes_u, rows)
+    c = np.arange(nrows) - np.repeat(first, rows)
+    counts = np.stack([c, s - c], axis=1)
+    start = first[inverse]
+    out = {}
+    for E in fits:
+        _, r1, r2 = tables[E]
+        m1 = counts @ r1 / s
+        out[E] = _MeanTable(start, m1, counts @ r2 / s if with_w else None,
+                            not m1.all())
+    return out
 
 
 def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
                        sizes: np.ndarray, gen: np.random.Generator, *,
                        with_w: bool = False, layout: _PopcountLayout | None = None,
-                       tables=None, first: int = 0):
+                       tables=None, means: _MeanTable | None = None, out=None,
+                       first: int = 0):
     """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial;
-    the second is formed only ``with_w`` and is None otherwise.  A vanishing
-    mean raises SingularShellError naming its shell, ``first`` being the
-    index of the block's first one.
+    the second is formed only ``with_w`` and is None otherwise.  ``out``, a
+    pair of rows (the second None without weights), receives the means when
+    given.  A vanishing mean raises SingularShellError naming its shell,
+    ``first`` being the index of the block's first one.
 
     Discrete laws reduce to multinomial atom counts (``layout`` is passed on
     to _multinomial_counts, ``tables`` is ``_atom_tables(dist, E, lam)``,
-    built here when not given); continuous laws draw every potential and
-    segment-sum, in chunks of whole shells of at most _DRAW_CHUNK draws that
-    continue one stream, so they reproduce one draw bit for bit (a split
-    shell would be summed in a different order).
+    built here when not given).  With ``means``, the block's _MeanTable at
+    E, a two-atom law draws only the first atom's counts c and gathers each
+    shell's means at ``means.start + c``.  Continuous laws draw every
+    potential and segment-sum, in chunks of whole shells of at most
+    _DRAW_CHUNK draws that continue one stream, so they reproduce one draw
+    bit for bit (a split shell would be summed in a different order).
     """
     s_int = sizes.astype(np.int64, copy=False)
+    out1, out2 = (None, None) if out is None else out
     if dist.is_discrete:
         probs, r1, r2 = _atom_tables(dist, E, lam) if tables is None else tables
-        counts = _multinomial_counts(gen, s_int, probs, layout=layout)
-        sum1 = counts @ r1
-        sum2 = counts @ r2 if with_w else None
+    singular = True
+    if means is not None:
+        idx = means.start + _multinomial_counts(gen, s_int, probs, layout=layout,
+                                                first_only=True)
+        mean1 = np.take(means.m1, idx, out=out1, mode="clip")
+        mean2 = np.take(means.m2, idx, out=out2, mode="clip") if with_w else None
+        singular = means.singular
     else:
-        ends = np.cumsum(s_int)
-        sum1, sum2 = [], []
-        i0 = 0
-        while i0 < len(s_int):
-            base = ends[i0] - s_int[i0]
-            i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
-            # r = 1/(E - lam v), then r^2, formed in the sample's buffer
-            r = sample(dist, gen, size=int(ends[i1 - 1] - base))
-            r = r.astype(np.result_type(r, E), copy=False)
-            np.multiply(r, -lam, out=r)
-            r += E
-            np.divide(1.0, r, out=r)
-            starts = ends[i0:i1] - s_int[i0:i1] - base
-            sum1.append(np.add.reduceat(r, starts))
-            if with_w:
-                np.multiply(r, r, out=r)
-                sum2.append(np.add.reduceat(r, starts))
-            i0 = i1
-        sum1 = np.concatenate(sum1)
-        sum2 = np.concatenate(sum2) if with_w else None
-    mean1 = sum1 / sizes
-    if (mean1 == 0.0).any():
+        if dist.is_discrete:
+            counts = _multinomial_counts(gen, s_int, probs, layout=layout)
+            sum1 = counts @ r1
+            sum2 = counts @ r2 if with_w else None
+        else:
+            ends = np.cumsum(s_int)
+            sum1, sum2 = [], []
+            i0 = 0
+            while i0 < len(s_int):
+                base = ends[i0] - s_int[i0]
+                i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
+                # r = 1/(E - lam v), then r^2, formed in the sample's buffer
+                r = sample(dist, gen, size=int(ends[i1 - 1] - base))
+                r = r.astype(np.result_type(r, E), copy=False)
+                np.multiply(r, -lam, out=r)
+                r += E
+                np.divide(1.0, r, out=r)
+                starts = ends[i0:i1] - s_int[i0:i1] - base
+                sum1.append(np.add.reduceat(r, starts))
+                if with_w:
+                    np.multiply(r, r, out=r)
+                    sum2.append(np.add.reduceat(r, starts))
+                i0 = i1
+            sum1 = np.concatenate(sum1)
+            sum2 = np.concatenate(sum2) if with_w else None
+        mean1 = np.divide(sum1, sizes, out=out1)
+        mean2 = np.divide(sum2, sizes, out=out2) if with_w else None
+    if singular and (mean1 == 0.0).any():
         shell = first + int(np.nonzero(mean1 == 0.0)[0][0])
         raise SingularShellError(f"sampled shell {shell} has vanishing inverse mean", shell=shell)
-    return mean1, (sum2 / sizes if with_w else None)
+    return mean1, mean2
+
+
+def _tiles(columns) -> list[tuple[int, int, bool]]:
+    """``(j0, j1, complex)`` for runs of at most _TILE consecutive columns
+    whose energies are all complex or all real.  A real column of a complex
+    block is written as its real 1/m, whose imaginary part is +0, where a
+    complex division would give 1/m a signed zero."""
+    out = []
+    j0 = 0
+    for cplx, run in itertools.groupby(np.iscomplexobj(E) for E, _, _ in columns):
+        j1 = j0 + len(list(run))
+        out += [(j, min(j + _TILE, j1), cplx) for j in range(j0, j1, _TILE)]
+        j0 = j1
+    return out
 
 
 def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
@@ -234,6 +328,12 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     complex when an energy is (the m-function's spectral parameter z).
     Raises SizeLimitError before drawing when a continuous-law column would
     exceed _DRAW_BUDGET draws or one shell _DRAW_CHUNK.
+
+    Each column's means come from one _shell_stats_block call, from the
+    block's _MeanTable at its energy when a two-atom law's table fits
+    (_mean_tables).  The means of a tile of up to _TILE columns are staged
+    as contiguous rows, and 1/m and m2/m^2 are written into A and W once
+    per tile rather than one strided column at a time.
     """
     if lam != 0.0 and not dist.is_discrete:
         total = largest = 0.0
@@ -250,6 +350,14 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     # atom tables once per energy, not per column and block
     tables = ({E: _atom_tables(dist, E, lam) for E, _, _ in columns}
               if lam != 0.0 and dist.is_discrete else {})
+    # columns per energy, which bound its _MeanTable, for a two-atom law
+    two_atoms = bool(tables) and len(dist.atoms) == 2
+    widths = collections.Counter(E for E, _, _ in columns) if two_atoms else {}
+    if lam != 0.0:
+        shape = (min(_TILE, len(columns)), min(BLOCK, N))
+        stage1 = np.empty(shape, dtype=dtype)
+        stage2 = np.empty(shape, dtype=dtype) if with_w else None
+        tiles = _tiles(columns)
     nblocks = (N + BLOCK - 1) // BLOCK
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
         n0 = b * BLOCK
@@ -261,17 +369,24 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             A[:] = energies
             if with_w:
                 W[:] = 1.0
-        else:
-            layout = _popcount_layout(sizes) if dist.is_discrete else None
-            for j, (E, cell, trial) in enumerate(columns):
-                m1, m2 = _shell_stats_block(dist, E, lam, sizes,
-                                            seed_stream(seed, domain, cell, trial, b),
-                                            with_w=with_w, layout=layout, tables=tables.get(E),
-                                            first=n0)
-                np.divide(1.0, m1, out=A[:, j])
-                if with_w:
-                    np.multiply(m1, m1, out=m1)
-                    np.divide(m2, m1, out=W[:, j])
+            yield n0, n1, A, W
+            continue
+        layout = _popcount_layout(sizes) if dist.is_discrete else None
+        means = _mean_tables(sizes, tables, widths, with_w) if widths else {}
+        for j0, j1, cplx in tiles:
+            # a real tile stages real means, in the real part of a complex buffer
+            m1 = (stage1 if cplx else stage1.real)[:j1 - j0, :n1 - n0]
+            m2 = (stage2 if cplx else stage2.real)[:j1 - j0, :n1 - n0] if with_w else None
+            for j in range(j0, j1):
+                E, cell, trial = columns[j]
+                _shell_stats_block(dist, E, lam, sizes, seed_stream(seed, domain, cell, trial, b),
+                                   with_w=with_w, layout=layout, tables=tables.get(E),
+                                   means=means.get(E),
+                                   out=(m1[j - j0], m2[j - j0] if with_w else None), first=n0)
+            np.divide(1.0, m1.T, out=A[:, j0:j1])
+            if with_w:
+                np.multiply(m1, m1, out=m1)
+                np.divide(m2.T, m1.T, out=W[:, j0:j1])
         yield n0, n1, A, W
 
 

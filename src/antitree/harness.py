@@ -10,12 +10,13 @@ across reruns and across worker counts: every trial's randomness is keyed
 by (seed, cell, trial) and never by schedule.  A pack runs as one call: one
 kernel call for a density pack, one per cell for lyapunov, a loop over the
 cells otherwise.  A column's value does not depend on which columns share
-its call, and when the pack's call raises, its cells run one at a time, so
-each value and error is the cell's own.  Data files are written atomically
-(temp file + rename) and a JSON manifest records the canonicalized config,
-its digest, and a SHA-256 digest per emitted file.  Cell failures are
-isolated: the sweep continues, the manifest marks the cell, and the run
-exits with code 2.
+its call.  A cell whose inputs fail its experiment's domain check (for
+lyapunov, E outside I(lam)) takes that error without running; when the
+joint call of the other cells raises, they run one at a time, so each value
+and error is the cell's own.  Data files are written atomically (temp file
++ rename) and a JSON manifest records the canonicalized config, its digest,
+and a SHA-256 digest per emitted file.  Cell failures are isolated: the
+sweep continues, the manifest marks the cell, and the run exits with code 2.
 """
 
 from __future__ import annotations
@@ -385,7 +386,9 @@ class _Experiment:
     task's cell alone would give it; ``rows(cfg, task, values)`` turns a
     cell's first task and the values of all its tasks, in task order, into
     one row list per entry of ``files``, which pairs each CSV name with its
-    header; ``notes(cfg)`` are the manifest's audit notes.
+    header; ``notes(cfg)`` are the manifest's audit notes; ``check(task)``
+    raises, before anything is drawn, the typed error that the call of the
+    task's cell would raise from its inputs alone.
     """
 
     cells: Callable
@@ -393,6 +396,7 @@ class _Experiment:
     files: tuple[tuple[str, str], ...]
     rows: Callable
     notes: Callable = lambda cfg: []
+    check: Callable = lambda task: None
 
 
 _SPECS = {
@@ -404,7 +408,8 @@ _SPECS = {
     "lyapunov": _Experiment(
         _lyapunov_cells, _lyapunov_pack,
         (("lyapunov.csv", "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory"),),
-        _lyapunov_rows),
+        _lyapunov_rows,
+        check=lambda t: effective_quantities(t["dist"], t["E"], t["lam"])),
     "density": _Experiment(
         _density_cells, _density_pack,
         (("density.csv", "E,rho_hat,rho_free_theory"),),
@@ -466,24 +471,39 @@ def _pack(tasks: list[dict], threads: int) -> list[list[dict]]:
     return [tasks[i * n // count:(i + 1) * n // count] for i in range(count)]
 
 
+def _error(exc: AntitreeError) -> dict:
+    return {"error": str(exc), "error_type": type(exc).__name__}
+
+
 def _execute_task(pack: list[dict]) -> list[dict]:
     """Run one pack of tasks, one result per task; never raises (errors are
-    data for the manifest).  A pack of several cells runs as one joint call;
-    if that raises, each cell runs alone, so its values or error are its own."""
-    run = _SPECS[pack[0]["experiment"]].run
+    data for the manifest).  A cell whose ``check`` raises takes that error
+    without running; the other cells run as one joint call and, if that
+    raises, each alone, so each value or error is the cell's own."""
+    spec = _SPECS[pack[0]["experiment"]]
     cells = _by_cell(pack)
-    if len(cells) > 1:
+    results: list[list[dict] | None] = [None] * len(cells)
+    for i, cell in enumerate(cells):
         try:
-            return [{"value": v} for v in run(pack)]
+            spec.check(cell[0])
+        except AntitreeError as exc:
+            results[i] = [_error(exc)] * len(cell)
+    todo = [i for i, res in enumerate(results) if res is None]
+    if len(todo) > 1:
+        try:
+            values = iter(spec.run([t for i in todo for t in cells[i]]))
         except AntitreeError:
             pass
-    results = []
-    for cell in cells:
+        else:
+            for i in todo:
+                results[i] = [{"value": next(values)} for _ in cells[i]]
+            todo = []
+    for i in todo:
         try:
-            results += [{"value": v} for v in run(cell)]
+            results[i] = [{"value": v} for v in spec.run(cells[i])]
         except AntitreeError as exc:
-            results += [{"error": str(exc), "error_type": type(exc).__name__}] * len(cell)
-    return results
+            results[i] = [_error(exc)] * len(cells[i])
+    return [r for res in results for r in res]
 
 
 def _reduce(cfg: dict, tasks: list[dict], results: list[dict]):

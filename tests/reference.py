@@ -6,9 +6,11 @@ time in Python floats: the harmonic entry and shell-vector norm of explicit
 potentials, the polar (Pruefer) recursion and its step matrix, the
 determinant drift of a product in QR form, the fold of two Gram factors by
 two rank-one updates, and the per-shell complex loop of the truncated
-m-function.  The inverse moments of the continuous laws, which
-``potentials`` takes from closed forms, are also computed here by adaptive
-quadrature of the laws' densities.
+m-function.  The shell entries of a block are also formed one column at a
+time from the same draws, without the sampler's mean tables and tiles.  The
+inverse moments of the continuous laws, which ``potentials`` takes from
+closed forms, are also computed here by adaptive quadrature of the laws'
+densities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from antitree.engine import _chol_rank1_update, _rescale_stride, _rescale_where, _shell_blocks
+from antitree.engine import (
+    BLOCK,
+    _chol_rank1_update,
+    _rescale_stride,
+    _rescale_where,
+    _shell_blocks,
+    _shell_stats_block,
+)
 from antitree.errors import DegenerateDenominatorError, DomainError, SingularShellError
 from antitree.geometry import GrowthLaw
 from antitree.streams import DOMAIN_DRIFT, DOMAIN_WEYL, seed_stream
@@ -81,6 +90,31 @@ def sheared_rotation(x: float, k: float) -> np.ndarray:
     """((1, x), (0, 1)) @ rotation(k): the step in the polar frame."""
     ck, sk = math.cos(k), math.sin(k)
     return np.array([[ck + x * sk, -sk + x * ck], [sk, ck]])
+
+
+def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, seed: int,
+                            domain: int, *, reverse: bool = False, with_w: bool = False):
+    """``engine._shell_blocks``'s blocks one column at a time: each column's
+    shell means from its own ``_shell_stats_block`` call on the full atom
+    counts (no mean table), written as A = 1/m1 and W = m2/m1^2."""
+    dtype = np.result_type(float, *[E for E, _, _ in columns])
+    nblocks = -(-N // BLOCK)
+    for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
+        n0, n1 = b * BLOCK, min(N, (b + 1) * BLOCK)
+        sizes = law.sizes_block(n0, n1).astype(np.int64)
+        A = np.empty((n1 - n0, len(columns)), dtype=dtype)
+        W = np.ones_like(A) if with_w else None
+        for j, (E, cell, trial) in enumerate(columns):
+            if lam == 0.0:
+                A[:, j] = E
+                continue
+            m1, m2 = _shell_stats_block(dist, E, lam, sizes,
+                                        seed_stream(seed, domain, cell, trial, b),
+                                        with_w=with_w, first=n0)
+            A[:, j] = 1.0 / m1
+            if with_w:
+                W[:, j] = m2 / (m1 * m1)
+        yield n0, n1, A, W
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from reference import (
     pruefer_step,
     psi_norm_sq,
     sheared_rotation,
+    shell_blocks_per_column,
     wronskian_drift,
 )
 
@@ -691,6 +692,70 @@ def test_shell_blocks_reverse_is_forward_reversed():
     for _, _, A, W in eng._shell_blocks(BERN, law, 0.0, N, [(-1.71, 0, 0)], 9, 2,
                                         with_w=True):
         assert np.all(A == -1.71) and np.all(W == 1.0)
+
+
+UNFAIR = PotentialDistribution.discrete([(-0.5, 0.6), (0.75, 0.4)])
+THREE = PotentialDistribution.discrete([(-0.75, 0.5), (0.5, 0.25), (1.0, 0.25)])
+# (dist, law, N, energies, with_w, reverse, whether some block reads a mean table);
+# 37, 21, 19, 17 and 11 columns are not multiples of the tile
+SAMPLER_CASES = {
+    "bernoulli-popcount": (BERN, LAW15, eng.BLOCK + 808, [2.0] * 37, True, False, True),
+    "bernoulli-large-shells": (BERN, GrowthLaw.from_sizes(np.resize([600, 700, 513, 1000, 3, 64],
+                                                                    3000)),
+                               3000, [2.0] * 21, True, True, True),
+    "unfair-two-atom": (UNFAIR, LAW15, eng.BLOCK + 808, [2.2] * 19, True, True, True),
+    "three-atom": (THREE, LAW15, 3000, [2.2] * 17, True, False, False),
+    "uniform": (UNIF, LAW15, 3000, [2.0] * 17, True, True, False),
+    "triangular": (TRI, LAW15, 3000, [2.0] * 17, False, False, False),
+    "custom-past-the-table-bound": (BERN, GrowthLaw.from_sizes(np.arange(1, 1201)), 1200,
+                                    [2.0] * 3, True, False, False),
+    # the last block has one shell, whose product numpy forms by a dot
+    "one-shell-block": (BERN, GrowthLaw.from_sizes(np.resize([5, 7, 9], eng.BLOCK + 1)),
+                        eng.BLOCK + 1, [2.3] * 11, True, False, True),
+    "per-column-energies": (BERN, LAW15, eng.BLOCK + 808, [2.0 + 0.01 * j for j in range(19)],
+                            True, False, True),
+    "complex-z": (BERN, LAW15, eng.BLOCK + 808, [2.0 + 0.5j] * 5 + [2.0, 1.5 + 1.0j, 2.5] * 4,
+                  True, True, True),
+    "bernoulli-one-column": (BERN, LAW15, 3000, [2.0], False, False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_shell_blocks_equal_the_per_column_reference(case, monkeypatch):
+    """Mean tables and tiled writes leave every bit of A and W as the
+    per-column computation gives them."""
+    dist, law, N, energies, with_w, reverse, tabled = SAMPLER_CASES[case]
+    columns = [(E, j % 5, j) for j, E in enumerate(energies)]
+    built = []
+    mean_tables = eng._mean_tables
+
+    def spy(*args):
+        built.append(bool(out := mean_tables(*args)))
+        return out
+
+    monkeypatch.setattr(eng, "_mean_tables", spy)
+    got = list(eng._shell_blocks(dist, law, 1.0, N, columns, 23, DOMAIN_SUBORDINACY,
+                                 reverse=reverse, with_w=with_w))
+    want = list(shell_blocks_per_column(dist, law, 1.0, N, columns, 23, DOMAIN_SUBORDINACY,
+                                        reverse=reverse, with_w=with_w))
+    assert any(built) == tabled
+    for (n0, n1, A, W), (m0, m1, B, V) in zip(got, want, strict=True):
+        assert (n0, n1) == (m0, m1)
+        assert A.dtype == B.dtype and A.tobytes() == B.tobytes()
+        assert W is V is None or W.tobytes() == V.tobytes()
+
+
+def test_table_path_raises_at_the_same_singular_shell():
+    # E = 0 between the atoms +-1: a shell with as many of each has mean zero
+    law = GrowthLaw.from_sizes(np.resize([3, 5, 2], eng.BLOCK + 40))
+    columns = [(0.0, 0, t) for t in range(6)]
+    errors = []
+    for blocks in (eng._shell_blocks, shell_blocks_per_column):
+        with pytest.raises(SingularShellError) as info:
+            for _ in blocks(BERN, law, 1.0, eng.BLOCK + 40, columns, 3, DOMAIN_TRAJECTORY):
+                pass
+        errors.append((info.value.shell, str(info.value)))
+    assert errors[0] == errors[1]
 
 
 def test_entries_of_trajectories_bounded():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -316,6 +317,21 @@ def test_density_packs_equal_per_cell_calls(tmp_path, threads):
     assert lines[1:] == _cell_lines(cfg)
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pooled_sweep_bytes_do_not_depend_on_the_start_method(tmp_path, monkeypatch, method):
+    # workers that import the package afresh draw what the serial run draws
+    context = multiprocessing.get_context(method)
+    pool = harness.ProcessPoolExecutor
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: pool(max_workers=max_workers, mp_context=context))
+    cfg = _density_config(energy={"min": 1.8, "max": 2.6, "steps": 40}, trials=8)
+    for threads in (1, 2):
+        _, code = _run(tmp_path, dict(cfg, output_dir=f"t{threads}"), threads)
+        assert code == 0
+    assert (tmp_path / "t1" / "density.csv").read_bytes() == \
+        (tmp_path / "t2" / "density.csv").read_bytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_density_pack_failure_falls_back_to_cells(tmp_path, threads):
     # with an odd trial count the middle offset is 0: E = 1.0 sits on the
@@ -411,13 +427,17 @@ def _lyapunov_lines(cfg):
     return rows, cells
 
 
+def _failing_cell_config():
+    # 4 cells x 65 trials make 5 packs at one thread and 6 at two or three;
+    # E = 0 lies in the support hull and fails, and shares packs with a
+    # neighbour
+    return _config(energy={"min": -2.4, "max": 1.2, "steps": 4}, trials=65, N=500,
+                   output_dir="o")
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_lyapunov_packs_equal_per_cell_calls(tmp_path, threads):
-    # 4 cells x 65 trials make 5 packs at one thread and 6 at two or three;
-    # E = 0 lies in the support hull and fails, which fails the joint call
-    # of the packs that hold it and a neighbour
-    cfg = _config(energy={"min": -2.4, "max": 1.2, "steps": 4}, trials=65, N=500,
-                  output_dir="o")
+    cfg = _failing_cell_config()
     packs = _pack(build_tasks(normalize_config(cfg), tmp_path), threads)
     assert any({t["cell"] for t in p} == {2, 3} for p in packs)
     manifest, code = _run(tmp_path, cfg, threads)
@@ -426,6 +446,25 @@ def test_lyapunov_packs_equal_per_cell_calls(tmp_path, threads):
     assert [c["status"] for c in cells] == ["ok", "ok", "failed", "ok"]
     assert manifest["cells"] == cells
     assert (tmp_path / "o" / "lyapunov.csv").read_text().splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lyapunov_packs_compute_each_healthy_trial_once(tmp_path, monkeypatch, threads):
+    # the failing cell takes its domain error without a call, so the trials
+    # of the healthy cell that shares its pack are not computed twice
+    called = []
+    batch = harness.lyapunov_batch
+
+    def counted(dist, law, E, lam, N, trial_ids, seed, cell):
+        called.extend((cell, t) for t in trial_ids)
+        return batch(dist, law, E, lam, N, trial_ids, seed, cell=cell)
+
+    monkeypatch.setattr(harness, "lyapunov_batch", counted)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    manifest, code = _run(tmp_path, _failing_cell_config(), threads)
+    assert code == 2
+    assert [c["status"] for c in manifest["cells"]] == ["ok", "ok", "failed", "ok"]
+    assert sorted(called) == [(c, t) for c in (0, 1, 3) for t in range(65)]
 
 
 class _InlinePool:
