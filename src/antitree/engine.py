@@ -32,9 +32,11 @@ draws is compressed into its multinomial atom counts, the sufficient
 statistic for the harmonic entry.  The counts come from a binomial chain,
 except that a fair first step (atom weight 1/2, as in the Bernoulli law) on
 a shell of at most _POP_MAX draws is the popcount of ceil(s/64) raw 64-bit
-words of its stream, whose bits are fair coins, summed per shell by a
-bincount over each word's shell; the word layout depends only on the sizes
-and is computed once per block.  A two-atom law's shell means depend only on
+words of its stream, whose bits are fair coins.  The shells of one word
+count k form a group whose popcounts, viewed as (shells, k), are summed
+column by column; the groups and the one word and shell permutation that a
+block needs when its word counts decrease somewhere depend only on the sizes
+and are computed once per block.  A two-atom law's shell means depend only on
 the size s and the first-atom count c: per block and energy they are
 tabulated for every (s, c) of the block's sizes, while the table has no
 more entries than the block has shell x column pairs, and each column draws
@@ -119,14 +121,23 @@ class _PopcountLayout:
     """Where a fair first step finds each shell's raw words, from the sizes alone.
 
     Shells of at most _POP_MAX draws take ceil(s/64) consecutive raw 64-bit
-    words each, in shell order; ``owner`` holds each word's shell index and
-    ``mask`` keeps every bit of a shell's words but those of its last word
-    beyond s.  The ``large`` shells go through the binomial.
+    words each, in shell order; ``mask`` keeps every bit of a shell's words
+    but those of its last word beyond s.  The sums run over groups of shells
+    of one word count k, each ``(k, i0, i1, w0)``: the grouped shells
+    i0 <= i < i1 read the k words w0 + k (i - i0) onward of the grouped
+    words.  The groups keep their shells in order and are sorted by k.  When
+    that order is not already the block's (word counts that decrease
+    somewhere, or a large shell before a small one), ``words`` gathers the
+    drawn words into it and ``shells`` holds each grouped shell's index in
+    the block; both are None otherwise.  The ``large`` shells go through the
+    binomial.
     """
 
-    owner: np.ndarray
-    large: np.ndarray
     mask: np.ndarray
+    groups: tuple[tuple[int, int, int, int], ...]
+    words: np.ndarray | None
+    shells: np.ndarray | None
+    large: np.ndarray
 
 
 def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
@@ -138,8 +149,24 @@ def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
     ones = np.uint64(2 ** 64 - 1)
     mask = np.full(int(ends[-1]) if len(ends) else 0, ones)
     mask[ends - 1] = ones >> ((-s) % 64).astype(np.uint64)
-    return _PopcountLayout(owner=np.repeat(small, nwords),
-                           large=np.flatnonzero(s_int > _POP_MAX), mask=mask)
+    order = np.argsort(nwords, kind="stable")
+    words = shells = None
+    if not np.array_equal(small[order], np.arange(len(small))):
+        # grouped word g of the shell that starts at grouped word first[j] is
+        # drawn word g - first[j] + (the shell's first drawn word)
+        nw = nwords[order]
+        first = np.cumsum(nw) - nw
+        words = np.repeat((ends - nwords)[order] - first, nw) + np.arange(len(mask))
+        shells = small[order]
+    groups, i0, w0 = [], 0, 0
+    for k in range(1, _POP_MAX // 64 + 1):
+        i1 = i0 + int(np.count_nonzero(nwords == k))
+        if i1 > i0:
+            groups.append((k, i0, i1, w0))
+            w0 += k * (i1 - i0)
+        i0 = i1
+    return _PopcountLayout(mask=mask, groups=tuple(groups), words=words, shells=shells,
+                           large=np.flatnonzero(s_int > _POP_MAX))
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
@@ -150,10 +177,10 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
     The counts follow a binomial chain, atom by atom.  When its first step is
     fair (probs[0] == 1/2), rows of at most _POP_MAX draws take that count as
     the popcount of their raw SFC64 words, each word being 64 fair coins,
-    all drawn before the binomials of the other rows; ``layout`` is
-    ``_popcount_layout(n_arr)``, built here when not given.  ``first_only``
-    stops the chain after its first step and returns the first atom's
-    counts alone, as a 1-D array.
+    all drawn before the binomials of the other rows and summed per group
+    of one word count; ``layout`` is ``_popcount_layout(n_arr)``, built here
+    when not given.  ``first_only`` stops the chain after its first step and
+    returns the first atom's counts alone, as a 1-D array.
     """
     k = len(probs)
     remaining = np.asarray(n_arr, dtype=np.int64)
@@ -166,12 +193,23 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
                 layout = _popcount_layout(remaining)
             words = gen.bit_generator.random_raw(len(layout.mask))
             words &= layout.mask
-            # popcounts as float64 in the words' own memory: bincount would
-            # convert uint8 weights into a fresh buffer, page-faulted in on
-            # every call; float64 sums of at most _POP_MAX bits are exact
-            ones = np.bitwise_count(words, out=words.view(np.float64))
-            c = np.bincount(layout.owner, weights=ones,
-                            minlength=len(remaining)).astype(np.int64)
+            ones = np.bitwise_count(words)
+            c = np.empty(len(remaining), dtype=np.int64)
+            if layout.words is None:
+                sums = c
+            else:
+                ones = ones[layout.words]
+                sums = np.empty(len(layout.shells), dtype=np.int64)
+            # each group's words as (shells, k): its k columns summed in
+            # int64, since a shell's count reaches _POP_MAX and uint8 wraps
+            for k, i0, i1, w0 in layout.groups:
+                g = ones[w0:w0 + k * (i1 - i0)].reshape(-1, k)
+                out = sums[i0:i1]
+                np.copyto(out, g[:, 0])
+                for j in range(1, k):
+                    out += g[:, j]
+            if layout.shells is not None:
+                c[layout.shells] = sums
             if len(layout.large):
                 c[layout.large] = gen.binomial(remaining[layout.large], p)
         else:
@@ -271,13 +309,16 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
             sum2 = counts @ r2 if with_w else None
         else:
             ends = np.cumsum(s_int)
+            # every chunk is drawn into one buffer: a chunk holds at most
+            # _DRAW_CHUNK draws or a single shell
+            buf = np.empty(int(min(ends[-1], max(_DRAW_CHUNK, s_int.max()))))
             sum1, sum2 = [], []
             i0 = 0
             while i0 < len(s_int):
                 base = ends[i0] - s_int[i0]
                 i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
                 # r = 1/(E - lam v), then r^2, formed in the sample's buffer
-                r = sample(dist, gen, size=int(ends[i1 - 1] - base))
+                r = sample(dist, gen, out=buf[:int(ends[i1 - 1] - base)])
                 r = r.astype(np.result_type(r, E), copy=False)
                 np.multiply(r, -lam, out=r)
                 r += E
@@ -369,25 +410,29 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             A[:] = energies
             if with_w:
                 W[:] = 1.0
-            yield n0, n1, A, W
-            continue
-        layout = _popcount_layout(sizes) if dist.is_discrete else None
-        means = _mean_tables(sizes, tables, widths, with_w) if widths else {}
-        for j0, j1, cplx in tiles:
-            # a real tile stages real means, in the real part of a complex buffer
-            m1 = (stage1 if cplx else stage1.real)[:j1 - j0, :n1 - n0]
-            m2 = (stage2 if cplx else stage2.real)[:j1 - j0, :n1 - n0] if with_w else None
-            for j in range(j0, j1):
-                E, cell, trial = columns[j]
-                _shell_stats_block(dist, E, lam, sizes, seed_stream(seed, domain, cell, trial, b),
-                                   with_w=with_w, layout=layout, tables=tables.get(E),
-                                   means=means.get(E),
-                                   out=(m1[j - j0], m2[j - j0] if with_w else None), first=n0)
-            np.divide(1.0, m1.T, out=A[:, j0:j1])
-            if with_w:
-                np.multiply(m1, m1, out=m1)
-                np.divide(m2.T, m1.T, out=W[:, j0:j1])
+        else:
+            layout = _popcount_layout(sizes) if dist.is_discrete else None
+            means = _mean_tables(sizes, tables, widths, with_w) if widths else {}
+            for j0, j1, cplx in tiles:
+                # a real tile stages real means, in the real part of a complex buffer
+                m1 = (stage1 if cplx else stage1.real)[:j1 - j0, :n1 - n0]
+                m2 = (stage2 if cplx else stage2.real)[:j1 - j0, :n1 - n0] if with_w else None
+                for j in range(j0, j1):
+                    E, cell, trial = columns[j]
+                    _shell_stats_block(dist, E, lam, sizes,
+                                       seed_stream(seed, domain, cell, trial, b),
+                                       with_w=with_w, layout=layout, tables=tables.get(E),
+                                       means=means.get(E),
+                                       out=(m1[j - j0], m2[j - j0] if with_w else None),
+                                       first=n0)
+                np.divide(1.0, m1.T, out=A[:, j0:j1])
+                if with_w:
+                    np.multiply(m1, m1, out=m1)
+                    np.divide(m2.T, m1.T, out=W[:, j0:j1])
         yield n0, n1, A, W
+        # a caller that drops its own references lets the block be freed
+        # before the next one is allocated
+        A = W = None
 
 
 def _rescale_stride(a_abs_max):
@@ -550,6 +595,12 @@ class _FoldReplay:
             self._fold_segments(g)
             self.u[cols], self.p[cols], self.exps[cols] = X[-1, 0], X[-1, 1], E[-1]
             self._groups.append(g)
+
+    def release(self) -> None:
+        """Drop the last fold's segments, which hold its block; a caller that
+        also drops its own reference frees the block before the next one is
+        drawn."""
+        self._groups = []
 
     def _fold_segments(self, g: _Segments) -> None:
         """Form the products of the segments of g and fold them in order onto
@@ -793,6 +844,8 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
         c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
         if c1 > c0:
             scan.log_radius(cps[c0:c1] - n0, ck, sk, cp_logr[c0:c1])
+        del A
+        scan.release()
     return [TrajectoryRecord(E=E, lam=lam, N=N, trial=int(trial), ns=cps, sum_inv=cp_suminv,
                              log_r=cp_logr[:, t].copy())
             for t, trial in enumerate(trial_ids)]
@@ -1043,6 +1096,8 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
         scan.fold(A)
         if n1 >= w0:
             acc += scan.window_sum(max(w0 - n0, 1))
+        del A
+        scan.release()
     count = N - max(w0, 1) + 1   # the shells w0 <= n <= N
     vals = (acc / count).reshape(len(energies), trials)
     return vals.mean(axis=1)

@@ -138,15 +138,32 @@ class PotentialDistribution:
         return [(lam * self.v_minus, lam * self.v_plus)]
 
 
-def sample(dist: PotentialDistribution, rng: np.random.Generator, size=None):
-    """Draw from the law; a scalar for ``size=None``, else an ndarray."""
+def sample(dist: PotentialDistribution, rng: np.random.Generator, size=None, out=None):
+    """Draw from the law; a scalar for ``size=None``, else an ndarray.
+
+    ``out``, a C-contiguous float64 array whose shape stands for ``size``,
+    receives the draws and is returned.  The uniform law fills it in place
+    as -1 + 2u from the stream's doubles u in [0, 1): 2u is exact, so these
+    are ``rng.uniform(-1, 1)``'s draws bit for bit, without its temporary.
+    """
+    if out is not None:
+        size = out.shape
     if dist.kind == "uniform":
-        return rng.uniform(-1.0, 1.0, size=size)
+        if out is None:
+            return rng.uniform(-1.0, 1.0, size=size)
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
+        return out
     if dist.kind == "triangular":
-        return rng.triangular(-1.0, 0.0, 1.0, size=size)
-    values = np.array([v for v, _ in dist.atoms])
-    weights = np.array([w for _, w in dist.atoms])
-    out = rng.choice(values, size=size, p=weights)
+        draws = rng.triangular(-1.0, 0.0, 1.0, size=size)
+    else:
+        values = np.array([v for v, _ in dist.atoms])
+        weights = np.array([w for _, w in dist.atoms])
+        draws = rng.choice(values, size=size, p=weights)
+    if out is None:
+        return draws
+    out[...] = draws
     return out
 
 

@@ -78,6 +78,24 @@ def test_triangular_sample_variance():
     assert draws.min() >= -1.0 and draws.max() <= 1.0
 
 
+@pytest.mark.parametrize("size", [1, 1001, 2 ** 20])
+def test_uniform_draws_into_out_equal_numpy_uniform(size):
+    # -1 + 2u formed in place is numpy's uniform(-1, 1) bit for bit, and it
+    # leaves the stream where numpy's draw does
+    gen, ref = seed_stream(29, size), seed_stream(29, size)
+    out = np.empty(size)
+    assert sample(UNI, gen, out=out) is out
+    assert out.tobytes() == ref.uniform(-1.0, 1.0, size).tobytes()
+    assert gen.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("dist", [BERN, UNI, TRI], ids=["bernoulli", "uniform", "triangular"])
+def test_every_law_fills_out_with_its_sized_draws(dist):
+    out = np.empty(37)
+    assert sample(dist, seed_stream(31, 0), out=out) is out
+    assert out.tobytes() == sample(dist, seed_stream(31, 0), size=37).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inverse moments
 # ---------------------------------------------------------------------------
