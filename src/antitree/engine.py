@@ -46,7 +46,10 @@ solutions are extracted by backward propagation, stable because the
 forward-decaying direction dominates in reverse; weighted-norm extremes over
 all solution directions come from a rank-one updated Cholesky factor of the
 2x2 Gram matrix, whose determinant is a product of diagonals and therefore
-immune to the cancellation that makes the raw min/max hopeless at depth.
+immune to the cancellation that makes the raw min/max hopeless at depth.  A
+block's segment factors are summed onto the running factor by a log-depth
+prefix scan (Blelloch 1990), and the backward pass's weighted sums between
+checkpoints are closed at all cuts of a block at once.
 """
 
 from __future__ import annotations
@@ -200,14 +203,21 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
             else:
                 ones = ones[layout.words]
                 sums = np.empty(len(layout.shells), dtype=np.int64)
-            # each group's words as (shells, k): its k columns summed in
+            # each group's words as (shells, k): its columns added in pairs
+            # in uint8 (a pair counts at most 128 ones), the pair sums into
             # int64, since a shell's count reaches _POP_MAX and uint8 wraps
+            pair = np.empty(len(sums), dtype=np.uint8)
             for k, i0, i1, w0 in layout.groups:
                 g = ones[w0:w0 + k * (i1 - i0)].reshape(-1, k)
-                out = sums[i0:i1]
-                np.copyto(out, g[:, 0])
-                for j in range(1, k):
-                    out += g[:, j]
+                out, two = sums[i0:i1], pair[:i1 - i0]
+                if k == 1:
+                    np.copyto(out, g[:, 0])
+                else:
+                    np.add(g[:, 0], g[:, 1], out=out)
+                for j in range(2, k - 1, 2):
+                    out += np.add(g[:, j], g[:, j + 1], out=two)
+                if k > 1 and k % 2:
+                    out += g[:, k - 1]
             if layout.shells is not None:
                 c[layout.shells] = sums
             if len(layout.large):
@@ -246,15 +256,11 @@ def _mean_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) ->
     E of ``tables`` (``_atom_tables`` of a two-atom law) whose table has no
     more rows than the block has shells times ``widths[E]``, the columns at
     E; so the tables take no more memory than the block itself.
-
-    Only blocks of two or more shells take tables: numpy's matmul forms a
-    one-row product with a dot, not the gemv of the longer ones, and the two
-    can round differently.
     """
     sizes_u, inverse = np.unique(sizes, return_inverse=True)
     rows = sizes_u + 1
     nrows = int(rows.sum())
-    fits = [E for E in tables if len(sizes) > 1 and nrows <= len(sizes) * widths[E]]
+    fits = [E for E in tables if nrows <= len(sizes) * widths[E]]
     if not fits:
         return {}
     first = np.cumsum(rows) - rows
@@ -305,8 +311,12 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     else:
         if dist.is_discrete:
             counts = _multinomial_counts(gen, s_int, probs, layout=layout)
-            sum1 = counts @ r1
-            sum2 = counts @ r2 if with_w else None
+            # numpy forms a one-row product with a dot, which can round
+            # differently from the gemv of longer blocks: a lone shell is
+            # padded to two rows
+            rows = np.vstack([counts, counts]) if len(counts) == 1 else counts
+            sum1 = (rows @ r1)[:len(counts)]
+            sum2 = (rows @ r2)[:len(counts)] if with_w else None
         else:
             ends = np.cumsum(s_int)
             # every chunk is drawn into one buffer: a chunk holds at most
@@ -534,7 +544,10 @@ class _FoldReplay:
     it needs from its start state in one pass, with the per-shell loop's own
     steps: ``log_radius`` at checkpoints, ``window_sum`` over the density
     window, ``weighted_sums`` between checkpoints (the backward subordinacy
-    pass) and ``gram`` (the weighted Gram factor of pairs of columns).
+    pass) and ``gram`` (the weighted Gram factor of pairs of columns).  The
+    last two combine the segments' own sums without a loop over segments:
+    ``_cut_logs`` adds each cut's segment sums at once, and ``_fold_scan``
+    folds the segments' Gram factors in a prefix scan of log depth.
 
     The seed c = cos k keeps the fold as accurate as the per-shell loop near
     band edges: there the raw pair lies close to (cos k, 1) while the seed
@@ -681,8 +694,11 @@ class _FoldReplay:
         before, and W is shaped like the folded block.  After each of the
         increasing shells ``cuts`` (1-based within the block) write
         log(acc) + 2 acc_exp ln 2 into the rows of ``out`` and restart the sum
-        at zero.  Each segment sums its terms in shell order; the segments'
-        sums are added in order, in the units of the later segment."""
+        at zero.  Each segment sums its terms in shell order, split at its
+        cuts; ``_cut_logs`` then adds, for every cut at once, the segment
+        sums since the previous cut in order, in the units of the cut's
+        segment, with the same roundings as adding them one segment at a
+        time."""
         for g in self._groups:
             ng = len(g.cols)
             segs = np.arange(g.nseg)
@@ -698,21 +714,10 @@ class _FoldReplay:
                     k, r = hit
                     pieces[k] = tails[r]
                     tails[r] = 0.0
-            first = np.searchsorted((cuts - 1) // g.stride, np.arange(g.nseg + 1))
-            total, total_exp = acc[g.cols], acc_exp[g.cols]
-            logs = np.empty((len(cuts), ng))
-            with np.errstate(divide="ignore"):
-                for s in range(g.nseg):
-                    e = g.start_exp[s]
-                    total = np.ldexp(total, 2 * (total_exp - e))
-                    total_exp = e
-                    for k in range(first[s], first[s + 1]):
-                        total += pieces[k]
-                        logs[k] = np.log(total) + 2.0 * e * LN2
-                        total[:] = 0.0
-                    total += tails[s]
+            logs, acc[g.cols], acc_exp[g.cols] = _cut_logs(
+                pieces, tails, g.start_exp[:g.nseg], (cuts - 1) // g.stride,
+                acc[g.cols], acc_exp[g.cols])
             out[:, g.cols] = logs
-            acc[g.cols], acc_exp[g.cols] = total, total_exp
 
     def gram(self, W: np.ndarray, shells: np.ndarray, factor: np.ndarray,
              factor_exp: np.ndarray, out_dom: np.ndarray, out_grid: np.ndarray) -> None:
@@ -727,19 +732,27 @@ class _FoldReplay:
 
         A replay of every segment forms its own factor by per-shell rank-one
         updates in the segment's units, recording it at the read shells.
-        The segment factors then fold in order onto the running factor by
-        ``_fold_factor``, and a read combines the running factor at its
-        segment's start with the recorded partial factor the same way.
+        ``_fold_scan`` then forms the running factor at every segment start,
+        and after the block, as prefix folds of [running factor, segment
+        factors] in ceil(log2(segments + 1)) levels of ``_fold_factor``, and
+        a read combines the running factor at its segment's start with the
+        recorded partial factor the same way.  The scan associates the sums
+        differently from folding the segments one by one, which moves the
+        reads by about one rounding of the trace.
         """
         for g in self._groups:
             h = len(g.cols) // 2
             trials = g.cols[:h]
-            # u and v of a trial are rescaled apart: the segments' units are
-            # the larger of their exponents
+            # the scan's items: the running factor, then each segment's own
+            # factor, built in place; u and v of a trial are rescaled apart,
+            # so the segments' units are the larger of their exponents
             E0 = g.start_exp[:g.nseg]
             seg_exp = np.maximum(E0[:, :h], E0[:, h:])
             scale = np.ldexp(1.0, E0 - np.hstack([seg_exp, seg_exp]))
-            local = np.zeros((3, g.nseg, h))
+            items = np.zeros((3, g.nseg + 1, h))
+            items_exp = np.vstack([factor_exp[trials], seg_exp])
+            items[:, 0] = factor[:, trials]
+            local = items[:, 1:]
             partial = np.empty((3, len(shells), h))
             segs = np.arange(g.nseg)
             at = g.offsets(segs, shells)
@@ -751,18 +764,13 @@ class _FoldReplay:
                 if (hit := at.get(i + 1)) is not None:
                     k, r = hit
                     partial[:, k] = local[:, r]
-            run, run_exp = factor[:, trials], factor_exp[trials]
-            start = np.empty((g.nseg, 3, h))
-            start_exp = np.empty((g.nseg, h), dtype=np.int64)
-            for s in range(g.nseg):
-                start[s], start_exp[s] = run, run_exp
-                run = _fold_factor(run, local[:, s], np.ldexp(1.0, seg_exp[s] - run_exp))
-                _rescale_where(list(run), run_exp)
-            factor[:, trials], factor_exp[trials] = run, run_exp
+            # prefix[:, s] is the running factor at the start of segment s
+            prefix, prefix_exp = _fold_scan(items, items_exp)
+            factor[:, trials], factor_exp[trials] = prefix[:, -1], prefix_exp[-1]
             if len(shells):
                 seg = (shells - 1) // g.stride
-                read_exp = start_exp[seg]
-                read = _fold_factor(np.moveaxis(start[seg], 1, 0), partial,
+                read_exp = prefix_exp[seg]
+                read = _fold_factor(prefix[:, seg], partial,
                                     np.ldexp(1.0, seg_exp[seg] - read_exp))
                 _rescale_where(list(read), read_exp)
                 dom, grid = _gram_logs(read, read_exp)
@@ -918,9 +926,12 @@ def _chol_rank1_update(l11, l21, l22, x1, x2):
     r = np.hypot(l11, x1)
     # before any update l11 = 0 and the first vector has x1 != 0; afterwards
     # l11 > 0, so r > 0 except for all-zero updates, which are no-ops
-    safe = r > 0.0
-    cg = np.divide(l11, r, out=np.ones_like(r), where=safe)
-    sg = np.divide(x1, r, out=np.zeros_like(r), where=safe)
+    if np.min(r, initial=math.inf) > 0.0:
+        cg, sg = l11 / r, x1 / r
+    else:
+        safe = r > 0.0
+        cg = np.divide(l11, r, out=np.ones_like(r), where=safe)
+        sg = np.divide(x1, r, out=np.zeros_like(r), where=safe)
     l21n = cg * l21 + sg * x2
     x2n = cg * x2 - sg * l21
     return r, l21n, np.hypot(l22, x2n)
@@ -953,6 +964,61 @@ def _gram_logs(factor, exp):
         vals = q1 * q1 + q2 * q2
         return (np.log(half_tr + disc) + 2.0 * exp * LN2,
                 np.log(vals.min(axis=0)) - np.log(vals.max(axis=0)))
+
+
+def _fold_scan(items, exps):
+    """Inclusive prefix folds of the Gram factors ``items`` (3, n, columns),
+    item j in units 2^exps[j]: entry j of the result is the lower factor of
+    the sum of L L^T 4^e over the items 0..j.  A Hillis-Steele doubling scan
+    (Blelloch 1990) in ceil(log2 n) levels: at distance d = 1, 2, 4, ...
+    every item j >= d takes in item j - d by ``_fold_factor``, both brought
+    to the larger of their exponents by scales <= 1, and each level ends
+    with one ``_rescale_where``.  The levels alternate between the inputs,
+    which they overwrite, and one pair of buffers shaped like them."""
+    n = items.shape[1]
+    src, src_exp, dst, dst_exp = items, exps, np.empty_like(items), np.empty_like(exps)
+    d = 1
+    while d < n:
+        dst[:, :d], dst_exp[:d] = src[:, :d], src_exp[:d]
+        e = np.maximum(src_exp[:-d], src_exp[d:], out=dst_exp[d:])
+        dst[0, d:], dst[1, d:], dst[2, d:] = _fold_factor(
+            np.ldexp(src[:, :-d], src_exp[:-d] - e), src[:, d:], np.ldexp(1.0, src_exp[d:] - e))
+        _rescale_where(list(dst[:, d:]), e)
+        src, src_exp, dst, dst_exp = dst, dst_exp, src, src_exp
+        d *= 2
+    return src, src_exp
+
+
+def _cut_logs(pieces, tails, seg_exp, cseg, acc, acc_exp):
+    """Close the running sums of positive terms at the increasing cuts of
+    one block of segments, per column.
+
+    Segment s holds its terms in units 2^(2 seg_exp[s]); cut k, in segment
+    ``cseg[k]``, closes its sum with ``pieces[k]``, the segment's terms since
+    the previous cut or the segment start, and ``tails[s]`` holds segment
+    s's terms after its last cut.  The open sum ``acc`` (units
+    2^(2 acc_exp)) precedes the block.  Returns log(sum) + 2 e ln 2 at each
+    cut, e its segment's exponent, and the new open sum with its exponent,
+    those of the last segment.
+
+    Each of the items [acc, tails[0], ...] goes to the first cut at or after
+    it, or to the open sum after the last cut, and is brought to the units
+    of that cut's segment by one ldexp; ``np.bincount`` adds each cut's
+    items in item order, and the cut's piece is added last.  Scaling by a
+    power of two commutes with rounding outside the subnormal range, so the
+    sums equal those of adding the segments in order, each rescaled to the
+    next segment's units.
+    """
+    nseg, ng = tails.shape
+    units = seg_exp[np.append(cseg, nseg - 1)]                 # per cut, then the open sum
+    owner = np.searchsorted(cseg, np.arange(nseg + 1))         # the cut of each item
+    items = np.vstack([acc, tails])
+    np.ldexp(items, 2 * (np.vstack([acc_exp, seg_exp]) - units[owner]), out=items)
+    flat = (owner[:, None] * ng + np.arange(ng)).ravel()
+    sums = np.bincount(flat, items.ravel(), minlength=len(units) * ng).reshape(-1, ng)
+    with np.errstate(divide="ignore"):
+        logs = np.log(sums[:-1] + pieces) + 2.0 * units[:-1] * LN2
+    return logs, sums[-1], units[-1]
 
 
 def _rescale_where(arrays, exps):

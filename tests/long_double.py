@@ -111,3 +111,21 @@ def m_function(A, beta):
             u, u_prev, v, v_prev = (np.ldexp(x, -e) for x in (u, u_prev, v, v_prev))
     beta = np.longdouble(beta)
     return (beta * v_prev + v) / (beta * u_prev + u)
+
+
+def gram_prefix_sums(items, exps):
+    """Entries (g11, g12, g22) of the Gram matrices sum_{i <= j} L_i L_i^T
+    4^exps[i] for the lower factors ``items`` (3, n, columns), as
+    (3, n, columns) long doubles in units 4^to, and ``to``, the running
+    maximum of ``exps``."""
+    to = np.maximum.accumulate(exps, axis=0)
+    l11, l21, l22 = items.astype(np.longdouble)
+    G = np.array([l11 * l11, l11 * l21, l21 * l21 + l22 * l22])
+    out = np.empty_like(G)
+    total = np.zeros(G[:, 0].shape, dtype=np.longdouble)
+    for j in range(len(exps)):
+        prev = to[j - 1] if j else to[0]
+        total = (total * np.ldexp(np.longdouble(1), 2 * (prev - to[j]))
+                 + G[:, j] * np.ldexp(np.longdouble(1), 2 * (exps[j] - to[j])))
+        out[:, j] = total
+    return out, to

@@ -5,7 +5,8 @@ These are the independent forms of the same dynamics, stepped one shell at a
 time in Python floats: the harmonic entry and shell-vector norm of explicit
 potentials, the polar (Pruefer) recursion and its step matrix, the
 determinant drift of a product in QR form, the fold of two Gram factors by
-two rank-one updates, and the per-shell complex loop of the truncated
+two rank-one updates, the segment-by-segment folds of the Gram pass and of
+the backward sums, and the per-shell complex loop of the truncated
 m-function.  The shell entries of a block are also formed one column at a
 time from the same draws, without the sampler's mean tables and tiles.  The
 inverse moments of the continuous laws, which ``potentials`` takes from
@@ -23,6 +24,7 @@ from scipy import integrate
 
 from antitree.engine import (
     BLOCK,
+    LN2,
     _chol_rank1_update,
     _rescale_stride,
     _rescale_where,
@@ -205,6 +207,44 @@ def fold_factor(factor, other, scale):
     l11, l21, l22 = _chol_rank1_update(factor[0], factor[1], factor[2],
                                        scale * other[0], scale * other[1])
     return _chol_rank1_update(l11, l21, l22, np.zeros_like(l11), scale * other[2])
+
+
+def gram_fold_per_segment(run, run_exp, local, seg_exp):
+    """The running Gram factor ``run`` (3, columns) in units 2^run_exp
+    folded with the segment factors ``local`` (3, segments, columns), segment
+    s in units 2^seg_exp[s], one segment after the other: each folds onto the
+    running factor in the running factor's units, which ``_rescale_where``
+    then updates.  Returns the factor at each segment start (3, segments,
+    columns) and its exponents, then the final factor and its exponent."""
+    start = np.empty(local.shape)
+    start_exp = np.empty(seg_exp.shape, dtype=np.int64)
+    run, run_exp = np.array(run, dtype=np.float64), np.array(run_exp, dtype=np.int64)
+    for s in range(local.shape[1]):
+        start[:, s], start_exp[s] = run, run_exp
+        run = np.array(fold_factor(run, local[:, s], np.ldexp(1.0, seg_exp[s] - run_exp)))
+        _rescale_where(list(run), run_exp)
+    return start, start_exp, run, run_exp
+
+
+def cut_logs_per_segment(pieces, tails, seg_exp, cseg, acc, acc_exp):
+    """``engine._cut_logs`` one segment after the other: the open sum is
+    rescaled to each segment's units in turn, takes in the pieces of the
+    segment's cuts, each cut writing its log and restarting the sum at zero,
+    and then the segment's tail."""
+    first = np.searchsorted(cseg, np.arange(len(tails) + 1))
+    total, total_exp = np.array(acc, dtype=np.float64), np.array(acc_exp, dtype=np.int64)
+    logs = np.empty(pieces.shape)
+    with np.errstate(divide="ignore"):
+        for s in range(len(tails)):
+            e = seg_exp[s]
+            total = np.ldexp(total, 2 * (total_exp - e))
+            total_exp = e
+            for k in range(first[s], first[s + 1]):
+                total += pieces[k]
+                logs[k] = np.log(total) + 2.0 * e * LN2
+                total[:] = 0.0
+            total += tails[s]
+    return logs, total, total_exp
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ from antitree.streams import (
 import long_double
 from reference import (
     PrueferState,
+    cut_logs_per_segment,
     fold_factor,
+    gram_fold_per_segment,
     harmonic_a,
     m_function_per_shell,
     pruefer_step,
@@ -553,6 +555,91 @@ def test_fold_factor_matches_two_rank_one_updates(pairs):
     assert np.array_equal((got[1] + 0.0).view(np.int64), bits[4])
 
 
+def _gram_in_units(factor, exp, to, dtype=np.float64):
+    """Entries (g11, g12, g22) of L L^T 4^(exp - to) for the factors L
+    (3, ...) in units 2^exp, formed in ``dtype``."""
+    l11, l21, l22 = np.ldexp(factor.astype(dtype), exp - to)
+    return np.array([l11 * l11, l11 * l21, l21 * l21 + l22 * l22])
+
+
+def _top_eigenvalue(g):
+    return 0.5 * (g[0] + g[2]) + np.sqrt((0.5 * (g[0] - g[2])) ** 2 + g[1] * g[1])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(nseg=st.integers(1, 600), h=st.integers(1, 3), gap=st.integers(0, 600),
+       zero=st.sampled_from(["none", "running", "all"]), seed=st.integers(0, 2 ** 32 - 1))
+@example(nseg=1, h=1, gap=0, zero="all", seed=0)
+@example(nseg=600, h=2, gap=600, zero="running", seed=1)
+@example(nseg=550, h=3, gap=0, zero="none", seed=2)
+def test_fold_scan_matches_the_segment_by_segment_fold(nseg, h, gap, zero, seed):
+    # lower factors with entries of 2^-20 .. 2^20 in their units, the
+    # segments' exponents rising by up to ``gap`` from one to the next; the
+    # running factor, or every factor, all zeros
+    rng = np.random.default_rng(seed)
+    items = rng.standard_normal((3, nseg + 1, h)) * np.ldexp(1.0, rng.integers(-20, 21,
+                                                                               (nseg + 1, h)))
+    items[[0, 2]] = np.abs(items[[0, 2]])
+    if zero != "none":
+        items[:, :1 if zero == "running" else None] = 0.0
+    exps = np.cumsum(rng.integers(0, gap + 1, (nseg + 1, h)), axis=0) + rng.integers(-50, 50, h)
+    got, got_exp = eng._fold_scan(items.copy(), exps.copy())
+    if zero == "all":
+        # the reference scales the next factor to a zero running factor's
+        # units, by 2^(seg_exp - run_exp), which overflows once the
+        # exponents have risen by 1024
+        assert not got.any()
+        return
+    start, start_exp, run, run_exp = gram_fold_per_segment(items[:, 0], exps[0], items[:, 1:],
+                                                           exps[1:])
+    ref = np.concatenate([start, run[:, None]], axis=1)
+    ref_exp = np.vstack([start_exp, run_exp])
+    eps = np.finfo(float).eps
+    # measured against long-double sums, the segment-by-segment fold drifts
+    # by up to 21 eps of the trace over many comparable items and the scan
+    # by up to 7, so the two may differ by about their sum
+    to = np.maximum(got_exp, ref_exp)
+    G, R = _gram_in_units(got, got_exp, to), _gram_in_units(ref, ref_exp, to)
+    assert (np.abs(G - R) <= 32 * eps * (R[0] + R[2])).all()
+    top = _top_eigenvalue(R)
+    assert (np.abs(_top_eigenvalue(G) - top) <= 1e-14 * top).all()
+    if long_double.EXTENDED:
+        X, to = long_double.gram_prefix_sums(items, exps)
+        G = _gram_in_units(got, got_exp, to, np.longdouble)
+        assert (np.abs(G - X) <= 8 * eps * (X[0] + X[2])).all()
+        top = _top_eigenvalue(X)
+        assert (np.abs(_top_eigenvalue(G) - top) <= 2e-15 * top).all()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(nseg=st.integers(1, 600), ng=st.integers(1, 3),
+       cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12),
+       gap=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+@example(nseg=40, ng=2, cuts=[], gap=300, seed=0)                     # no cut in the block
+@example(nseg=40, ng=2, cuts=[0.5, 0.51, 0.52, 0.53], gap=200, seed=1)  # cuts in one segment
+@example(nseg=40, ng=1, cuts=[0.0, 0.0, 0.99, 0.999], gap=1, seed=2)  # the first and last one
+@example(nseg=1, ng=3, cuts=[0.0, 0.0], gap=0, seed=3)
+def test_cut_logs_match_the_segment_by_segment_sums(nseg, ng, cuts, gap, seed):
+    # positive pieces and tails of 2^-40 .. 2^40 in their segments' units,
+    # the exponents rising by up to ``gap`` per segment; a segment with a cut
+    # may end on it and hold no tail
+    rng = np.random.default_rng(seed)
+    cseg = np.sort(np.array(cuts, dtype=float) * nseg).astype(np.int64)
+
+    def terms(n):
+        return rng.uniform(1.0, 2.0, (n, ng)) * np.ldexp(1.0, rng.integers(-40, 41, (n, ng)))
+
+    pieces, tails = terms(len(cseg)), terms(nseg)
+    tails[cseg[rng.uniform(size=len(cseg)) < 0.3]] = 0.0
+    seg_exp = np.cumsum(rng.integers(0, gap + 1, (nseg, ng)), axis=0)
+    acc = terms(1)[0] * (rng.uniform() < 0.8)
+    acc_exp = seg_exp[0] - rng.integers(0, gap + 1, ng)
+    got = eng._cut_logs(pieces, tails, seg_exp, cseg, acc, acc_exp)
+    ref = cut_logs_per_segment(pieces, tails, seg_exp, cseg, acc, acc_exp)
+    for x, y in zip(got, ref, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def test_fold_replay_scratch_is_bounded_by_the_block():
     # |a| up to 1e4 folds in segments of 8 shells: the buffers grow on the
     # first block to 12 values per segment and column, and never again
@@ -721,7 +808,6 @@ SAMPLER_CASES = {
     "triangular": (TRI, LAW15, 3000, [2.0] * 17, False, False, False),
     "custom-past-the-table-bound": (BERN, GrowthLaw.from_sizes(np.arange(1, 1201)), 1200,
                                     [2.0] * 3, True, False, False),
-    # the last block has one shell, whose product numpy forms by a dot
     "one-shell-block": (BERN, GrowthLaw.from_sizes(np.resize([5, 7, 9], eng.BLOCK + 1)),
                         eng.BLOCK + 1, [2.3] * 11, True, False, True),
     "per-column-energies": (BERN, LAW15, eng.BLOCK + 808, [2.0 + 0.01 * j for j in range(19)],
@@ -775,11 +861,10 @@ def test_table_path_raises_at_the_same_singular_shell():
     assert errors[0] == errors[1]
 
 
-@pytest.mark.xfail(strict=True, reason="a block of one shell forms counts @ r1 by numpy's "
-                   "one-row matmul, a dot that rounds differently from the gemv of longer blocks")
 def test_a_shells_entry_does_not_depend_on_the_shell_count():
     # shell 8192 is alone in the last block at N = 8193 and the first of two
-    # at N = 8194; its entry differs by one ulp in 17 of these 64 columns
+    # at N = 8194; a one-row matmul would form it by a dot, which rounds
+    # differently from the gemv of longer blocks in 17 of these 64 columns
     law = GrowthLaw.uniform_power(1.5, 1.0)
     columns = [(2.3, 0, t) for t in range(64)]
     entries = [list(eng._shell_blocks(BERN, law, 1.0, N, columns, 7, DOMAIN_TRAJECTORY))[-1][2][0]
