@@ -9,9 +9,9 @@ the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
 steps this raw pair, rescaled by exact powers of two, through one
 fold-and-replay kernel (``_FoldReplay``): per block, each column's rescale
 stride comes from its entries, ``stride`` vectorized steps form each
-segment's two solutions, a fold over the segments carries the state and
-rescales at every segment end, and each read replays the segments it needs
-from their start states in one pass.  The forward, density, backward
+segment's two solutions, a log-depth prefix scan of the segment maps writes
+every segment's start state at once, and each read replays the segments it
+needs from their start states in one pass.  The forward, density, backward
 subordinacy and Gram passes differ only in their reads; the backward pass is
 the forward step on reversed entries, and the m-function folds its complex
 fundamental pair and reads the final state.  With x = (a - h)/sin k and
@@ -47,14 +47,15 @@ forward-decaying direction dominates in reverse; weighted-norm extremes over
 all solution directions come from a rank-one updated Cholesky factor of the
 2x2 Gram matrix, whose determinant is a product of diagonals and therefore
 immune to the cancellation that makes the raw min/max hopeless at depth.  A
-block's segment factors are summed onto the running factor by a log-depth
-prefix scan (Blelloch 1990), and the backward pass's weighted sums between
-checkpoints are closed at all cuts of a block at once.
+block's segment maps and segment factors are combined by one Hillis-Steele
+prefix scan driver (Blelloch 1990), and the backward pass's weighted sums
+between checkpoints are closed at all cuts of a block at once.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,6 +105,8 @@ _POP_MAX = 512
 # columns of a block whose shell means are staged together before A and W are
 # written: 16 rows of a block's means fill 1 MiB
 _TILE = 16
+# rows of the fold's work space per segment and column (see _FoldReplay._reserve)
+_WORK_ROWS = 13
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +484,19 @@ class _Segments:
 
     ``start`` (segments + 1, 2, columns) holds the pair (u, p) at each
     segment start and ``start_exp`` its exponents, written by the fold;
-    ``work``, viewed as (8, segments, columns), is the kernel's scratch space.
+    ``work``, viewed as (_WORK_ROWS, segments, columns), and ``work_exp``,
+    viewed as (2, segments, columns), are the kernel's scratch space.
     """
 
-    def __init__(self, A, stride, cols, start, start_exp, work):
+    def __init__(self, A, stride, cols, start, start_exp, work, work_exp):
         self.A, self.stride, self.cols = A, stride, cols
         self.nseg = -(-len(A) // stride)
         self.steps = min(stride, len(A))                 # length of the longest segment
         self.last = len(A) - (self.nseg - 1) * stride    # length of the last segment
         self.start, self.start_exp = start, start_exp
-        self.work = work[:8 * self.nseg * len(cols)].reshape(8, self.nseg, len(cols))
+        shape = (self.nseg, len(cols))
+        self.work = work[:_WORK_ROWS * shape[0] * shape[1]].reshape(_WORK_ROWS, *shape)
+        self.work_exp = work_exp[:2 * shape[0] * shape[1]].reshape(2, *shape)
 
     def replay(self, segs, steps, W=None):
         """Step the segments ``segs`` (increasing indices) from their start
@@ -537,10 +543,12 @@ class _FoldReplay:
     divide the block; columns of one stride go together, gathered with
     np.take, and A is used as it is (copied only if strided) when they all
     share it.  The fold forms the segments' two solutions seeded (1, 0) and
-    (c, 1) in ``stride`` steps vectorized over (segments x columns), then
-    folds the segments in order onto the state, (u, p) = (u - c p) (1, 0) +
-    p (c, 1), keeping each segment's start state and rescaling with
-    ``_rescale_where`` at each segment end.  Each read replays every segment
+    (c, 1) in ``stride`` steps vectorized over (segments x columns); a state
+    (u, p) = (u - c p) (1, 0) + p (c, 1) has the coordinates y = (u - c p, p)
+    in that seed basis.  A prefix scan of the segment maps in y, in
+    ceil(log2(segments - 1)) levels, then writes every segment's start state
+    at once and rescales them with one ``_rescale_where``
+    (``_fold_segments``).  Each read replays every segment
     it needs from its start state in one pass, with the per-shell loop's own
     steps: ``log_radius`` at checkpoints, ``window_sum`` over the density
     window, ``weighted_sums`` between checkpoints (the backward subordinacy
@@ -553,7 +561,7 @@ class _FoldReplay:
     band edges: there the raw pair lies close to (cos k, 1) while the seed
     (0, 1) grows linearly across a segment, and the product seeded (1, 0),
     (0, 1) misses the cancellation of the pair by up to 1/sin k.  The start
-    states and the work arrays, 12 values per segment and column, are
+    states and the work arrays, 18 values per segment and column, are
     allocated with the instance for a block at _MAX_STRIDE and grow only
     when a smaller stride needs more, so they are bounded by the block and
     never grow with the shell count.  They are complex when c is (the
@@ -575,16 +583,19 @@ class _FoldReplay:
 
     def _reserve(self, size: int) -> None:
         """Hold ``size`` (segments + 1) x columns, summed over the groups.
-        Work rows: the fold's leapfrog pair of both segment solutions and its
-        product, or the replay's pairs, gathered entries and product, then the
-        gathered weights or the window's scale, and three accumulators or
-        temporaries.  Each group views a prefix of the work buffers."""
+        Work rows: the fold's leapfrog pair of both segment solutions, which
+        end as the segment maps, its product, then the scan's two buffers of
+        four entries of a 2x2 map and the product of its combine step; or the
+        replay's pairs, gathered entries and product, then the gathered
+        weights or the window's scale, and three accumulators or temporaries.
+        The two exponent rows are the scan's, or the window scale's.  Each
+        group views a prefix of the work buffers."""
         if size > self._cap:
             self._cap = size
             self._start = np.empty(2 * size, dtype=self.u.dtype)   # (u, p) at segment starts
             self._start_exp = np.empty(size, dtype=np.int64)
-            self._work = np.empty(8 * size, dtype=self.u.dtype)
-            self._scale_exp = np.empty(size, dtype=np.int64)
+            self._work = np.empty(_WORK_ROWS * size, dtype=self.u.dtype)
+            self._work_exp = np.empty(2 * size, dtype=np.int64)
 
     def fold(self, A: np.ndarray) -> None:
         """Advance the state across the block A (shells x columns), each
@@ -601,7 +612,8 @@ class _FoldReplay:
             Ag = np.ascontiguousarray(A) if len(groups) == 1 else np.take(A, cols, axis=1)
             g = _Segments(Ag, stride, cols,
                           self._start[2 * at:2 * (at + size)].reshape(-1, 2, len(cols)),
-                          self._start_exp[at:at + size].reshape(-1, len(cols)), self._work)
+                          self._start_exp[at:at + size].reshape(-1, len(cols)), self._work,
+                          self._work_exp)
             at += size
             X, E = g.start, g.start_exp
             X[0, 0], X[0, 1], E[0] = self.u[cols], self.p[cols], self.exps[cols]
@@ -616,8 +628,18 @@ class _FoldReplay:
         self._groups = []
 
     def _fold_segments(self, g: _Segments) -> None:
-        """Form the products of the segments of g and fold them in order onto
-        its first start state."""
+        """Form the maps of the segments of g and write every start state
+        from the first one.
+
+        ``stride`` steps vectorized over (segments x columns) form each
+        segment's map M, whose columns are its two solutions seeded (1, 0)
+        and (c, 1).  In the coordinates y = (u - c p, p) of that seed basis
+        a segment maps y to y' by T = ((1, -c), (0, 1)) M, and the state
+        after segment j is X[j+1] = M_j y_j with y_j = T_{j-1} ... T_0 y_0.
+        ``_scan`` forms those products of T_0 .. T_{nseg-2} in
+        ceil(log2(nseg - 1)) levels, every (segment, column) carrying its own
+        exponent; then every start state is written at once and rescaled by
+        one ``_rescale_where``.  Each step acts on one column alone."""
         stride, nseg, steps = g.stride, g.nseg, g.steps
         # [parity][seed][segment][column]
         bufs = g.work[:4].reshape(2, 2, nseg, -1)
@@ -638,16 +660,35 @@ class _FoldReplay:
         # M[row, seed]: row 0 the segment's last entries, row 1 the ones before
         M = bufs[::-1] if steps % 2 == 0 else bufs
         X, E = g.start, g.start_exp
-        w = tmp.reshape(-1)[:X[0].size].reshape(2, -1)   # contiguous, for fast small ufuncs
-        alpha = w[0]   # the coefficient u - c p of the seed (1, 0)
-        for j in range(nseg):
-            np.multiply(self.c, X[j, 1], out=alpha)
-            np.subtract(X[j, 0], alpha, out=alpha)
-            np.multiply(M[:, 0, j], alpha, out=X[j + 1])
-            np.multiply(M[:, 1, j], X[j, 1], out=w)
-            X[j + 1] += w
-            E[j + 1] = E[j]
-            _rescale_where([X[j + 1, 0], X[j + 1, 1]], E[j + 1])
+        t = g.work[12]
+        n = nseg - 1    # the maps before the last segment's
+        # the maps T as entries (00, 01, 10, 11), scanned into their products P
+        T = g.work[4:8, :n]
+        P, P_exp = T, g.work_exp[0, :n]
+        if n:
+            for s in (0, 1):
+                np.multiply(self.c, M[1, s, :n], out=T[s])
+                np.subtract(M[0, s, :n], T[s], out=T[s])
+                T[2 + s] = M[1, s, :n]
+            P_exp[:] = 0
+            P, P_exp = _scan(T, P_exp, g.work[8:12, :n], g.work_exp[1, :n],
+                             functools.partial(_map_product, tmp=t))
+        # y_j = P_{j-1} y_0 in the other scan buffer, from y_0 = (u - c p, p)
+        Y = g.work[8:10] if P is T else g.work[4:6]
+        np.multiply(self.c, X[0, 1], out=Y[0, 0])
+        np.subtract(X[0, 0], Y[0, 0], out=Y[0, 0])
+        Y[1, 0] = X[0, 1]
+        for r in (0, 1):
+            np.multiply(P[2 * r], Y[0, 0], out=Y[r, 1:])
+            np.multiply(P[2 * r + 1], Y[1, 0], out=t[:n])
+            Y[r, 1:] += t[:n]
+        E[1] = E[0]
+        np.add(P_exp, E[0], out=E[2:])
+        for r in (0, 1):
+            np.multiply(M[r, 0], Y[0], out=X[1:, r])
+            np.multiply(M[r, 1], Y[1], out=t)
+            X[1:, r] += t
+        _rescale_where([X[1:, 0], X[1:, 1]], E[1:])
 
     def log_radius(self, shells: np.ndarray, ck: float, sk: float, out: np.ndarray) -> None:
         """Write log hypot(u - ck p, sk p) + exps ln 2 at the increasing shells
@@ -670,8 +711,8 @@ class _FoldReplay:
             j0 = (first - 1) // g.stride
             skip = first - 1 - j0 * g.stride   # shells of segment j0 before the window
             segs = np.arange(j0, g.nseg)
-            scale, acc, t1, t2 = (buf[:len(segs)] for buf in g.work[4:])
-            scale_exp = self._scale_exp[:scale.size].reshape(scale.shape)
+            scale, acc, t1, t2 = (buf[:len(segs)] for buf in g.work[4:8])
+            scale_exp = g.work_exp[0, :len(segs)]
             np.multiply(g.start_exp[j0:g.nseg], -2, out=scale_exp)
             np.ldexp(1.0, scale_exp, out=scale)
             acc[:] = 0.0
@@ -966,27 +1007,56 @@ def _gram_logs(factor, exp):
                 np.log(vals.min(axis=0)) - np.log(vals.max(axis=0)))
 
 
-def _fold_scan(items, exps):
-    """Inclusive prefix folds of the Gram factors ``items`` (3, n, columns),
-    item j in units 2^exps[j]: entry j of the result is the lower factor of
-    the sum of L L^T 4^e over the items 0..j.  A Hillis-Steele doubling scan
+def _scan(items, exps, spare, spare_exp, combine):
+    """Inclusive prefix combinations of ``items`` (k, n, columns), item j in
+    units 2^exps[j], along their second axis.  A Hillis-Steele doubling scan
     (Blelloch 1990) in ceil(log2 n) levels: at distance d = 1, 2, 4, ...
-    every item j >= d takes in item j - d by ``_fold_factor``, both brought
-    to the larger of their exponents by scales <= 1, and each level ends
-    with one ``_rescale_where``.  The levels alternate between the inputs,
-    which they overwrite, and one pair of buffers shaped like them."""
+    every item j >= d takes in item j - d by ``combine(a, a_exp, b, b_exp,
+    out, out_exp)``, which writes the combination of the later items a with
+    the earlier ones b into out, in units 2^out_exp, and each level ends
+    with one ``_rescale_where``.  The levels alternate between the items,
+    which they overwrite, and ``spare`` and ``spare_exp``, shaped like them;
+    the pair that holds the result is returned."""
     n = items.shape[1]
-    src, src_exp, dst, dst_exp = items, exps, np.empty_like(items), np.empty_like(exps)
+    src, src_exp, dst, dst_exp = items, exps, spare, spare_exp
     d = 1
     while d < n:
         dst[:, :d], dst_exp[:d] = src[:, :d], src_exp[:d]
-        e = np.maximum(src_exp[:-d], src_exp[d:], out=dst_exp[d:])
-        dst[0, d:], dst[1, d:], dst[2, d:] = _fold_factor(
-            np.ldexp(src[:, :-d], src_exp[:-d] - e), src[:, d:], np.ldexp(1.0, src_exp[d:] - e))
-        _rescale_where(list(dst[:, d:]), e)
+        combine(src[:, d:], src_exp[d:], src[:, :-d], src_exp[:-d], dst[:, d:], dst_exp[d:])
+        _rescale_where(list(dst[:, d:]), dst_exp[d:])
         src, src_exp, dst, dst_exp = dst, dst_exp, src, src_exp
         d *= 2
     return src, src_exp
+
+
+def _map_product(a, a_exp, b, b_exp, out, out_exp, *, tmp):
+    """``_scan``'s combine step for 2x2 maps given by their entries (00, 01,
+    10, 11) along the first axis: out = a b, whose exponents add; ``tmp``
+    holds a row of partial products."""
+    t = tmp[:a.shape[1]]
+    for r in (0, 1):
+        for s in (0, 1):
+            np.multiply(a[2 * r], b[s], out=out[2 * r + s])
+            np.multiply(a[2 * r + 1], b[2 + s], out=t)
+            out[2 * r + s] += t
+    np.add(a_exp, b_exp, out=out_exp)
+
+
+def _factor_fold(a, a_exp, b, b_exp, out, out_exp):
+    """``_scan``'s combine step for lower Gram factors (l11, l21, l22): the
+    factor of the sum of both Gram matrices, by ``_fold_factor``, with both
+    brought to the larger of their exponents by scales <= 1."""
+    e = np.maximum(b_exp, a_exp, out=out_exp)
+    out[0], out[1], out[2] = _fold_factor(np.ldexp(b, b_exp - e), a, np.ldexp(1.0, a_exp - e))
+
+
+def _fold_scan(items, exps):
+    """Inclusive prefix folds of the Gram factors ``items`` (3, n, columns),
+    item j in units 2^exps[j]: entry j of the result is the lower factor of
+    the sum of L L^T 4^e over the items 0..j, by ``_scan`` with
+    ``_factor_fold``, in place of the inputs and one pair of buffers shaped
+    like them."""
+    return _scan(items, exps, np.empty_like(items), np.empty_like(exps), _factor_fold)
 
 
 def _cut_logs(pieces, tails, seg_exp, cseg, acc, acc_exp):
@@ -1023,7 +1093,12 @@ def _cut_logs(pieces, tails, seg_exp, cseg, acc, acc_exp):
 
 def _rescale_where(arrays, exps):
     """Divide each column by 2^e where its magnitude exponent e exceeds
-    RESCALE_EXP; accumulate e into ``exps`` (int64, modified in place)."""
+    RESCALE_EXP; accumulate e into ``exps`` (int64, modified in place).
+    Real arrays are first checked by their extremes, without a temporary."""
+    if not np.iscomplexobj(arrays[0]) and all(
+            arr.max(initial=0.0) < _RESCALE_AT and arr.min(initial=0.0) > -_RESCALE_AT
+            for arr in arrays):
+        return exps
     m = np.abs(arrays[0])
     for arr in arrays[1:]:
         np.maximum(m, np.abs(arr), out=m)

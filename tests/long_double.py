@@ -129,3 +129,38 @@ def gram_prefix_sums(items, exps):
                  + G[:, j] * np.ldexp(np.longdouble(1), 2 * (exps[j] - to[j])))
         out[:, j] = total
     return out, to
+
+
+def fold_segments(A, stride, c, u, p, exps):
+    """The state (u, p) * 2^exps stepped through the entries A (shells x
+    columns, real or complex) one segment of ``stride`` shells after the
+    other: each segment's map is formed from its seeds (1, 0) and (c, 1) and
+    applied to the state's coefficients (u - c p, p), and the state is
+    rescaled by a power of two at each segment end.  Returns the states at
+    the segment starts and after the last segment (segments + 1, 2, columns)
+    and their exponents, as ``engine._FoldReplay`` keeps them."""
+    L, ncol = A.shape
+    nseg = -(-L // stride)
+    A = A.astype(np.clongdouble if np.iscomplexobj(A) else np.longdouble)
+    c = A.dtype.type(c)
+    # the maps of all segments at once, the short last one padded by steps
+    # that it skips
+    cur = np.zeros((2, nseg, ncol), dtype=A.dtype)
+    prev = np.zeros_like(cur)
+    cur[0], cur[1], prev[1] = 1, c, 1
+    for i in range(min(stride, L)):
+        rows = np.arange(nseg) * stride + i
+        live = rows < L
+        a = A[rows[live]]
+        cur[:, live], prev[:, live] = a * cur[:, live] - prev[:, live], cur[:, live]
+    X = np.empty((nseg + 1, 2, ncol), dtype=A.dtype)
+    E = np.empty((nseg + 1, ncol), dtype=np.int64)
+    X[0, 0], X[0, 1], E[0] = u, p, exps
+    for j in range(nseg):
+        y0, y1 = X[j, 0] - c * X[j, 1], X[j, 1]
+        X[j + 1, 0] = cur[0, j] * y0 + cur[1, j] * y1
+        X[j + 1, 1] = prev[0, j] * y0 + prev[1, j] * y1
+        _, e = np.frexp(np.abs(X[j + 1]).max(axis=0))
+        X[j + 1] *= np.ldexp(np.longdouble(1), -e)
+        E[j + 1] = E[j] + e
+    return X, E

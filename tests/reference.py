@@ -4,14 +4,15 @@ The library steps transfer matrices only through ``engine._FoldReplay``.
 These are the independent forms of the same dynamics, stepped one shell at a
 time in Python floats: the harmonic entry and shell-vector norm of explicit
 potentials, the polar (Pruefer) recursion and its step matrix, the
-determinant drift of a product in QR form, the fold of two Gram factors by
-two rank-one updates, the segment-by-segment folds of the Gram pass and of
-the backward sums, and the per-shell complex loop of the truncated
-m-function.  The shell entries of a block are also formed one column at a
-time from the same draws, without the sampler's mean tables and tiles.  The
-inverse moments of the continuous laws, which ``potentials`` takes from
-closed forms, are also computed here by adaptive quadrature of the laws'
-densities.
+determinant drift of a product in QR form, the segment maps of a block and
+their fold onto the state one segment after the other, the fold of two Gram
+factors by two rank-one updates, the segment-by-segment folds of the Gram
+pass and of the backward sums, and the per-shell complex loop of the
+truncated m-function.  The shell entries of a block are also formed one
+column at a time from the same draws, without the sampler's mean tables and
+tiles.  The inverse moments of the continuous laws, which ``potentials``
+takes from closed forms, are also computed here by adaptive quadrature of
+the laws' densities.
 """
 
 from __future__ import annotations
@@ -194,6 +195,53 @@ def wronskian_drift(k: float, n_steps: int, seed: int) -> float:
             q01, q11 = -sg, cg
         done += mlen
     return worst
+
+
+# ---------------------------------------------------------------------------
+# segment maps and the state fold
+# ---------------------------------------------------------------------------
+
+def segment_maps(A, stride: int, c) -> np.ndarray:
+    """M[row, seed, segment, column] for the entries A (shells x columns) cut
+    into segments of ``stride`` shells, the last one shorter when the stride
+    does not divide the block: the two solutions seeded (1, 0) and (c, 1),
+    stepped one shell at a time through each segment; row 0 holds their last
+    entries and row 1 the ones before."""
+    L, ncol = A.shape
+    nseg = -(-L // stride)
+    dtype = np.result_type(A, c)
+    M = np.empty((2, 2, nseg, ncol), dtype=dtype)
+    for j in range(nseg):
+        cur = np.array([np.ones(ncol), np.full(ncol, c)], dtype=dtype)
+        prev = np.array([np.zeros(ncol), np.ones(ncol)], dtype=dtype)
+        for a in A[j * stride:(j + 1) * stride]:
+            cur, prev = a * cur - prev, cur
+        M[0, :, j], M[1, :, j] = cur, prev
+    return M
+
+
+def fold_segments_per_segment(M, c, u, p, exps):
+    """The state (u, p) * 2^exps folded through the segment maps M (as from
+    ``segment_maps``) one segment after the other: the state's coefficients
+    (u - c p, p) in the seed basis multiply the segment's solutions, and
+    ``_rescale_where`` rescales at each segment end.  Returns the state at
+    every segment start and after the last one (segments + 1, 2, columns)
+    and its exponents (segments + 1, columns)."""
+    nseg = M.shape[2]
+    X = np.empty((nseg + 1, 2, len(u)), dtype=M.dtype)
+    E = np.empty((nseg + 1, len(u)), dtype=np.int64)
+    X[0, 0], X[0, 1], E[0] = u, p, exps
+    w = np.empty_like(X[0])
+    alpha = w[0]   # the coefficient u - c p of the seed (1, 0)
+    for j in range(nseg):
+        np.multiply(c, X[j, 1], out=alpha)
+        np.subtract(X[j, 0], alpha, out=alpha)
+        np.multiply(M[:, 0, j], alpha, out=X[j + 1])
+        np.multiply(M[:, 1, j], X[j, 1], out=w)
+        X[j + 1] += w
+        E[j + 1] = E[j]
+        _rescale_where([X[j + 1, 0], X[j + 1, 1]], E[j + 1])
+    return X, E
 
 
 # ---------------------------------------------------------------------------
