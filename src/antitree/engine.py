@@ -47,9 +47,9 @@ forward-decaying direction dominates in reverse; weighted-norm extremes over
 all solution directions come from a rank-one updated Cholesky factor of the
 2x2 Gram matrix, whose determinant is a product of diagonals and therefore
 immune to the cancellation that makes the raw min/max hopeless at depth.  A
-block's segment maps and segment factors are combined by one Hillis-Steele
-prefix scan driver (Blelloch 1990), and the backward pass's weighted sums
-between checkpoints are closed at all cuts of a block at once.
+block's segment maps and segment factors are combined by one shared
+Hillis-Steele prefix scan (Blelloch 1990), and the backward pass's weighted
+sums between checkpoints are closed at all cuts of a block at once.
 """
 
 from __future__ import annotations
@@ -485,7 +485,7 @@ class _Segments:
     ``start`` (segments + 1, 2, columns) holds the pair (u, p) at each
     segment start and ``start_exp`` its exponents, written by the fold;
     ``work``, viewed as (_WORK_ROWS, segments, columns), and ``work_exp``,
-    viewed as (2, segments, columns), are the kernel's scratch space.
+    viewed as (2, segments, columns), are the kernel's work space.
     """
 
     def __init__(self, A, stride, cols, start, start_exp, work, work_exp):
