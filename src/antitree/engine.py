@@ -232,8 +232,7 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
         cols.append(c)
         remaining = remaining - c
         rem_p -= probs[i]
-    counts = np.stack(cols + [remaining], axis=1)
-    return counts[:, 0] if first_only else counts
+    return np.stack(cols + [remaining], axis=1)
 
 
 @dataclass(frozen=True)
@@ -352,20 +351,6 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     return mean1, mean2
 
 
-def _tiles(columns) -> list[tuple[int, int, bool]]:
-    """``(j0, j1, complex)`` for runs of at most _TILE consecutive columns
-    whose energies are all complex or all real.  A real column of a complex
-    block is written as its real 1/m, whose imaginary part is +0, where a
-    complex division would give 1/m a signed zero."""
-    out = []
-    j0 = 0
-    for cplx, run in itertools.groupby(np.iscomplexobj(E) for E, _, _ in columns):
-        j1 = j0 + len(list(run))
-        out += [(j, min(j + _TILE, j1), cplx) for j in range(j0, j1, _TILE)]
-        j0 = j1
-    return out
-
-
 def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
                   columns, seed: int, domain: int, *, reverse: bool = False,
                   with_w: bool = False):
@@ -379,15 +364,16 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     blocks last to first.  W holds the squared shell-vector norms
     a^2 * mean(1/(E - lam*v)^2) when ``with_w`` is set and is None
     otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
-    complex when an energy is (the m-function's spectral parameter z).
-    Raises SizeLimitError before drawing when a continuous-law column would
-    exceed _DRAW_BUDGET draws or one shell _DRAW_CHUNK.
+    complex when the energies are (the m-function's spectral parameter z);
+    one call's energies are all real or all complex.  Raises SizeLimitError
+    before drawing when a continuous-law column would exceed _DRAW_BUDGET
+    draws or one shell _DRAW_CHUNK.
 
     Each column's means come from one _shell_stats_block call, from the
     block's _MeanTable at its energy when a two-atom law's table fits
     (_mean_tables).  The means of a tile of up to _TILE columns are staged
-    as contiguous rows, and 1/m and m2/m^2 are written into A and W once
-    per tile rather than one strided column at a time.
+    as contiguous rows of A's dtype, and 1/m and m2/m^2 are written into A
+    and W once per tile rather than one strided column at a time.
     """
     if lam != 0.0 and not dist.is_discrete:
         total = largest = 0.0
@@ -411,7 +397,6 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         shape = (min(_TILE, len(columns)), min(BLOCK, N))
         stage1 = np.empty(shape, dtype=dtype)
         stage2 = np.empty(shape, dtype=dtype) if with_w else None
-        tiles = _tiles(columns)
     nblocks = (N + BLOCK - 1) // BLOCK
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
         n0 = b * BLOCK
@@ -426,10 +411,10 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         else:
             layout = _popcount_layout(sizes) if dist.is_discrete else None
             means = _mean_tables(sizes, tables, widths, with_w) if widths else {}
-            for j0, j1, cplx in tiles:
-                # a real tile stages real means, in the real part of a complex buffer
-                m1 = (stage1 if cplx else stage1.real)[:j1 - j0, :n1 - n0]
-                m2 = (stage2 if cplx else stage2.real)[:j1 - j0, :n1 - n0] if with_w else None
+            for j0 in range(0, len(columns), _TILE):
+                j1 = min(j0 + _TILE, len(columns))
+                m1 = stage1[:j1 - j0, :n1 - n0]
+                m2 = stage2[:j1 - j0, :n1 - n0] if with_w else None
                 for j in range(j0, j1):
                     E, cell, trial = columns[j]
                     _shell_stats_block(dist, E, lam, sizes,
@@ -820,8 +805,14 @@ class _FoldReplay:
 
 def _whole_count(value, least: int = 1, what: str = "N") -> int:
     """A count such as N as an int, integral floats included; DomainError
-    (reason ``what``) unless it is a whole number >= ``least``."""
-    if isinstance(value, bool) or not (math.isfinite(value) and value == int(value) >= least):
+    (reason ``what``) unless it is a whole number >= ``least``, non-numbers
+    and integers too large for a float included."""
+    try:
+        whole = (not isinstance(value, bool) and math.isfinite(value)
+                 and value == int(value) >= least)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
         raise DomainError(f"need a whole count {what} >= {least}, got {value!r}", reason=what)
     return int(value)
 

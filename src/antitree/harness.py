@@ -85,12 +85,8 @@ def _require(cfg: dict, key: str):
 def build_distribution(block: dict) -> PotentialDistribution:
     try:
         kind = _require(block, "kind")
-        if kind == "bernoulli":
-            return PotentialDistribution.bernoulli()
-        if kind == "uniform":
-            return PotentialDistribution.uniform()
-        if kind == "triangular":
-            return PotentialDistribution.triangular()
+        if kind in ("bernoulli", "uniform", "triangular"):
+            return getattr(PotentialDistribution, kind)()
         if kind == "discrete":
             return PotentialDistribution.discrete(_require(block, "atoms"))
     except (AntitreeError, ValueError, TypeError) as exc:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,32 +53,39 @@ _BISECT_TOL_J = 1e-8
 # distributions
 # ---------------------------------------------------------------------------
 
+# variance of the continuous laws, whose support is [-1, 1]
+_CONTINUOUS_VARIANCE = {"uniform": 1.0 / 3.0, "triangular": 1.0 / 6.0}
+_DISCRETE_KINDS = ("bernoulli", "discrete")
+
+
 @dataclass(frozen=True)
 class PotentialDistribution:
     """A single-site law: two-point, uniform, triangular or finite discrete.
 
-    ``atoms`` is the (value, weight) table for discrete kinds; the
-    continuous kinds are known by name and have closed-form inverse moments.
+    ``atoms`` is the (value, weight) table of the discrete kinds and is
+    empty for the continuous kinds, which are known by name and have
+    closed-form inverse moments.  The support edges ``v_minus`` and
+    ``v_plus`` and the variance ``sigma2`` are derived, not given: from the
+    atoms for the discrete kinds, and for the continuous kinds from the
+    kind (support [-1, 1], variance 1/3 uniform or 1/6 triangular).
     """
 
     kind: str
-    v_minus: float
-    v_plus: float
-    sigma2: float
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("bernoulli", "uniform", "triangular", "discrete"):
+        if self.kind not in (*_DISCRETE_KINDS, *_CONTINUOUS_VARIANCE):
             raise DistributionError(f"unknown distribution kind {self.kind!r}")
+        if self.is_discrete != bool(self.atoms):
+            raise DistributionError(f"a {self.kind} law needs atoms" if self.is_discrete
+                                    else f"a {self.kind} law takes no atoms")
         if not (-1.0 <= self.v_minus < 0.0 < self.v_plus <= 1.0):
             raise DistributionError(
                 f"support [{self.v_minus}, {self.v_plus}] must straddle 0 inside [-1, 1]"
             )
         if not (0.0 < self.sigma2 <= 1.0):
             raise DistributionError(f"variance {self.sigma2} outside (0, 1]")
-        if self.kind in ("bernoulli", "discrete"):
-            if not self.atoms:
-                raise DistributionError("discrete law needs atoms")
+        if self.is_discrete:
             w = math.fsum(wt for _, wt in self.atoms)
             if abs(w - 1.0) > _ATOL_WEIGHTS:
                 raise DistributionError(f"atom weights sum to {w}, not 1")
@@ -94,41 +102,44 @@ class PotentialDistribution:
     @staticmethod
     def bernoulli() -> "PotentialDistribution":
         """Symmetric two-point law on {-1, +1}."""
-        return PotentialDistribution(
-            kind="bernoulli", v_minus=-1.0, v_plus=1.0, sigma2=1.0,
-            atoms=((-1.0, 0.5), (1.0, 0.5)),
-        )
+        return PotentialDistribution("bernoulli", ((-1.0, 0.5), (1.0, 0.5)))
 
     @staticmethod
     def uniform() -> "PotentialDistribution":
         """Uniform law on [-1, 1], variance 1/3."""
-        return PotentialDistribution(
-            kind="uniform", v_minus=-1.0, v_plus=1.0, sigma2=1.0 / 3.0,
-        )
+        return PotentialDistribution("uniform")
 
     @staticmethod
     def triangular() -> "PotentialDistribution":
         """Symmetric triangular law with density 1 - |v| on [-1, 1], variance 1/6."""
-        return PotentialDistribution(
-            kind="triangular", v_minus=-1.0, v_plus=1.0, sigma2=1.0 / 6.0,
-        )
+        return PotentialDistribution("triangular")
 
     @staticmethod
     def discrete(atoms) -> "PotentialDistribution":
         """Finite mean-zero law from a (value, weight) table."""
-        atoms = tuple((float(v), float(w)) for v, w in atoms)
-        values = [v for v, _ in atoms]
-        var = math.fsum(v * v * w for v, w in atoms)
-        return PotentialDistribution(
-            kind="discrete", v_minus=min(values), v_plus=max(values),
-            sigma2=var, atoms=atoms,
-        )
+        return PotentialDistribution("discrete", tuple((float(v), float(w)) for v, w in atoms))
 
-    # -- helpers -----------------------------------------------------------
+    # -- derived values ----------------------------------------------------
+    # cached on the instance: the window bisections read the edges of one
+    # law thousands of times per call
 
-    @property
+    @cached_property
     def is_discrete(self) -> bool:
-        return self.kind in ("bernoulli", "discrete")
+        return self.kind in _DISCRETE_KINDS
+
+    @cached_property
+    def v_minus(self) -> float:
+        return min(v for v, _ in self.atoms) if self.is_discrete else -1.0
+
+    @cached_property
+    def v_plus(self) -> float:
+        return max(v for v, _ in self.atoms) if self.is_discrete else 1.0
+
+    @cached_property
+    def sigma2(self) -> float:
+        if self.is_discrete:
+            return math.fsum(v * v * w for v, w in self.atoms)
+        return _CONTINUOUS_VARIANCE[self.kind]
 
     def support_components(self, lam: float) -> list[tuple[float, float]]:
         """Connected components of lam * supp(law), as closed intervals."""

@@ -22,7 +22,6 @@ DOMAIN_SUBORDINACY = 2
 DOMAIN_DENSITY = 3
 DOMAIN_WEYL = 4
 DOMAIN_MOMENT = 5
-DOMAIN_DRIFT = 0xD
 
 
 def _stream_key(x) -> int:

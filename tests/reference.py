@@ -34,8 +34,9 @@ from antitree.engine import (
 )
 from antitree.errors import DegenerateDenominatorError, DomainError, SingularShellError
 from antitree.geometry import GrowthLaw
-from antitree.streams import DOMAIN_DRIFT, DOMAIN_WEYL, seed_stream
+from antitree.streams import DOMAIN_WEYL, seed_stream
 
+DOMAIN_DRIFT = 0xD     # stream domain of wronskian_drift, apart from the library's
 DRIFT_X_BOUND = 1.0    # shears of wronskian_drift are uniform in [-bound, bound]
 
 

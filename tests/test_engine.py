@@ -887,8 +887,9 @@ SAMPLER_CASES = {
                         eng.BLOCK + 1, [2.3] * 11, True, False, True),
     "per-column-energies": (BERN, LAW15, eng.BLOCK + 808, [2.0 + 0.01 * j for j in range(19)],
                             True, False, True),
-    "complex-z": (BERN, LAW15, eng.BLOCK + 808, [2.0 + 0.5j] * 5 + [2.0, 1.5 + 1.0j, 2.5] * 4,
-                  True, True, True),
+    # one call's energies are all complex, some of them on the real axis
+    "complex-z": (BERN, LAW15, eng.BLOCK + 808,
+                  [2.0 + 0.5j] * 5 + [2.0 + 0j, 1.5 + 1.0j, 2.5 + 0j] * 4, True, True, True),
     "bernoulli-one-column": (BERN, LAW15, 3000, [2.0], False, False, True),
     # word counts that fall and a large shell between small ones: the block's
     # popcounts are gathered into word-count groups and their sums scattered
@@ -1367,7 +1368,11 @@ def test_real_axis_m_function_matches_long_double_recomputation():
     assert abs(m - expected) <= 5e-13 * abs(expected)
 
 
-@pytest.mark.parametrize("N", [-1, -5, 10.5])
+# counts that are not numbers, or too large for a float, are typed errors too
+NOT_COUNTS = ["10", None, [3], pytest.param(10 ** 400, id="10**400")]
+
+
+@pytest.mark.parametrize("N", [-1, -5, 10.5, *NOT_COUNTS])
 def test_m_function_needs_a_whole_shell_count(N):
     with pytest.raises(DomainError):
         m_function(1j, N, 2.0)
@@ -1389,7 +1394,7 @@ SHELL_COUNT_DRIVERS = {
 @pytest.mark.parametrize("driver", sorted(SHELL_COUNT_DRIVERS))
 def test_shell_counts_are_whole_numbers(driver):
     call = SHELL_COUNT_DRIVERS[driver]
-    for N in (10.5, 1000.5, math.nan, math.inf, -3):
+    for N in (10.5, 1000.5, math.nan, math.inf, -3, "10", None, [3], 10 ** 400):
         with pytest.raises(DomainError) as err:
             call(N)
         assert err.value.reason == "N"
@@ -1403,7 +1408,7 @@ TRIAL_COUNT_DRIVERS = {
 }
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5, math.nan, True])
+@pytest.mark.parametrize("trials", [0, -1, 2.5, math.nan, True, *NOT_COUNTS])
 @pytest.mark.parametrize("driver", sorted(TRIAL_COUNT_DRIVERS))
 def test_trial_counts_are_whole_numbers(driver, trials):
     with pytest.raises(DomainError) as err:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from antitree import (
     DistributionError,
@@ -38,9 +40,10 @@ TRI = PotentialDistribution.triangular()
 # ---------------------------------------------------------------------------
 
 def test_builtin_laws_have_expected_parameters():
-    assert BERN.v_minus == -1.0 and BERN.v_plus == 1.0 and BERN.sigma2 == 1.0
-    assert UNI.sigma2 == pytest.approx(1.0 / 3.0)
-    assert TRI.sigma2 == pytest.approx(1.0 / 6.0)
+    # exact: the support [-1, 1] and the variances 1, 1/3 and 1/6
+    assert (BERN.v_minus, BERN.v_plus, BERN.sigma2) == (-1.0, 1.0, 1.0)
+    assert (UNI.v_minus, UNI.v_plus, UNI.sigma2) == (-1.0, 1.0, 1.0 / 3.0)
+    assert (TRI.v_minus, TRI.v_plus, TRI.sigma2) == (-1.0, 1.0, 1.0 / 6.0)
 
 
 def test_discrete_law_validation():
@@ -53,6 +56,56 @@ def test_discrete_law_validation():
         PotentialDistribution.discrete([(-1.0, 0.25), (1.0, 0.75)])  # mean != 0
     with pytest.raises(DistributionError):
         PotentialDistribution.discrete([(-2.0, 0.5), (2.0, 0.5)])  # outside [-1,1]
+
+
+def test_a_law_built_from_its_fields_reads_its_support_from_its_atoms():
+    # the support comes from the atoms: with the support [-1, 1] beside these
+    # atoms, I(1) would be empty and E = 0.8 would lie in a "gap", where the
+    # atoms give h = 0.4875
+    law = PotentialDistribution("discrete", ((-0.5, 0.5), (0.5, 0.5)))
+    assert law.v_minus == -0.5 and law.v_plus == 0.5 and law.sigma2 == 0.25
+    assert len(i_lambda(law, 1.0).intervals) == 2
+    assert effective_quantities(law, 0.8, 1.0).h == pytest.approx(0.4875, rel=1e-12)
+    assert law == PotentialDistribution.discrete([(-0.5, 0.5), (0.5, 0.5)])
+
+
+@st.composite
+def _mean_zero_atoms(draw):
+    """1-4 negative and 1-4 positive atoms in [-1, 1], weighted to mean zero."""
+    side = st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 1.0)), min_size=1,
+                    max_size=4)
+    neg, pos = draw(side), draw(side)
+    # mass p on the positive side balances the mean of the negative side
+    mean_neg = sum(v * w for v, w in neg) / sum(w for _, w in neg)
+    mean_pos = sum(v * w for v, w in pos) / sum(w for _, w in pos)
+    p = mean_neg / (mean_neg + mean_pos)
+    atoms = ([(-v, (1.0 - p) * w / sum(w for _, w in neg)) for v, w in neg]
+             + [(v, p * w / sum(w for _, w in pos)) for v, w in pos])
+    return draw(st.permutations(atoms))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(atoms=_mean_zero_atoms())
+def test_derived_support_and_variance_equal_the_constructor_formulas(atoms):
+    # bit for bit the support and variance formulas of the atom table
+    try:
+        law = PotentialDistribution.discrete(atoms)
+    except DistributionError:
+        assume(False)
+    values = [v for v, _ in atoms]
+    stored = (min(values), max(values), math.fsum(v * v * w for v, w in atoms))
+    assert [x.hex() for x in (law.v_minus, law.v_plus, law.sigma2)] == [x.hex() for x in stored]
+
+
+@pytest.mark.parametrize("kind, atoms", [
+    ("uniform", ((-1.0, 0.5), (1.0, 0.5))),
+    ("triangular", ((-0.5, 0.5), (0.5, 0.5))),
+    ("discrete", ()),
+    ("bernoulli", ()),
+])
+def test_atoms_belong_to_the_discrete_kinds_alone(kind, atoms):
+    with pytest.raises(DistributionError, match="atoms"):
+        PotentialDistribution(kind, atoms)
 
 
 # ---------------------------------------------------------------------------
