@@ -36,12 +36,12 @@ words of its stream, whose bits are fair coins.  The shells of one word
 count k form a group whose popcounts, viewed as (shells, k), are summed
 column by column; the groups and the one word and shell permutation that a
 block needs when its word counts decrease somewhere depend only on the sizes
-and are computed once per block.  A two-atom law's shell means depend only on
+and are computed once per block.  A two-atom law's shell entries depend only on
 the size s and the first-atom count c: per block and energy they are
 tabulated for every (s, c) of the block's sizes, while the table has no
 more entries than the block has shell x column pairs, and each column draws
-c alone and gathers its means.  The means of a tile of _TILE columns are
-staged contiguously and written into the block once per tile.  Subordinate
+c alone and gathers its entries.  The entries of a tile of _TILE columns are
+staged contiguously and copied into the block once per tile.  Subordinate
 solutions are extracted by backward propagation, stable because the
 forward-decaying direction dominates in reverse; weighted-norm extremes over
 all solution directions come from a rank-one updated Cholesky factor of the
@@ -102,8 +102,8 @@ _HOLD_BYTES = 1 << 25
 # host, between 640 and 768 draws, above which numpy's binomial (BTPE) is the
 # faster exact draw.
 _POP_MAX = 512
-# columns of a block whose shell means are staged together before A and W are
-# written: 16 rows of a block's means fill 1 MiB
+# columns of a block whose entries are staged together before A and W are
+# written: 16 rows of a block's entries fill 1 MiB
 _TILE = 16
 # rows of the fold's work space per segment and column (see _FoldReplay._reserve)
 _WORK_ROWS = 13
@@ -236,25 +236,27 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
 
 
 @dataclass(frozen=True)
-class _MeanTable:
-    """A two-atom law's shell means at one energy, for every pair (s, c) of
+class _EntryTable:
+    """A two-atom law's shell entries at one energy, for every pair (s, c) of
     a size s of a block and a first-atom count 0 <= c <= s.
 
-    A shell with c first atoms reads row ``start[shell] + c`` of ``m1``, the
-    mean of 1/(E - lam*v), and of ``m2``, the mean of 1/(E - lam*v)^2 (None
-    unless weights were asked for).  Each row is ``counts @ r / s`` on the
-    row's counts (c, s - c), as a per-shell computation forms it.
-    ``singular`` is set when some entry of ``m1`` vanishes.
+    A shell with c first atoms reads row ``start[shell] + c`` of ``a``, the
+    harmonic entry 1/m1, and of ``w``, the squared norm m2/(m1*m1) (None
+    unless weights were asked for), where m1 and m2 are the means of
+    1/(E - lam*v) and 1/(E - lam*v)^2, each formed as ``counts @ r / s`` on
+    the row's counts (c, s - c), as a per-shell computation forms it.
+    ``zero`` marks the rows whose m1 vanishes, whose entries are left 0; it
+    is None when there are none.
     """
 
     start: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray | None
-    singular: bool
+    a: np.ndarray
+    w: np.ndarray | None
+    zero: np.ndarray | None
 
 
-def _mean_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -> dict:
-    """``{E: _MeanTable}`` for one block of ``sizes`` (int64), for each energy
+def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -> dict:
+    """``{E: _EntryTable}`` for one block of ``sizes`` (int64), for each energy
     E of ``tables`` (``_atom_tables`` of a two-atom law) whose table has no
     more rows than the block has shells times ``widths[E]``, the columns at
     E; so the tables take no more memory than the block itself.
@@ -274,27 +276,34 @@ def _mean_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) ->
     for E in fits:
         _, r1, r2 = tables[E]
         m1 = counts @ r1 / s
-        out[E] = _MeanTable(start, m1, counts @ r2 / s if with_w else None,
-                            not m1.all())
+        nonzero = m1 != 0.0
+        a = np.divide(1.0, m1, out=np.zeros_like(m1), where=nonzero)
+        w = None
+        if with_w:
+            m2 = counts @ r2 / s
+            np.multiply(m1, m1, out=m1)
+            w = np.divide(m2, m1, out=np.zeros_like(m2), where=nonzero)
+        out[E] = _EntryTable(start, a, w, None if nonzero.all() else ~nonzero)
     return out
 
 
 def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
                        sizes: np.ndarray, gen: np.random.Generator, *,
                        with_w: bool = False, layout: _PopcountLayout | None = None,
-                       tables=None, means: _MeanTable | None = None, out=None,
+                       tables=None, entries: _EntryTable | None = None, out=None,
                        first: int = 0):
-    """Per-shell (mean of 1/(E-lam*v), mean of 1/(E-lam*v)^2) for one trial;
-    the second is formed only ``with_w`` and is None otherwise.  ``out``, a
-    pair of rows (the second None without weights), receives the means when
+    """Per-shell harmonic entries a = 1/m1 and, ``with_w``, squared norms
+    w = m2/(m1*m1) for one trial, m1 and m2 being the shell means of
+    1/(E-lam*v) and 1/(E-lam*v)^2; w is None without weights.  ``out``, a
+    pair of rows (the second None without weights), receives them when
     given.  A vanishing mean raises SingularShellError naming its shell,
     ``first`` being the index of the block's first one.
 
     Discrete laws reduce to multinomial atom counts (``layout`` is passed on
     to _multinomial_counts, ``tables`` is ``_atom_tables(dist, E, lam)``,
-    built here when not given).  With ``means``, the block's _MeanTable at
+    built here when not given).  With ``entries``, the block's _EntryTable at
     E, a two-atom law draws only the first atom's counts c and gathers each
-    shell's means at ``means.start + c``.  Continuous laws draw every
+    shell's entries at ``entries.start + c``.  Continuous laws draw every
     potential and segment-sum, in chunks of whole shells of at most
     _DRAW_CHUNK draws that continue one stream, so they reproduce one draw
     bit for bit (a split shell would be summed in a different order).
@@ -303,52 +312,60 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     out1, out2 = (None, None) if out is None else out
     if dist.is_discrete:
         probs, r1, r2 = _atom_tables(dist, E, lam) if tables is None else tables
-    singular = True
-    if means is not None:
-        idx = means.start + _multinomial_counts(gen, s_int, probs, layout=layout,
-                                                first_only=True)
-        mean1 = np.take(means.m1, idx, out=out1, mode="clip")
-        mean2 = np.take(means.m2, idx, out=out2, mode="clip") if with_w else None
-        singular = means.singular
+    if entries is not None:
+        idx = entries.start + _multinomial_counts(gen, s_int, probs, layout=layout,
+                                                  first_only=True)
+        if entries.zero is not None and entries.zero[idx].any():
+            _raise_singular(first, entries.zero[idx])
+        a = np.take(entries.a, idx, out=out1, mode="clip")
+        w = np.take(entries.w, idx, out=out2, mode="clip") if with_w else None
+        return a, w
+    if dist.is_discrete:
+        counts = _multinomial_counts(gen, s_int, probs, layout=layout)
+        # numpy forms a one-row product with a dot, which can round
+        # differently from the gemv of longer blocks: a lone shell is
+        # padded to two rows
+        rows = np.vstack([counts, counts]) if len(counts) == 1 else counts
+        sum1 = (rows @ r1)[:len(counts)]
+        sum2 = (rows @ r2)[:len(counts)] if with_w else None
     else:
-        if dist.is_discrete:
-            counts = _multinomial_counts(gen, s_int, probs, layout=layout)
-            # numpy forms a one-row product with a dot, which can round
-            # differently from the gemv of longer blocks: a lone shell is
-            # padded to two rows
-            rows = np.vstack([counts, counts]) if len(counts) == 1 else counts
-            sum1 = (rows @ r1)[:len(counts)]
-            sum2 = (rows @ r2)[:len(counts)] if with_w else None
-        else:
-            ends = np.cumsum(s_int)
-            # every chunk is drawn into one buffer: a chunk holds at most
-            # _DRAW_CHUNK draws or a single shell
-            buf = np.empty(int(min(ends[-1], max(_DRAW_CHUNK, s_int.max()))))
-            sum1, sum2 = [], []
-            i0 = 0
-            while i0 < len(s_int):
-                base = ends[i0] - s_int[i0]
-                i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
-                # r = 1/(E - lam v), then r^2, formed in the sample's buffer
-                r = sample(dist, gen, out=buf[:int(ends[i1 - 1] - base)])
-                r = r.astype(np.result_type(r, E), copy=False)
-                np.multiply(r, -lam, out=r)
-                r += E
-                np.divide(1.0, r, out=r)
-                starts = ends[i0:i1] - s_int[i0:i1] - base
-                sum1.append(np.add.reduceat(r, starts))
-                if with_w:
-                    np.multiply(r, r, out=r)
-                    sum2.append(np.add.reduceat(r, starts))
-                i0 = i1
-            sum1 = np.concatenate(sum1)
-            sum2 = np.concatenate(sum2) if with_w else None
-        mean1 = np.divide(sum1, sizes, out=out1)
-        mean2 = np.divide(sum2, sizes, out=out2) if with_w else None
-    if singular and (mean1 == 0.0).any():
-        shell = first + int(np.nonzero(mean1 == 0.0)[0][0])
-        raise SingularShellError(f"sampled shell {shell} has vanishing inverse mean", shell=shell)
-    return mean1, mean2
+        ends = np.cumsum(s_int)
+        # every chunk is drawn into one buffer: a chunk holds at most
+        # _DRAW_CHUNK draws or a single shell
+        buf = np.empty(int(min(ends[-1], max(_DRAW_CHUNK, s_int.max()))))
+        sum1, sum2 = [], []
+        i0 = 0
+        while i0 < len(s_int):
+            base = ends[i0] - s_int[i0]
+            i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
+            # r = 1/(E - lam v), then r^2, formed in the sample's buffer
+            r = sample(dist, gen, out=buf[:int(ends[i1 - 1] - base)])
+            r = r.astype(np.result_type(r, E), copy=False)
+            np.multiply(r, -lam, out=r)
+            r += E
+            np.divide(1.0, r, out=r)
+            starts = ends[i0:i1] - s_int[i0:i1] - base
+            sum1.append(np.add.reduceat(r, starts))
+            if with_w:
+                np.multiply(r, r, out=r)
+                sum2.append(np.add.reduceat(r, starts))
+            i0 = i1
+        sum1 = np.concatenate(sum1)
+        sum2 = np.concatenate(sum2) if with_w else None
+    m1 = np.divide(sum1, sizes, out=sum1)
+    if not m1.all():
+        _raise_singular(first, m1 == 0.0)
+    a = np.divide(1.0, m1, out=out1)
+    w = None
+    if with_w:
+        np.multiply(m1, m1, out=m1)
+        w = np.divide(np.divide(sum2, sizes, out=sum2), m1, out=out2)
+    return a, w
+
+
+def _raise_singular(first: int, zero: np.ndarray):
+    shell = first + int(np.flatnonzero(zero)[0])
+    raise SingularShellError(f"sampled shell {shell} has vanishing inverse mean", shell=shell)
 
 
 def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
@@ -369,11 +386,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     before drawing when a continuous-law column would exceed _DRAW_BUDGET
     draws or one shell _DRAW_CHUNK.
 
-    Each column's means come from one _shell_stats_block call, from the
-    block's _MeanTable at its energy when a two-atom law's table fits
-    (_mean_tables).  The means of a tile of up to _TILE columns are staged
-    as contiguous rows of A's dtype, and 1/m and m2/m^2 are written into A
-    and W once per tile rather than one strided column at a time.
+    Each column's entries come from one _shell_stats_block call, from the
+    block's _EntryTable at its energy when a two-atom law's table fits
+    (_entry_tables).  The entries of a tile of up to _TILE columns are staged
+    as contiguous rows of A's dtype and copied, transposed, into A and W once
+    per tile rather than one strided column at a time.
     """
     if lam != 0.0 and not dist.is_discrete:
         total = largest = 0.0
@@ -390,7 +407,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     # atom tables once per energy, not per column and block
     tables = ({E: _atom_tables(dist, E, lam) for E, _, _ in columns}
               if lam != 0.0 and dist.is_discrete else {})
-    # columns per energy, which bound its _MeanTable, for a two-atom law
+    # columns per energy, which bound its _EntryTable, for a two-atom law
     two_atoms = bool(tables) and len(dist.atoms) == 2
     widths = collections.Counter(E for E, _, _ in columns) if two_atoms else {}
     if lam != 0.0:
@@ -410,23 +427,22 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
                 W[:] = 1.0
         else:
             layout = _popcount_layout(sizes) if dist.is_discrete else None
-            means = _mean_tables(sizes, tables, widths, with_w) if widths else {}
+            entries = _entry_tables(sizes, tables, widths, with_w) if widths else {}
             for j0 in range(0, len(columns), _TILE):
                 j1 = min(j0 + _TILE, len(columns))
-                m1 = stage1[:j1 - j0, :n1 - n0]
-                m2 = stage2[:j1 - j0, :n1 - n0] if with_w else None
+                a = stage1[:j1 - j0, :n1 - n0]
+                w = stage2[:j1 - j0, :n1 - n0] if with_w else None
                 for j in range(j0, j1):
                     E, cell, trial = columns[j]
                     _shell_stats_block(dist, E, lam, sizes,
                                        seed_stream(seed, domain, cell, trial, b),
                                        with_w=with_w, layout=layout, tables=tables.get(E),
-                                       means=means.get(E),
-                                       out=(m1[j - j0], m2[j - j0] if with_w else None),
+                                       entries=entries.get(E),
+                                       out=(a[j - j0], w[j - j0] if with_w else None),
                                        first=n0)
-                np.divide(1.0, m1.T, out=A[:, j0:j1])
+                np.copyto(A[:, j0:j1], a.T)
                 if with_w:
-                    np.multiply(m1, m1, out=m1)
-                    np.divide(m2.T, m1.T, out=W[:, j0:j1])
+                    np.copyto(W[:, j0:j1], w.T)
         yield n0, n1, A, W
         # a caller that drops its own references lets the block be freed
         # before the next one is allocated

@@ -177,8 +177,7 @@ def _harmonic_means(dist: PotentialDistribution, E: float, lam: float, n: int,
     out = np.empty(trials)
     for t0 in range(0, trials, BLOCK):
         t1 = min(trials, t0 + BLOCK)
-        mean1, _ = _shell_stats_block(dist, E, lam, sizes[:t1 - t0], gen)
-        np.divide(1.0, mean1, out=out[t0:t1])
+        _shell_stats_block(dist, E, lam, sizes[:t1 - t0], gen, out=(out[t0:t1], None))
     return out
 
 

@@ -9,7 +9,7 @@ their fold onto the state one segment after the other, the fold of two Gram
 factors by two rank-one updates, the segment-by-segment folds of the Gram
 pass and of the backward sums, and the per-shell complex loop of the
 truncated m-function.  The shell entries of a block are also formed one
-column at a time from the same draws, without the sampler's mean tables and
+column at a time from the same draws, without the sampler's entry tables and
 tiles.  The inverse moments of the continuous laws, which ``potentials``
 takes from closed forms, are also computed here by adaptive quadrature of
 the laws' densities.
@@ -99,8 +99,8 @@ def sheared_rotation(x: float, k: float) -> np.ndarray:
 def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, seed: int,
                             domain: int, *, reverse: bool = False, with_w: bool = False):
     """``engine._shell_blocks``'s blocks one column at a time: each column's
-    shell means from its own ``_shell_stats_block`` call on the full atom
-    counts (no mean table), written as A = 1/m1 and W = m2/m1^2."""
+    entries A = 1/m1 and W = m2/m1^2 from its own ``_shell_stats_block`` call
+    on the full atom counts (no entry table), written column by column."""
     dtype = np.result_type(float, *[E for E, _, _ in columns])
     nblocks = -(-N // BLOCK)
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
@@ -112,12 +112,12 @@ def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, s
             if lam == 0.0:
                 A[:, j] = E
                 continue
-            m1, m2 = _shell_stats_block(dist, E, lam, sizes,
-                                        seed_stream(seed, domain, cell, trial, b),
-                                        with_w=with_w, first=n0)
-            A[:, j] = 1.0 / m1
+            a, w = _shell_stats_block(dist, E, lam, sizes,
+                                      seed_stream(seed, domain, cell, trial, b),
+                                      with_w=with_w, first=n0)
+            A[:, j] = a
             if with_w:
-                W[:, j] = m2 / (m1 * m1)
+                W[:, j] = w
         yield n0, n1, A, W
 
 

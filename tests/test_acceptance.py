@@ -93,8 +93,8 @@ def test_criterion_04_shell_variable_moments():
     trials = 10 ** 5
     for s in (100, 1000):
         gen = seed_stream(9000, s)
-        mean1, _ = _shell_stats_block(BERN, 2.0, 1.0, np.full(trials, float(s)), gen)
-        x = (1.0 / mean1 - EFF.h) / EFF.sin_k
+        a, _ = _shell_stats_block(BERN, 2.0, 1.0, np.full(trials, float(s)), gen)
+        x = (a - EFF.h) / EFF.sin_k
         se1 = s * x.std(ddof=1) / math.sqrt(trials)
         se2 = s * (x ** 2).std(ddof=1) / math.sqrt(trials)
         # drift of the first moment carries an O(1/s) relative correction

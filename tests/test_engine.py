@@ -372,10 +372,10 @@ def test_batch_kernel_matches_scalar_steps():
     rec = lyapunov_batch(BERN, law, 2.0, 1.0, N, [0], seed=77, cell=3)[0]
     sizes = law.sizes_block(0, N)
     gen = seed_stream(77, 1, 3, 0, 0)  # domain=1 (trajectories), block 0
-    mean1, _ = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen)
+    entries, _ = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen)
     st = PrueferState(theta=0.0)
-    for m in mean1:
-        x = (1.0 / m - EFF.h) / EFF.sin_k
+    for a in entries:
+        x = (a - EFF.h) / EFF.sin_k
         st = pruefer_step(st, x, EFF.k)
     assert rec.final_log_r == pytest.approx(st.log_r, rel=1e-10)
 
@@ -870,7 +870,7 @@ def test_shell_blocks_reverse_is_forward_reversed():
 
 UNFAIR = PotentialDistribution.discrete([(-0.5, 0.6), (0.75, 0.4)])
 THREE = PotentialDistribution.discrete([(-0.75, 0.5), (0.5, 0.25), (1.0, 0.25)])
-# (dist, law, N, energies, with_w, reverse, whether some block reads a mean table);
+# (dist, law, N, energies, with_w, reverse, whether some block reads an entry table);
 # 37, 21, 19, 17 and 11 columns are not multiples of the tile
 SAMPLER_CASES = {
     "bernoulli-popcount": (BERN, LAW15, eng.BLOCK + 808, [2.0] * 37, True, False, True),
@@ -901,18 +901,18 @@ SAMPLER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
 def test_shell_blocks_equal_the_per_column_reference(case, monkeypatch):
-    """Mean tables and tiled writes leave every bit of A and W as the
+    """Entry tables and tiled copies leave every bit of A and W as the
     per-column computation gives them."""
     dist, law, N, energies, with_w, reverse, tabled = SAMPLER_CASES[case]
     columns = [(E, j % 5, j) for j, E in enumerate(energies)]
     built = []
-    mean_tables = eng._mean_tables
+    entry_tables = eng._entry_tables
 
     def spy(*args):
-        built.append(bool(out := mean_tables(*args)))
+        built.append(bool(out := entry_tables(*args)))
         return out
 
-    monkeypatch.setattr(eng, "_mean_tables", spy)
+    monkeypatch.setattr(eng, "_entry_tables", spy)
     got = list(eng._shell_blocks(dist, law, 1.0, N, columns, 23, DOMAIN_SUBORDINACY,
                                  reverse=reverse, with_w=with_w))
     want = list(shell_blocks_per_column(dist, law, 1.0, N, columns, 23, DOMAIN_SUBORDINACY,
@@ -922,6 +922,24 @@ def test_shell_blocks_equal_the_per_column_reference(case, monkeypatch):
         assert (n0, n1) == (m0, m1)
         assert A.dtype == B.dtype and A.tobytes() == B.tobytes()
         assert W is V is None or W.tobytes() == V.tobytes()
+
+
+@pytest.mark.parametrize("dist, E", [(BERN, 2.0), (UNFAIR, 2.2), (BERN, 2.0 + 0.5j)],
+                         ids=["bernoulli", "unfair-two-atom", "complex-z"])
+def test_entries_are_the_inverse_mean_and_the_weight_bit_for_bit(dist, E):
+    # a = 1/m1 and w = m2/(m1*m1) on the shell means m = counts @ r / s, the
+    # entry table's gathers and the per-shell division alike
+    sizes = np.resize([1, 2, 5, 64, 300, 700, 3], 4000).astype(np.int64)
+    tables = eng._atom_tables(dist, E, 1.0)
+    probs, r1, r2 = tables
+    counts = eng._multinomial_counts(seed_stream(19, 0), sizes, probs)
+    m1, m2 = counts @ r1 / sizes, counts @ r2 / sizes
+    entries = eng._entry_tables(sizes, {E: tables}, {E: len(sizes)}, True)[E]
+    for table in (None, entries):
+        a, w = eng._shell_stats_block(dist, E, 1.0, sizes, seed_stream(19, 0), with_w=True,
+                                      entries=table)
+        assert a.tobytes() == (1.0 / m1).tobytes()
+        assert w.tobytes() == (m2 / (m1 * m1)).tobytes()
 
 
 def test_table_path_raises_at_the_same_singular_shell():
@@ -1027,8 +1045,8 @@ def test_shell_variable_moments_small():
     for s in (100, 1000):
         trials = 20000
         gen = seed_stream(41, s)
-        mean1, _ = eng._shell_stats_block(BERN, 2.0, 1.0, np.full(trials, float(s)), gen)
-        x = (1.0 / mean1 - EFF.h) / EFF.sin_k
+        a, _ = eng._shell_stats_block(BERN, 2.0, 1.0, np.full(trials, float(s)), gen)
+        x = (a - EFF.h) / EFF.sin_k
         se1 = s * x.std(ddof=1) / math.sqrt(trials)
         se2 = s * (x ** 2).std(ddof=1) / math.sqrt(trials)
         assert s * x.mean() == pytest.approx(target1, abs=4 * se1)
@@ -1278,8 +1296,7 @@ def test_gram_ratio_matches_dense_eigensolve_at_small_depth():
     rec = subordinacy_batch(BERN, law, 2.0, 1.0, N, [0], seed=11)[0]
     sizes = law.sizes_block(0, N)
     gen = seed_stream(11, 2, 0, 0, 0)  # domain=2 (subordinacy)
-    m1, m2 = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen, with_w=True)
-    A, W = 1.0 / m1, m2 / (m1 * m1)
+    A, W = eng._shell_stats_block(BERN, 2.0, 1.0, sizes, gen, with_w=True)
     u, up, v, vp = 1.0, 0.0, 0.0, 1.0
     G = np.zeros((2, 2))
     cp = {int(n): i for i, n in enumerate(rec.ns)}
