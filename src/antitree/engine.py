@@ -76,6 +76,8 @@ from .streams import (
     DOMAIN_SUBORDINACY,
     DOMAIN_TRAJECTORY,
     DOMAIN_WEYL,
+    _block_states,
+    _restate,
     _stream_key,
     seed_stream,
 )
@@ -375,10 +377,12 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
 
     ``columns`` lists ``(E, cell, trial)``; column j of the fresh (n1 - n0,
     len(columns)) array A holds the harmonic entries 1/mean(1/(E - lam*v))
-    of its shells, drawn from the stream keyed (seed, domain, cell, trial,
-    block index).  A column's draws therefore do not depend on which other
-    columns share the call or on the direction: ``reverse`` yields the same
-    blocks last to first.  W holds the squared shell-vector norms
+    of its shells.  Block b of a column is drawn from the column's stream,
+    ``seed_stream(seed, domain, cell, trial)``, re-stated to row b of its
+    ``_block_states``; the one seed_stream call per column is made when the
+    column first draws, so lam = 0 derives nothing.  A column's draws
+    therefore do not depend on which other columns share the call, on N or
+    on the direction: ``reverse`` yields the same blocks last to first.  W holds the squared shell-vector norms
     a^2 * mean(1/(E - lam*v)^2) when ``with_w`` is set and is None
     otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
     complex when the energies are (the m-function's spectral parameter z);
@@ -414,6 +418,9 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         shape = (min(_TILE, len(columns)), min(BLOCK, N))
         stage1 = np.empty(shape, dtype=dtype)
         stage2 = np.empty(shape, dtype=dtype) if with_w else None
+        # each column's generator and its blocks' states, from one seed_stream
+        # call when the column first draws
+        streams = [None] * len(columns)
     nblocks = (N + BLOCK - 1) // BLOCK
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
         n0 = b * BLOCK
@@ -434,8 +441,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
                 w = stage2[:j1 - j0, :n1 - n0] if with_w else None
                 for j in range(j0, j1):
                     E, cell, trial = columns[j]
-                    _shell_stats_block(dist, E, lam, sizes,
-                                       seed_stream(seed, domain, cell, trial, b),
+                    if streams[j] is None:
+                        gen = seed_stream(seed, domain, cell, trial)
+                        streams[j] = gen, _block_states(gen, nblocks)
+                    gen, states = streams[j]
+                    _shell_stats_block(dist, E, lam, sizes, _restate(gen, states[b]),
                                        with_w=with_w, layout=layout, tables=tables.get(E),
                                        entries=entries.get(E),
                                        out=(a[j - j0], w[j - j0] if with_w else None),

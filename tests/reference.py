@@ -96,6 +96,17 @@ def sheared_rotation(x: float, k: float) -> np.ndarray:
     return np.array([[ck + x * sk, -sk + x * ck], [sk, ck]])
 
 
+def block_stream(seed: int, domain: int, cell: int, trial: int, b: int) -> np.random.Generator:
+    """The generator that draws block b of the column keyed (seed, domain,
+    cell, trial): the column's ``seed_stream`` set to words [4b, 4b + 4) of
+    its seed sequence's uint64 state."""
+    gen = seed_stream(seed, domain, cell, trial)
+    words = gen.bit_generator.seed_seq.generate_state(4 * b + 4, np.uint64)[4 * b:]
+    gen.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": words},
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, seed: int,
                             domain: int, *, reverse: bool = False, with_w: bool = False):
     """``engine._shell_blocks``'s blocks one column at a time: each column's
@@ -113,7 +124,7 @@ def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, s
                 A[:, j] = E
                 continue
             a, w = _shell_stats_block(dist, E, lam, sizes,
-                                      seed_stream(seed, domain, cell, trial, b),
+                                      block_stream(seed, domain, cell, trial, b),
                                       with_w=with_w, first=n0)
             A[:, j] = a
             if with_w:
