@@ -104,6 +104,13 @@ _HOLD_BYTES = 1 << 25
 # host, between 640 and 768 draws, above which numpy's binomial (BTPE) is the
 # faster exact draw.
 _POP_MAX = 512
+# Largest shell whose fair first step is an alias-table draw (Walker 1977,
+# with Vose 1991's construction); larger shells, whose sizes rarely recur,
+# keep the binomial.
+_ALIAS_MAX = 1024
+# each binomial tail that an alias table leaves out holds less than 2^-_ALIAS_TAIL
+_ALIAS_TAIL = 53
+_ALIAS_TABLES: dict = {}   # size -> _alias_table(size), built once per process
 # columns of a block whose entries are staged together before A and W are
 # written: 16 rows of a block's entries fill 1 MiB
 _TILE = 16
@@ -124,9 +131,58 @@ def _atom_tables(dist: PotentialDistribution, E: float, lam: float):
     return probs, 1.0 / x, 1.0 / (x * x)
 
 
+def _alias_table(s: int):
+    """``(lo, prob, alias)``: Walker's alias table, by Vose's construction, of
+    the fair binomial law of s draws cut to the counts lo .. s - lo, each
+    tail that it leaves out holding less than 2^-_ALIAS_TAIL of the mass.
+
+    Entry i stands for the count lo + i with probability prob[i] and for the
+    count alias[i] otherwise; a draw picks one of the s - 2 lo + 1 entries
+    uniformly.  The cut and the kept law come from the binomial coefficients
+    in integer arithmetic, each kept probability rounded once.  Built on
+    first use and kept per process.
+    """
+    table = _ALIAS_TABLES.get(s)
+    if table is not None:
+        return table
+    binom = [1]
+    for k in range(s // 2):
+        binom.append(binom[-1] * (s - k) // (k + 1))
+    # the counts below lo hold less than 2^-_ALIAS_TAIL, as do those above s - lo
+    tail, lo = 0, 0
+    while (tail + binom[lo]) << _ALIAS_TAIL < 1 << s:
+        tail += binom[lo]
+        lo += 1
+    total = 2 ** s - 2 * tail
+    half = [b / total for b in binom[lo:]]
+    kept = half + half[::-1][1 - s % 2:]
+    width = len(kept)
+    scaled = [x * width for x in kept]
+    prob = [1.0] * width
+    alias = list(range(lo, lo + width))
+    small = [i for i, x in enumerate(scaled) if x < 1.0]
+    large = [i for i, x in enumerate(scaled) if x >= 1.0]
+    while small and large:
+        i, g = small.pop(), large[-1]
+        prob[i], alias[i] = scaled[i], lo + g
+        scaled[g] = (scaled[g] + scaled[i]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(large.pop())
+    table = _ALIAS_TABLES[s] = (lo, np.array(prob), np.array(alias, dtype=np.int64))
+    return table
+
+
+def _as_index(idx: np.ndarray):
+    """``idx`` (increasing) as a slice when it is a run of consecutive
+    indices, whose gathers and scatters are copies."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 @dataclass(frozen=True)
-class _PopcountLayout:
-    """Where a fair first step finds each shell's raw words, from the sizes alone.
+class _FairLayout:
+    """How a fair first step draws each shell of a block, from the sizes alone.
 
     Shells of at most _POP_MAX draws take ceil(s/64) consecutive raw 64-bit
     words each, in shell order; ``mask`` keeps every bit of a shell's words
@@ -135,20 +191,32 @@ class _PopcountLayout:
     i0 <= i < i1 read the k words w0 + k (i - i0) onward of the grouped
     words.  The groups keep their shells in order and are sorted by k.  When
     that order is not already the block's (word counts that decrease
-    somewhere, or a large shell before a small one), ``words`` gathers the
+    somewhere, or a larger shell before a small one), ``words`` gathers the
     drawn words into it and ``shells`` holds each grouped shell's index in
-    the block; both are None otherwise.  The ``large`` shells go through the
-    binomial.
+    the block; both are None otherwise.
+
+    The ``alias`` shells, of _POP_MAX < s <= _ALIAS_MAX draws, read the
+    concatenated alias tables ``prob`` and ``value`` (the alias counts) of
+    the block's sizes: a shell picks entry ``base + floor(u * width)``,
+    whose own count is the entry's index minus ``shift``.  The ``large``
+    shells go through the binomial.  ``alias`` and ``large`` are slices when
+    their shells are consecutive.
     """
 
     mask: np.ndarray
     groups: tuple[tuple[int, int, int, int], ...]
     words: np.ndarray | None
     shells: np.ndarray | None
-    large: np.ndarray
+    alias: np.ndarray | slice
+    base: np.ndarray
+    width: np.ndarray
+    shift: np.ndarray
+    prob: np.ndarray
+    value: np.ndarray
+    large: np.ndarray | slice
 
 
-def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
+def _fair_layout(sizes: np.ndarray) -> _FairLayout:
     s_int = sizes.astype(np.int64, copy=False)
     small = np.flatnonzero(s_int <= _POP_MAX)
     s = s_int[small]
@@ -173,22 +241,37 @@ def _popcount_layout(sizes: np.ndarray) -> _PopcountLayout:
             groups.append((k, i0, i1, w0))
             w0 += k * (i1 - i0)
         i0 = i1
-    return _PopcountLayout(mask=mask, groups=tuple(groups), words=words, shells=shells,
-                           large=np.flatnonzero(s_int > _POP_MAX))
+    alias = np.flatnonzero((s_int > _POP_MAX) & (s_int <= _ALIAS_MAX))
+    sizes_u, inverse = np.unique(s_int[alias], return_inverse=True)
+    tables = [_alias_table(int(n)) for n in sizes_u]
+    widths = np.array([len(p) for _, p, _ in tables], dtype=np.int64)
+    offsets = np.cumsum(widths) - widths
+    los = np.array([lo for lo, _, _ in tables], dtype=np.int64)
+    return _FairLayout(
+        mask=mask, groups=tuple(groups), words=words, shells=shells,
+        alias=_as_index(alias), base=offsets[inverse], width=widths[inverse].astype(float),
+        shift=(offsets - los)[inverse],
+        prob=np.concatenate([p for _, p, _ in tables]) if tables else np.empty(0),
+        value=np.concatenate([v for _, _, v in tables]) if tables else np.empty(0, np.int64),
+        large=_as_index(np.flatnonzero(s_int > _ALIAS_MAX)))
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
-                        layout: _PopcountLayout | None = None,
+                        layout: _FairLayout | None = None,
                         first_only: bool = False) -> np.ndarray:
     """Exact multinomial counts for per-row totals.
 
     The counts follow a binomial chain, atom by atom.  When its first step is
     fair (probs[0] == 1/2), rows of at most _POP_MAX draws take that count as
     the popcount of their raw SFC64 words, each word being 64 fair coins,
-    all drawn before the binomials of the other rows and summed per group
-    of one word count; ``layout`` is ``_popcount_layout(n_arr)``, built here
-    when not given.  ``first_only`` stops the chain after its first step and
-    returns the first atom's counts alone, as a 1-D array.
+    summed per group of one word count; rows of up to _ALIAS_MAX draws then
+    take it from their size's alias table, by two uniforms each: the first
+    picks the entry and the second decides between its count and its alias.
+    The words come first in the stream, then the uniforms (all entry picks,
+    then all coins), then the binomials of the larger rows.  ``layout`` is
+    ``_fair_layout(n_arr)``, built here when not given.  ``first_only``
+    stops the chain after its first step and returns the first atom's
+    counts alone, as a 1-D array.
     """
     k = len(probs)
     remaining = np.asarray(n_arr, dtype=np.int64)
@@ -198,7 +281,7 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
         p = min(1.0, probs[i] / rem_p)
         if i == 0 and p == 0.5:
             if layout is None:
-                layout = _popcount_layout(remaining)
+                layout = _fair_layout(remaining)
             words = gen.bit_generator.random_raw(len(layout.mask))
             words &= layout.mask
             ones = np.bitwise_count(words)
@@ -225,8 +308,16 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
                     out += g[:, k - 1]
             if layout.shells is not None:
                 c[layout.shells] = sums
-            if len(layout.large):
-                c[layout.large] = gen.binomial(remaining[layout.large], p)
+            m = len(layout.base)
+            if m:
+                u = gen.random(2 * m)
+                pick = np.multiply(u[:m], layout.width, out=u[:m]).astype(np.int64)
+                pick += layout.base
+                own = np.less(u[m:], layout.prob[pick])
+                c[layout.alias] = np.where(own, pick - layout.shift, layout.value[pick])
+            large = remaining[layout.large]
+            if len(large):
+                c[layout.large] = gen.binomial(large, p)
         else:
             c = gen.binomial(remaining, p)
         if first_only:
@@ -291,7 +382,7 @@ def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -
 
 def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
                        sizes: np.ndarray, gen: np.random.Generator, *,
-                       with_w: bool = False, layout: _PopcountLayout | None = None,
+                       with_w: bool = False, layout: _FairLayout | None = None,
                        tables=None, entries: _EntryTable | None = None, out=None,
                        first: int = 0):
     """Per-shell harmonic entries a = 1/m1 and, ``with_w``, squared norms
@@ -411,6 +502,8 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     # atom tables once per energy, not per column and block
     tables = ({E: _atom_tables(dist, E, lam) for E, _, _ in columns}
               if lam != 0.0 and dist.is_discrete else {})
+    # a fair first step draws by the block's _FairLayout
+    fair = bool(tables) and dist.atoms[0][1] == 0.5
     # columns per energy, which bound its _EntryTable, for a two-atom law
     two_atoms = bool(tables) and len(dist.atoms) == 2
     widths = collections.Counter(E for E, _, _ in columns) if two_atoms else {}
@@ -433,7 +526,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             if with_w:
                 W[:] = 1.0
         else:
-            layout = _popcount_layout(sizes) if dist.is_discrete else None
+            layout = _fair_layout(sizes) if fair else None
             entries = _entry_tables(sizes, tables, widths, with_w) if widths else {}
             for j0 in range(0, len(columns), _TILE):
                 j1 = min(j0 + _TILE, len(columns))

@@ -1,7 +1,9 @@
 """Transfer dynamics: shell entries, polar steps, trajectories, m-function."""
 
+import collections
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -120,7 +122,22 @@ def test_sampled_entries_stay_in_band():
 FAIR = np.array([0.5, 0.5])
 
 
-@pytest.mark.parametrize("s", [1, 63, 64, 65, 200, 256, 257, eng._POP_MAX, eng._POP_MAX + 1])
+def alias_draws(gen, sizes):
+    """Fair counts of the shells ``sizes`` (each in the alias range), drawn
+    from ``gen`` as the alias method does: the entry picks first, then the
+    coins, each size's table read at its entry."""
+    m = len(sizes)
+    u = gen.random(2 * m)
+    out = np.empty(m, dtype=np.int64)
+    for j, s in enumerate(sizes):
+        lo, prob, alias = eng._alias_table(int(s))
+        i = int(u[j] * len(prob))
+        out[j] = lo + i if u[m + j] < prob[i] else alias[i]
+    return out
+
+
+@pytest.mark.parametrize("s", [1, 63, 64, 65, 200, 256, 257, eng._POP_MAX, eng._POP_MAX + 1,
+                               707, 1000, eng._ALIAS_MAX, eng._ALIAS_MAX + 1])
 def test_fair_first_step_draws_the_binomial_law(s):
     from scipy import stats
     trials = 40000
@@ -128,13 +145,16 @@ def test_fair_first_step_draws_the_binomial_law(s):
     assert np.array_equal(counts.sum(axis=1), np.full(trials, s))
     c = counts[:, 0]
     # the stream holds the reference draw: popcounts of ceil(s/64) words per
-    # shell, the last masked to s mod 64 bits, or a binomial above _POP_MAX
+    # shell, the last masked to s mod 64 bits, an alias-table draw up to
+    # _ALIAS_MAX, or a binomial above
     ref = seed_stream(61, s)
     if s <= eng._POP_MAX:
         nw = -(-s // 64)
         words = ref.bit_generator.random_raw(trials * nw).reshape(trials, nw)
         words[:, -1] &= np.uint64(2 ** 64 - 1) >> np.uint64(64 * nw - s)
         assert np.array_equal(c, np.bitwise_count(words).sum(axis=1))
+    elif s <= eng._ALIAS_MAX:
+        assert np.array_equal(c, alias_draws(ref, np.full(trials, s)))
     else:
         assert np.array_equal(c, ref.binomial(np.full(trials, s), 0.5))
     # chi-square against the exact pmf, tails pooled into bins expecting >= 5
@@ -152,6 +172,25 @@ def test_fair_first_step_draws_the_binomial_law(s):
     assert c.var() == pytest.approx(s / 4, rel=0.05)
 
 
+@pytest.mark.parametrize("s", [*range(1, 70), 100, 257, eng._POP_MAX + 1])
+def test_alias_table_masses_are_the_binomial_law(s):
+    # each count's mass in the table, in exact arithmetic on its float
+    # entries, is the fair binomial pmf to within 2^-52; the tails left out
+    # hold less than 2^-53 each, and one more count would not
+    lo, prob, alias = eng._alias_table(s)
+    width = len(prob)
+    assert width == s - 2 * lo + 1 and np.all((prob >= 0.0) & (prob <= 1.0))
+    mass = collections.defaultdict(Fraction)
+    for i, (p, a) in enumerate(zip(prob.tolist(), alias.tolist())):
+        mass[lo + i] += Fraction(p) / width
+        mass[a] += (1 - Fraction(p)) / width
+    assert set(mass) <= set(range(lo, s - lo + 1))
+    for k in range(s + 1):
+        assert abs(mass[k] - Fraction(math.comb(s, k), 2 ** s)) <= Fraction(1, 2 ** 52)
+    tail = Fraction(sum(math.comb(s, k) for k in range(lo)), 2 ** s)
+    assert tail < Fraction(1, 2 ** 53) <= tail + Fraction(math.comb(s, lo), 2 ** s)
+
+
 def test_popcount_counts_do_not_wrap():
     # all-ones words: every fair count equals its shell size, 256 included,
     # which a uint8 segment sum would wrap to 0; sizes come unsorted
@@ -167,9 +206,11 @@ def test_popcount_counts_do_not_wrap():
     assert np.all(counts[:, 1] == 0)
 
 
-# any size, a multiple of 64 (no masked bits) or one above _POP_MAX
+# any size, a multiple of 64 (no masked bits), one in the alias range or one
+# above it
 SHELL_SIZE = st.one_of(st.integers(1, eng._POP_MAX),
                        st.sampled_from(range(64, eng._POP_MAX + 1, 64)),
+                       st.integers(eng._POP_MAX + 1, eng._ALIAS_MAX),
                        st.integers(eng._POP_MAX + 1, 4 * eng._POP_MAX))
 
 
@@ -183,9 +224,10 @@ SHELL_SIZE = st.one_of(st.integers(1, eng._POP_MAX),
 @example(sizes=list(np.repeat(np.arange(1, eng._POP_MAX + 1), 6)))
 def test_popcount_sums_equal_segment_sums_of_the_masked_words(sizes):
     # the per-shell sums add the columns of each word-count group; a segment
-    # sum of the same masked words is the reference, the binomial rows follow
+    # sum of the same masked words is the reference, the alias rows and then
+    # the binomial rows follow
     sizes = np.array(sizes)
-    layout = eng._popcount_layout(sizes)
+    layout = eng._fair_layout(sizes)
     if (np.diff(sizes) >= 0).all():
         assert layout.words is None and layout.shells is None
     counts = eng._multinomial_counts(seed_stream(17, len(sizes)), sizes, FAIR, layout=layout)
@@ -197,7 +239,10 @@ def test_popcount_sums_equal_segment_sums_of_the_masked_words(sizes):
         starts = np.cumsum(nwords) - nwords
         assert np.array_equal(counts[small, 0],
                               np.add.reduceat(np.bitwise_count(words), starts, dtype=np.int64))
-    assert np.array_equal(counts[~small, 0], ref.binomial(sizes[~small], 0.5))
+    alias = ~small & (sizes <= eng._ALIAS_MAX)
+    assert np.array_equal(counts[alias, 0], alias_draws(ref, sizes[alias]))
+    large = sizes > eng._ALIAS_MAX
+    assert np.array_equal(counts[large, 0], ref.binomial(sizes[large], 0.5))
 
 
 @pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [2.0 / 3.0, 1.0 / 3.0]],
