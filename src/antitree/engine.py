@@ -97,6 +97,11 @@ _RESCALE_AT = 2.0 ** RESCALE_EXP
 _MAX_STRIDE = 64
 _DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
 _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
+# Shells one trajectory may step.  It keeps the checkpoints far inside int64
+# and a column's block states (32 bytes per block, _block_states) at 16 MiB;
+# at about 30 ns per shell and column, one column at the budget steps for
+# some two minutes.
+_SHELL_BUDGET = 1 << 32
 # bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
 _HOLD_BYTES = 1 << 25
 # Largest shell whose fair first multinomial step is a popcount of raw words:
@@ -936,10 +941,19 @@ def _whole_count(value, least: int = 1, what: str = "N") -> int:
     return int(value)
 
 
+def _shell_count(N, least: int = 1) -> int:
+    """N as a whole shell count >= ``least`` (``_whole_count``), raising
+    SizeLimitError beyond _SHELL_BUDGET shells, before any work is done."""
+    N = _whole_count(N, least)
+    if N > _SHELL_BUDGET:
+        raise SizeLimitError(f"{float(N):.4g} shells: over the budget of {_SHELL_BUDGET}")
+    return N
+
+
 def checkpoints_geometric(N: int) -> np.ndarray:
     """Geometrically spaced shell indices in [1, N], always including N, as a
     read-only array that every record of a batch shares."""
-    N = _whole_count(N)
+    N = _shell_count(N)
     cps = np.unique(np.rint(np.geomspace(1.0, float(N), CHECKPOINTS)).astype(np.int64))
     cps.flags.writeable = False
     return cps
@@ -1018,7 +1032,7 @@ def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: f
     sweep outputs independent of scheduling.  Trial ids are stream keys,
     checked even where lam = 0 draws nothing.
     """
-    N = _whole_count(N)
+    N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
     return _forward_polar_pass(dist, law, eff, N, list(map(_stream_key, trial_ids)), seed, cell)
 
@@ -1240,7 +1254,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     fits) every block is drawn once, without the weights W, and only
     ``log_sub`` is filled; the other fields are NaN.
     """
-    N = _whole_count(N)
+    N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
     ck = math.cos(eff.k)
     trial_ids = list(map(_stream_key, trial_ids))
@@ -1329,7 +1343,7 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     a genuinely different limit).  Returns the mean over the window
     [N/2, N] and over trials, one value per energy, not yet divided by pi.
     """
-    N = _whole_count(N)
+    N = _shell_count(N)
     energies = np.asarray(energies, dtype=np.float64)
     if not (np.isfinite(energies).all() and math.isfinite(lam) and math.isfinite(halfwidth)):
         raise DomainError("energies, lam and halfwidth must be finite", reason="nonfinite")
@@ -1382,7 +1396,7 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
-    N = _whole_count(N, 0)
+    N = _shell_count(N, 0)
     if not math.isfinite(beta):
         raise DomainError(f"need a finite beta, got {beta}", reason="beta")
     if lam != 0.0 and (dist is None or seed is None):

@@ -1496,6 +1496,24 @@ def test_shell_counts_are_whole_numbers(driver):
     assert repr(call(1000.0)) == repr(call(1000))
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started on an oversized shell count")
+
+
+@pytest.mark.parametrize("driver", sorted(SHELL_COUNT_DRIVERS))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(N=st.one_of(st.integers(eng._SHELL_BUDGET + 1, 2 ** 80),
+                   st.floats(eng._SHELL_BUDGET + 1.0, 1e300).map(math.floor)
+                   .map(float).filter(lambda x: x > eng._SHELL_BUDGET)))
+def test_shell_counts_beyond_the_budget_raise_before_any_work(driver, N):
+    # whole counts past _SHELL_BUDGET, integral floats up to 1e300 included,
+    # are refused before a shell size is computed or a block drawn
+    with mock.patch.object(GrowthLaw, "sizes_block", _no_work), \
+            mock.patch.object(eng, "_shell_blocks", _no_work):
+        with pytest.raises(SizeLimitError):
+            SHELL_COUNT_DRIVERS[driver](N)
+
+
 TRIAL_COUNT_DRIVERS = {
     "window": lambda t: eng.dirichlet_window_average(BERN, 1.0, LAW15, [2.0], 1000, t, 1, 0.01),
     "density": lambda t: density_estimate(BERN, 1.0, LAW15, [2.0], 1000, t, 1),
