@@ -25,19 +25,24 @@ The polar (Pruefer) recursion R^2 -> R^2 (1 + x sin(2(theta+k)) +
 x^2 sin^2(theta+k)), cot(theta') = cot(theta+k) + x, and the other scalar
 references that tests compare against live in tests/reference.py.  Radii are
 read in the log domain with the rescale exponents added back.  Batched
-drivers vectorize across trials and draw shell statistics from SFC64
-streams keyed by (seed, domain, cell, trial, block), so a trial's randomness
-is reproducible in any processing order; for discrete laws a shell of s
-draws is compressed into its multinomial atom counts, the sufficient
-statistic for the harmonic entry.  The counts come from a binomial chain,
-except that a fair first step (atom weight 1/2, as in the Bernoulli law) on
-a shell of at most _POP_MAX draws is the popcount of ceil(s/64) raw 64-bit
-words of its stream, whose bits are fair coins.  The shells of one word
-count k form a group whose popcounts, viewed as (shells, k), are summed
-column by column; the groups and the one word and shell permutation that a
-block needs when its word counts decrease somewhere depend only on the sizes
-and are computed once per block.  A two-atom law's shell entries depend only on
-the size s and the first-atom count c: per block and energy they are
+drivers vectorize across trials.  Each trial (column) draws from one SFC64
+stream keyed by (seed, domain, cell, trial), re-stated for each block b to
+words [4b, 4b + 4) of its seed sequence's state, so a trial's randomness is
+reproducible in any processing order, for any N and in either direction.
+For discrete laws a shell of s draws is compressed into its multinomial atom
+counts, the sufficient statistic for the harmonic entry.  The counts come
+from a binomial chain, except for a fair first step (atom weight 1/2, as in
+the Bernoulli law).  On a shell of at most _POP_MAX draws that step is the
+popcount of ceil(s/64) raw 64-bit words of its stream, whose bits are fair
+coins; the shells of one word count k form a group whose popcounts, viewed
+as (shells, k), are summed column by column.  On a shell of at most
+_ALIAS_MAX draws it reads the alias table of its size (Walker 1977, with
+Vose 1991's construction), two uniforms per shell.  The groups, the one word
+and shell permutation that a block needs when its word counts decrease
+somewhere, and the alias tables a block reads depend only on the sizes and
+are gathered once per block; each size's alias table is built once per
+process.  A two-atom law's shell entries a = 1/m1 and w = m2/m1^2 depend only
+on the size s and the first-atom count c: per block and energy they are
 tabulated for every (s, c) of the block's sizes, while the table has no
 more entries than the block has shell x column pairs, and each column draws
 c alone and gathers its entries.  The entries of a tile of _TILE columns are
@@ -1250,7 +1255,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     contamination is small.  Both passes run on the fold-and-replay kernel.
     The forward pass keeps its latest blocks of draws up to _HOLD_BYTES,
     and the backward pass redraws only the earlier blocks, identically,
-    from their (trial, block)-keyed streams.  Without the Gram pass (decay
+    from their trials' streams re-stated to those blocks.  Without the Gram pass (decay
     fits) every block is drawn once, without the weights W, and only
     ``log_sub`` is filled; the other fields are NaN.
     """
@@ -1390,9 +1395,10 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     complex solution pair, folded as the columns [u | v] of one kernel; each
     column carries its own power-of-two rescale, whose difference scales the
     ratio.  Herglotz: Im z > 0 forces Im m > 0.  Random shells (``dist``
-    with lam != 0) draw from the streams keyed (seed, DOMAIN_WEYL, 0, 0,
-    block).  Raises DomainError unless z is finite with Im z >= 0, N is a
-    whole number >= 0 and beta is finite."""
+    with lam != 0) draw from the stream keyed (seed, DOMAIN_WEYL, 0, 0),
+    re-stated for each block.  Raises DomainError unless z is finite with
+    Im z >= 0 and beta is finite, or N is not a whole number >= 0, and
+    SizeLimitError beyond _SHELL_BUDGET shells."""
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")

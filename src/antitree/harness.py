@@ -560,8 +560,8 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
         "config": config,
         "config_digest": config_digest(config),
         "seed": config["seed"],
-        "stream_scheme": "sfc64(seed_sequence(entropy=seed, "
-                         "spawn_key=(domain, cell, trial, block)))",
+        "stream_scheme": "sfc64 block b: words [4b, 4b + 4) of seed_sequence("
+                         "entropy=seed, spawn_key=(domain, cell, trial)).generate_state",
         "threads": threads,
         "wall_time_s": time.monotonic() - t_start,
         "files": file_entries,

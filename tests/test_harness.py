@@ -254,8 +254,9 @@ def test_manifest_digests_match_files(tmp_path):
     assert on_disk["config_digest"] == manifest["config_digest"]
     # the manifest echoes the config
     assert on_disk["config"]["seed"] == 42
-    assert on_disk["stream_scheme"] == ("sfc64(seed_sequence(entropy=seed, "
-                                        "spawn_key=(domain, cell, trial, block)))")
+    assert on_disk["stream_scheme"] == ("sfc64 block b: words [4b, 4b + 4) of seed_sequence("
+                                        "entropy=seed, spawn_key=(domain, cell, trial))"
+                                        ".generate_state")
 
 
 def test_density_experiment_headers_and_theory(tmp_path):
