@@ -120,7 +120,6 @@ _POP_MAX = 512
 _ALIAS_MAX = 1024
 # each binomial tail that an alias table leaves out holds less than 2^-_ALIAS_TAIL
 _ALIAS_TAIL = 53
-_ALIAS_TABLES: dict = {}   # size -> _alias_table(size), built once per process
 # columns of a block whose entries are staged together before A and W are
 # written: 16 rows of a block's entries fill 1 MiB
 _TILE = 16
@@ -141,6 +140,7 @@ def _atom_tables(dist: PotentialDistribution, E: float, lam: float):
     return probs, 1.0 / x, 1.0 / (x * x)
 
 
+@functools.cache
 def _alias_table(s: int):
     """``(lo, prob, alias)``: Walker's alias table, by Vose's construction, of
     the fair binomial law of s draws cut to the counts lo .. s - lo, each
@@ -150,11 +150,8 @@ def _alias_table(s: int):
     count alias[i] otherwise; a draw picks one of the s - 2 lo + 1 entries
     uniformly.  The cut and the kept law come from the binomial coefficients
     in integer arithmetic, each kept probability rounded once.  Built on
-    first use and kept per process.
+    first use and kept, read-only, for the process.
     """
-    table = _ALIAS_TABLES.get(s)
-    if table is not None:
-        return table
     binom = [1]
     for k in range(s // 2):
         binom.append(binom[-1] * (s - k) // (k + 1))
@@ -178,8 +175,9 @@ def _alias_table(s: int):
         scaled[g] = (scaled[g] + scaled[i]) - 1.0
         if scaled[g] < 1.0:
             small.append(large.pop())
-    table = _ALIAS_TABLES[s] = (lo, np.array(prob), np.array(alias, dtype=np.int64))
-    return table
+    prob, alias = np.array(prob), np.array(alias, dtype=np.int64)
+    prob.flags.writeable = alias.flags.writeable = False
+    return lo, prob, alias
 
 
 def _as_index(idx: np.ndarray):
@@ -254,15 +252,14 @@ def _fair_layout(sizes: np.ndarray) -> _FairLayout:
     alias = np.flatnonzero((s_int > _POP_MAX) & (s_int <= _ALIAS_MAX))
     sizes_u, inverse = np.unique(s_int[alias], return_inverse=True)
     tables = [_alias_table(int(n)) for n in sizes_u]
-    widths = np.array([len(p) for _, p, _ in tables], dtype=np.int64)
+    widths = np.array([len(t[1]) for t in tables], dtype=np.int64)
     offsets = np.cumsum(widths) - widths
-    los = np.array([lo for lo, _, _ in tables], dtype=np.int64)
+    shift = offsets - np.array([t[0] for t in tables], dtype=np.int64)
     return _FairLayout(
-        mask=mask, groups=tuple(groups), words=words, shells=shells,
-        alias=_as_index(alias), base=offsets[inverse], width=widths[inverse].astype(float),
-        shift=(offsets - los)[inverse],
-        prob=np.concatenate([p for _, p, _ in tables]) if tables else np.empty(0),
-        value=np.concatenate([v for _, _, v in tables]) if tables else np.empty(0, np.int64),
+        mask=mask, groups=tuple(groups), words=words, shells=shells, alias=_as_index(alias),
+        base=offsets[inverse], width=widths[inverse].astype(float), shift=shift[inverse],
+        prob=np.concatenate([np.empty(0)] + [t[1] for t in tables]),
+        value=np.concatenate([np.empty(0, np.int64)] + [t[2] for t in tables]),
         large=_as_index(np.flatnonzero(s_int > _ALIAS_MAX)))
 
 
