@@ -480,9 +480,9 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     ``_block_states``; the one seed_stream call per column is made when the
     column first draws, so lam = 0 derives nothing.  A column's draws
     therefore do not depend on which other columns share the call, on N or
-    on the direction: ``reverse`` yields the same blocks last to first.  W holds the squared shell-vector norms
-    a^2 * mean(1/(E - lam*v)^2) when ``with_w`` is set and is None
-    otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
+    on the direction: ``reverse`` yields the same blocks last to first.  W
+    holds the squared shell-vector norms a^2 * mean(1/(E - lam*v)^2) when
+    ``with_w`` is set and is None otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
     complex when the energies are (the m-function's spectral parameter z);
     one call's energies are all real or all complex.  Raises SizeLimitError
     before drawing when a continuous-law column would exceed _DRAW_BUDGET

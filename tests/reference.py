@@ -10,9 +10,10 @@ factors by two rank-one updates, the segment-by-segment folds of the Gram
 pass and of the backward sums, and the per-shell complex loop of the
 truncated m-function.  The shell entries of a block are also formed one
 column at a time from the same draws, without the sampler's entry tables and
-tiles, each block's stream rebuilt from its column's key (``block_stream``).  The inverse moments of the continuous laws, which ``potentials``
-takes from closed forms, are also computed here by adaptive quadrature of
-the laws' densities.
+tiles, each block's stream rebuilt from its column's key
+(``block_stream``).  The inverse moments of the continuous laws, which
+``potentials`` takes from closed forms, are also computed here by adaptive
+quadrature of the laws' densities.
 """
 
 from __future__ import annotations
