@@ -104,8 +104,9 @@ _DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
 _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 # Shells one trajectory may step.  It keeps the checkpoints far inside int64
 # and a column's block states (32 bytes per block, _block_states) at 16 MiB;
-# at about 30 ns per shell and column, one column at the budget steps for
-# some two minutes.
+# a call holds every column's states at once, so one of c columns at the
+# budget holds c * 16 MiB of them.  At about 30 ns per shell and column, one
+# column at the budget steps for some two minutes.
 _SHELL_BUDGET = 1 << 32
 # bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
 _HOLD_BYTES = 1 << 25
@@ -178,6 +179,12 @@ def _alias_table(s: int):
     prob, alias = np.array(prob), np.array(alias, dtype=np.int64)
     prob.flags.writeable = alias.flags.writeable = False
     return lo, prob, alias
+
+
+def _fair_first(probs) -> bool:
+    """Whether the multinomial chain of atom weights ``probs`` starts with a
+    fair step (probs[0] == 1/2), which draws by a _FairLayout."""
+    return probs[0] == 0.5
 
 
 def _as_index(idx: np.ndarray):
@@ -269,7 +276,7 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
     """Exact multinomial counts for per-row totals.
 
     The counts follow a binomial chain, atom by atom.  When its first step is
-    fair (probs[0] == 1/2), rows of at most _POP_MAX draws take that count as
+    fair (_fair_first), rows of at most _POP_MAX draws take that count as
     the popcount of their raw SFC64 words, each word being 64 fair coins,
     summed per group of one word count; rows of up to _ALIAS_MAX draws then
     take it from their size's alias table, by two uniforms each: the first
@@ -286,7 +293,7 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
     rem_p = 1.0
     for i in range(k - 1):
         p = min(1.0, probs[i] / rem_p)
-        if i == 0 and p == 0.5:
+        if i == 0 and _fair_first(probs):
             if layout is None:
                 layout = _fair_layout(remaining)
             words = gen.bit_generator.random_raw(len(layout.mask))
@@ -510,7 +517,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     tables = ({E: _atom_tables(dist, E, lam) for E, _, _ in columns}
               if lam != 0.0 and dist.is_discrete else {})
     # a fair first step draws by the block's _FairLayout
-    fair = bool(tables) and dist.atoms[0][1] == 0.5
+    fair = bool(tables) and _fair_first([w for _, w in dist.atoms])
     # columns per energy, which bound its _EntryTable, for a two-atom law
     two_atoms = bool(tables) and len(dist.atoms) == 2
     widths = collections.Counter(E for E, _, _ in columns) if two_atoms else {}

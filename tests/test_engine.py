@@ -1283,10 +1283,14 @@ LONG_DOUBLE_CELLS = {"bernoulli": (BERN, 1.5, 2.0, 1.0, 3000),
 
 
 @pytest.mark.skipif(not long_double.EXTENDED, reason="needs an extended-precision long double")
-@pytest.mark.parametrize("cell, relative", [("bernoulli", False), ("uniform", False),
-                                            ("stride-16", True)],
-                         ids=["bernoulli", "uniform", "stride-16"])
-def test_log_ratio_matches_long_double_recomputation(cell, relative):
+@pytest.mark.parametrize("cell, relative, seed", [
+    ("bernoulli", False, 6), ("uniform", False, 6), ("stride-16", True, 6),
+    pytest.param("uniform", False, 9, marks=pytest.mark.xfail(
+        strict=True, reason="the kernel misses the bound on the backward sums: 2.6e-13 for "
+        "trial 0, against 8.2e-15 for a per-shell float64 loop; over seeds 0-99 the kernel "
+        "misses in some cell for 27 seeds and the loop for 10")),
+], ids=["bernoulli", "uniform", "stride-16", "uniform-seed-9"])
+def test_log_ratio_matches_long_double_recomputation(cell, relative, seed):
     # log_ratio + log_dom = log(sum_{k < c} psi_k^2 w_k^2 / (w_0^2 + w_{-1}^2))
     # for the backward solution w; recomputed in extended precision from the
     # same draws, it must agree at every checkpoint, the smallest included.
@@ -1295,10 +1299,11 @@ def test_log_ratio_matches_long_double_recomputation(cell, relative):
     # Seed 6 is the first from 5 on whose draws a per-shell float64 loop,
     # rescaled at every shell, meets these bounds in every cell: at seed 5
     # the uniform cell's trial 1 is so ill-conditioned that the loop misses
-    # by 5.8x (and the kernel by 11x).
+    # by 5.8x (and the kernel by 11x).  Seed 9 is the first from 5 on where
+    # the loop meets them and the kernel does not.
     dist, d, E, lam, N = LONG_DOUBLE_CELLS[cell]
     law = GrowthLaw.uniform_power(d, 1.0)
-    trials, seed = 2, 6
+    trials = 2
     recs = subordinacy_batch(dist, law, E, lam, N, range(trials), seed=seed)
     columns = [(E, 0, t) for t in range(trials)]
     A, W = long_double.draws(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
