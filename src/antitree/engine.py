@@ -32,29 +32,27 @@ reproducible in any processing order, for any N and in either direction.
 For discrete laws a shell of s draws is compressed into its multinomial atom
 counts, the sufficient statistic for the harmonic entry.  The counts come
 from a binomial chain, except for a fair first step (atom weight 1/2, as in
-the Bernoulli law).  On a shell of at most _POP_MAX draws that step is the
-popcount of ceil(s/64) raw 64-bit words of its stream, whose bits are fair
-coins; the shells of one word count k form a group whose popcounts, viewed
-as (shells, k), are summed column by column.  On a shell of at most
-_ALIAS_MAX draws it reads the alias table of its size (Walker 1977, with
-Vose 1991's construction), two uniforms per shell.  The groups, the one word
-and shell permutation that a block needs when its word counts decrease
-somewhere, and the alias tables a block reads depend only on the sizes and
-are gathered once per block; each size's alias table is built once per
-process.  A two-atom law's shell entries a = 1/m1 and w = m2/m1^2 depend only
-on the size s and the first-atom count c: per block and energy they are
-tabulated for every (s, c) of the block's sizes, while the table has no
-more entries than the block has shell x column pairs, and each column draws
-c alone and gathers its entries.  The entries of a tile of _TILE columns are
-staged contiguously and copied into the block once per tile.  Subordinate
-solutions are extracted by backward propagation, stable because the
-forward-decaying direction dominates in reverse; weighted-norm extremes over
-all solution directions come from a rank-one updated Cholesky factor of the
-2x2 Gram matrix, whose determinant is a product of diagonals and therefore
-immune to the cancellation that makes the raw min/max hopeless at depth.  A
-block's segment maps and segment factors are combined by one shared
-Hillis-Steele prefix scan (Blelloch 1990), and the backward pass's weighted
-sums between checkpoints are closed at all cuts of a block at once.
+the Bernoulli law) on a shell of at most _ALIAS_MAX draws, which reads one
+raw 64-bit word of its stream through the alias table of its size (Walker
+1977, with Vose 1991's construction): the word's top bits pick a slot and
+its low bits decide the slot's coin against an integer cut.  A table holds
+the fair binomial law with every mass rounded to a multiple of 2^-64; it is
+built once per process in integer arithmetic, and the tables a block reads
+depend only on its sizes and are gathered once per block.  A two-atom law's
+shell entries a = 1/m1 and w = m2/m1^2 depend only on the size s and the
+first-atom count c: per block and energy they are tabulated for every (s, c)
+of the block's sizes, while the table has no more entries than the block has
+shell x column pairs, and each column draws c alone and gathers its entries.
+The entries of a tile of _TILE columns are staged contiguously and copied
+into the block once per tile.  Subordinate solutions are extracted by
+backward propagation, stable because the forward-decaying direction
+dominates in reverse; weighted-norm extremes over all solution directions
+come from a rank-one updated Cholesky factor of the 2x2 Gram matrix, whose
+determinant is a product of diagonals and therefore immune to the
+cancellation that makes the raw min/max hopeless at depth.  A block's
+segment maps and segment factors are combined by one shared Hillis-Steele
+prefix scan (Blelloch 1990), and the backward pass's weighted sums between
+checkpoints are closed at all cuts of a block at once.
 """
 
 from __future__ import annotations
@@ -110,17 +108,10 @@ _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 _SHELL_BUDGET = 1 << 32
 # bytes of (A, W) blocks the forward subordinacy pass keeps for the backward pass
 _HOLD_BYTES = 1 << 25
-# Largest shell whose fair first multinomial step is a popcount of raw words:
-# the power of two below the crossover measured under SFC64 on a 2-vCPU x86
-# host, between 640 and 768 draws, above which numpy's binomial (BTPE) is the
-# faster exact draw.
-_POP_MAX = 512
-# Largest shell whose fair first step is an alias-table draw (Walker 1977,
-# with Vose 1991's construction); larger shells, whose sizes rarely recur,
-# keep the binomial.
+# Largest shell whose fair first multinomial step is an alias-table draw from
+# one raw word (Walker 1977, with Vose 1991's construction); larger shells,
+# whose sizes rarely recur, keep the binomial.
 _ALIAS_MAX = 1024
-# each binomial tail that an alias table leaves out holds less than 2^-_ALIAS_TAIL
-_ALIAS_TAIL = 53
 # columns of a block whose entries are staged together before A and W are
 # written: 16 rows of a block's entries fill 1 MiB
 _TILE = 16
@@ -143,42 +134,60 @@ def _atom_tables(dist: PotentialDistribution, E: float, lam: float):
 
 @functools.cache
 def _alias_table(s: int):
-    """``(lo, prob, alias)``: Walker's alias table, by Vose's construction, of
-    the fair binomial law of s draws cut to the counts lo .. s - lo, each
-    tail that it leaves out holding less than 2^-_ALIAS_TAIL of the mass.
+    """``(bits, cut, counts)``: Walker's alias table, by Vose's construction,
+    of the fair binomial law Bin(s, 1/2) with every mass rounded to a whole
+    number of units 2^-64.
 
-    Entry i stands for the count lo + i with probability prob[i] and for the
-    count alias[i] otherwise; a draw picks one of the s - 2 lo + 1 entries
-    uniformly.  The cut and the kept law come from the binomial coefficients
-    in integer arithmetic, each kept probability rounded once.  Built on
-    first use and kept, read-only, for the process.
+    The masses C(s, k) 2^(64 - s) are rounded down and the units still
+    missing from 2^64 go to the largest remainders, ties to the smaller
+    count, so each mass is within one unit of the law's and they total
+    exactly 2^64.  The counts lo .. s - lo outside which every mass rounds
+    to zero fill the first slots of 2^bits, the rest padded with zero mass;
+    each slot holds 2^(64 - bits) units.  A raw 64-bit word x draws slot
+    i = x >> (64 - bits), and its count is the slot's own count when
+    x < cut[i], the alias otherwise: cut[i] is i 2^(64 - bits) plus the
+    units of the slot's own count, so the low 64 - bits bits of x decide the
+    coin.  ``counts`` holds each slot's (own, alias) pair as int16 at
+    [2i, 2i + 1]; a slot that is always or never its own count holds one
+    count twice.  The integer construction is exact, built on first use and
+    kept, read-only, for the process.
     """
-    binom = [1]
+    half = [1]
     for k in range(s // 2):
-        binom.append(binom[-1] * (s - k) // (k + 1))
-    # the counts below lo hold less than 2^-_ALIAS_TAIL, as do those above s - lo
-    tail, lo = 0, 0
-    while (tail + binom[lo]) << _ALIAS_TAIL < 1 << s:
-        tail += binom[lo]
-        lo += 1
-    total = 2 ** s - 2 * tail
-    half = [b / total for b in binom[lo:]]
-    kept = half + half[::-1][1 - s % 2:]
-    width = len(kept)
-    scaled = [x * width for x in kept]
-    prob = [1.0] * width
-    alias = list(range(lo, lo + width))
-    small = [i for i, x in enumerate(scaled) if x < 1.0]
-    large = [i for i, x in enumerate(scaled) if x >= 1.0]
+        half.append(half[-1] * (s - k) // (k + 1))
+    binom = half + half[::-1][1 - s % 2:]
+    if s <= 64:
+        mass = [b << (64 - s) for b in binom]
+    else:
+        drop = s - 64
+        mass = [b >> drop for b in binom]
+        rem = [b & ((1 << drop) - 1) for b in binom]
+        deficit = (1 << 64) - sum(mass)
+        for k in sorted(range(s + 1), key=rem.__getitem__, reverse=True)[:deficit]:
+            mass[k] += 1
+    # a count above s - lo has zero mass too: its mirror below lo got no unit,
+    # and its remainder ties the mirror's, whose count is smaller
+    lo = next(k for k, m in enumerate(mass) if m)
+    bits = (s - 2 * lo).bit_length()
+    unit = 1 << (64 - bits)
+    left = mass[lo:s - lo + 1] + [0] * ((1 << bits) - (s - 2 * lo + 1))
+    own = [0] * len(left)
+    alias = list(range(len(left)))
+    small = [i for i, m in enumerate(left) if m < unit]
+    large = [i for i, m in enumerate(left) if m >= unit]
     while small and large:
         i, g = small.pop(), large[-1]
-        prob[i], alias[i] = scaled[i], lo + g
-        scaled[g] = (scaled[g] + scaled[i]) - 1.0
-        if scaled[g] < 1.0:
+        own[i], alias[i] = left[i], g
+        left[g] -= unit - left[i]
+        if left[g] < unit:
             small.append(large.pop())
-    prob, alias = np.array(prob), np.array(alias, dtype=np.int64)
-    prob.flags.writeable = alias.flags.writeable = False
-    return lo, prob, alias
+    # exact arithmetic leaves every remaining slot holding exactly its own
+    # count, which its alias then names
+    cut = np.arange(len(left), dtype=np.uint64) * np.uint64(unit) + np.array(own, np.uint64)
+    counts = np.array([(lo + i if units else lo + a, lo + a)
+                       for i, (units, a) in enumerate(zip(own, alias))], dtype=np.int16).ravel()
+    cut.flags.writeable = counts.flags.writeable = False
+    return bits, cut, counts
 
 
 def _fair_first(probs) -> bool:
@@ -187,87 +196,39 @@ def _fair_first(probs) -> bool:
     return probs[0] == 0.5
 
 
-def _as_index(idx: np.ndarray):
-    """``idx`` (increasing) as a slice when it is a run of consecutive
-    indices, whose gathers and scatters are copies."""
-    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 @dataclass(frozen=True)
 class _FairLayout:
     """How a fair first step draws each shell of a block, from the sizes alone.
 
-    Shells of at most _POP_MAX draws take ceil(s/64) consecutive raw 64-bit
-    words each, in shell order; ``mask`` keeps every bit of a shell's words
-    but those of its last word beyond s.  The sums run over groups of shells
-    of one word count k, each ``(k, i0, i1, w0)``: the grouped shells
-    i0 <= i < i1 read the k words w0 + k (i - i0) onward of the grouped
-    words.  The groups keep their shells in order and are sorted by k.  When
-    that order is not already the block's (word counts that decrease
-    somewhere, or a larger shell before a small one), ``words`` gathers the
-    drawn words into it and ``shells`` holds each grouped shell's index in
-    the block; both are None otherwise.
-
-    The ``alias`` shells, of _POP_MAX < s <= _ALIAS_MAX draws, read the
-    concatenated alias tables ``prob`` and ``value`` (the alias counts) of
-    the block's sizes: a shell picks entry ``base + floor(u * width)``,
-    whose own count is the entry's index minus ``shift``.  The ``large``
-    shells go through the binomial.  ``alias`` and ``large`` are slices when
-    their shells are consecutive.
+    The ``fair`` shells, of at most _ALIAS_MAX draws (None when that is every
+    shell), take one raw 64-bit word each, in shell order, and read the
+    alias table of their size (_alias_table): the tables of the block's sizes
+    are concatenated in ``cut`` and ``counts``, a shell's starting at slot
+    ``base`` and drawing its slot as the top 64 - ``shift`` bits of its
+    word.  The ``large`` shells go through the binomial after them.
     """
 
-    mask: np.ndarray
-    groups: tuple[tuple[int, int, int, int], ...]
-    words: np.ndarray | None
-    shells: np.ndarray | None
-    alias: np.ndarray | slice
-    base: np.ndarray
-    width: np.ndarray
+    fair: np.ndarray | None
     shift: np.ndarray
-    prob: np.ndarray
-    value: np.ndarray
-    large: np.ndarray | slice
+    base: np.ndarray
+    cut: np.ndarray
+    counts: np.ndarray
+    large: np.ndarray
 
 
 def _fair_layout(sizes: np.ndarray) -> _FairLayout:
     s_int = sizes.astype(np.int64, copy=False)
-    small = np.flatnonzero(s_int <= _POP_MAX)
-    s = s_int[small]
-    nwords = (s + 63) // 64
-    ends = np.cumsum(nwords)
-    ones = np.uint64(2 ** 64 - 1)
-    mask = np.full(int(ends[-1]) if len(ends) else 0, ones)
-    mask[ends - 1] = ones >> ((-s) % 64).astype(np.uint64)
-    order = np.argsort(nwords, kind="stable")
-    words = shells = None
-    if not np.array_equal(small[order], np.arange(len(small))):
-        # grouped word g of the shell that starts at grouped word first[j] is
-        # drawn word g - first[j] + (the shell's first drawn word)
-        nw = nwords[order]
-        first = np.cumsum(nw) - nw
-        words = np.repeat((ends - nwords)[order] - first, nw) + np.arange(len(mask))
-        shells = small[order]
-    groups, i0, w0 = [], 0, 0
-    for k in range(1, _POP_MAX // 64 + 1):
-        i1 = i0 + int(np.count_nonzero(nwords == k))
-        if i1 > i0:
-            groups.append((k, i0, i1, w0))
-            w0 += k * (i1 - i0)
-        i0 = i1
-    alias = np.flatnonzero((s_int > _POP_MAX) & (s_int <= _ALIAS_MAX))
-    sizes_u, inverse = np.unique(s_int[alias], return_inverse=True)
-    tables = [_alias_table(int(n)) for n in sizes_u]
-    widths = np.array([len(t[1]) for t in tables], dtype=np.int64)
-    offsets = np.cumsum(widths) - widths
-    shift = offsets - np.array([t[0] for t in tables], dtype=np.int64)
+    fair = s_int <= _ALIAS_MAX
+    sizes_u, inverse = np.unique(s_int[fair], return_inverse=True)
+    tables = [_alias_table(int(s)) for s in sizes_u]
+    bits = np.array([t[0] for t in tables], dtype=np.int64)
+    slots = 1 << bits
     return _FairLayout(
-        mask=mask, groups=tuple(groups), words=words, shells=shells, alias=_as_index(alias),
-        base=offsets[inverse], width=widths[inverse].astype(float), shift=shift[inverse],
-        prob=np.concatenate([np.empty(0)] + [t[1] for t in tables]),
-        value=np.concatenate([np.empty(0, np.int64)] + [t[2] for t in tables]),
-        large=_as_index(np.flatnonzero(s_int > _ALIAS_MAX)))
+        fair=None if fair.all() else np.flatnonzero(fair),
+        shift=(64 - bits)[inverse].astype(np.uint64), base=(np.cumsum(slots) - slots)[inverse],
+        cut=np.concatenate([np.empty(0, np.uint64)] + [t[1] for t in tables]),
+        counts=np.concatenate([np.empty(0, np.int16)] + [t[2] for t in tables]),
+        large=np.flatnonzero(~fair))
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
@@ -276,16 +237,13 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
     """Exact multinomial counts for per-row totals.
 
     The counts follow a binomial chain, atom by atom.  When its first step is
-    fair (_fair_first), rows of at most _POP_MAX draws take that count as
-    the popcount of their raw SFC64 words, each word being 64 fair coins,
-    summed per group of one word count; rows of up to _ALIAS_MAX draws then
-    take it from their size's alias table, by two uniforms each: the first
-    picks the entry and the second decides between its count and its alias.
-    The words come first in the stream, then the uniforms (all entry picks,
-    then all coins), then the binomials of the larger rows.  ``layout`` is
-    ``_fair_layout(n_arr)``, built here when not given.  ``first_only``
-    stops the chain after its first step and returns the first atom's
-    counts alone, as a 1-D array.
+    fair (_fair_first), each row of at most _ALIAS_MAX draws takes that count
+    from one raw SFC64 word, in row order, through its size's alias table
+    (_alias_table): the word's top bits pick a slot and the rest decide the
+    slot's coin.  The binomials of the larger rows follow the words.
+    ``layout`` is ``_fair_layout(n_arr)``, built here when not given.
+    ``first_only`` stops the chain after its first step and returns the
+    first atom's counts alone, as a 1-D array.
     """
     k = len(probs)
     remaining = np.asarray(n_arr, dtype=np.int64)
@@ -296,42 +254,18 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
         if i == 0 and _fair_first(probs):
             if layout is None:
                 layout = _fair_layout(remaining)
-            words = gen.bit_generator.random_raw(len(layout.mask))
-            words &= layout.mask
-            ones = np.bitwise_count(words)
-            c = np.empty(len(remaining), dtype=np.int64)
-            if layout.words is None:
-                sums = c
-            else:
-                ones = ones[layout.words]
-                sums = np.empty(len(layout.shells), dtype=np.int64)
-            # each group's words as (shells, k): its columns added in pairs
-            # in uint8 (a pair counts at most 128 ones), the pair sums into
-            # int64, since a shell's count reaches _POP_MAX and uint8 wraps
-            pair = np.empty(len(sums), dtype=np.uint8)
-            for k, i0, i1, w0 in layout.groups:
-                g = ones[w0:w0 + k * (i1 - i0)].reshape(-1, k)
-                out, two = sums[i0:i1], pair[:i1 - i0]
-                if k == 1:
-                    np.copyto(out, g[:, 0])
-                else:
-                    np.add(g[:, 0], g[:, 1], out=out)
-                for j in range(2, k - 1, 2):
-                    out += np.add(g[:, j], g[:, j + 1], out=two)
-                if k > 1 and k % 2:
-                    out += g[:, k - 1]
-            if layout.shells is not None:
-                c[layout.shells] = sums
-            m = len(layout.base)
-            if m:
-                u = gen.random(2 * m)
-                pick = np.multiply(u[:m], layout.width, out=u[:m]).astype(np.int64)
-                pick += layout.base
-                own = np.less(u[m:], layout.prob[pick])
-                c[layout.alias] = np.where(own, pick - layout.shift, layout.value[pick])
-            large = remaining[layout.large]
-            if len(large):
-                c[layout.large] = gen.binomial(large, p)
+            words = gen.bit_generator.random_raw(len(layout.base))
+            slot = np.right_shift(words, layout.shift).view(np.int64)
+            slot += layout.base
+            alias = np.greater_equal(words, layout.cut.take(slot))
+            # slot 2i + 1 of the (own, alias) pairs when the coin picks the alias
+            slot += slot
+            slot += alias
+            c = layout.counts.take(slot)
+            if layout.fair is not None:
+                c, fair = np.empty(len(remaining), dtype=np.int64), c
+                c[layout.fair] = fair
+                c[layout.large] = gen.binomial(remaining[layout.large], p)
         else:
             c = gen.binomial(remaining, p)
         if first_only:

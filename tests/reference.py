@@ -11,9 +11,11 @@ pass and of the backward sums, and the per-shell complex loop of the
 truncated m-function.  The shell entries of a block are also formed one
 column at a time from the same draws, without the sampler's entry tables and
 tiles, each block's stream rebuilt from its column's key
-(``block_stream``).  The inverse moments of the continuous laws, which
-``potentials`` takes from closed forms, are also computed here by adaptive
-quadrature of the laws' densities.
+(``block_stream``) and a discrete law's atom counts drawn from it as the
+sampler specifies them (``fair_counts``, ``multinomial_counts``).  The
+inverse moments of the continuous laws, which ``potentials`` takes from
+closed forms, are also computed here by adaptive quadrature of the laws'
+densities.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ import numpy as np
 from scipy import integrate
 
 from antitree.engine import (
+    _ALIAS_MAX,
     BLOCK,
     LN2,
+    _alias_table,
+    _atom_tables,
     _chol_rank1_update,
     _rescale_stride,
     _rescale_where,
@@ -108,11 +113,74 @@ def block_stream(seed: int, domain: int, cell: int, trial: int, b: int) -> np.ra
     return gen
 
 
+def fair_counts(gen: np.random.Generator, sizes) -> np.ndarray:
+    """The first atom's counts of a fair first step on shells of ``sizes``:
+    one raw word per shell of at most _ALIAS_MAX draws, in shell order, whose
+    top bits pick a slot of its size's alias table and whose low bits, below
+    the slot's threshold, pick the slot's own count and its alias otherwise;
+    then one binomial per larger shell."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    fair = sizes <= _ALIAS_MAX
+    words = gen.bit_generator.random_raw(int(fair.sum()))
+    drawn = np.empty(len(words), dtype=np.int64)
+    for s in np.unique(sizes[fair]):
+        at = sizes[fair] == s
+        bits, cut, counts = _alias_table(int(s))
+        low_bits = np.uint64(64 - bits)
+        slot = words[at] >> low_bits
+        low = words[at] - (slot << low_bits)
+        threshold = cut[slot.astype(np.int64)] - (slot << low_bits)
+        own, alias = counts.reshape(-1, 2)[slot.astype(np.int64)].T
+        drawn[at] = np.where(low < threshold, own, alias)
+    out = np.empty(len(sizes), dtype=np.int64)
+    out[fair] = drawn
+    out[~fair] = gen.binomial(sizes[~fair], 0.5)
+    return out
+
+
+def multinomial_counts(gen: np.random.Generator, sizes, probs) -> np.ndarray:
+    """Atom counts (shells, atoms) by the binomial chain, atom by atom, its
+    first step by ``fair_counts`` when the first weight is 1/2."""
+    remaining = np.asarray(sizes, dtype=np.int64)
+    cols, rem_p = [], 1.0
+    for i, p in enumerate(probs[:-1]):
+        if i == 0 and p == 0.5:
+            c = fair_counts(gen, remaining)
+        else:
+            c = gen.binomial(remaining, min(1.0, p / rem_p))
+        cols.append(c)
+        remaining = remaining - c
+        rem_p -= p
+    return np.stack(cols + [remaining], axis=1)
+
+
+def shell_entries(dist, E, lam: float, sizes: np.ndarray, gen: np.random.Generator, *,
+                  with_w: bool = False, first: int = 0):
+    """A discrete law's entries a = 1/m1 and w = m2/m1^2 of one column's block
+    from its ``multinomial_counts``, the means m = counts @ r / s of the atoms'
+    r = 1/(E - lam v) and r^2, as the sampler forms them; a vanishing m1
+    raises SingularShellError naming its shell, ``first`` being the index of
+    the block's first one.  Continuous laws go through _shell_stats_block."""
+    if not dist.is_discrete:
+        return _shell_stats_block(dist, E, lam, sizes, gen, with_w=with_w, first=first)
+    probs, r1, r2 = _atom_tables(dist, E, lam)
+    counts = multinomial_counts(gen, sizes, probs)
+    # the sampler pads a lone shell to two rows, so that its products are
+    # gemv's, as for longer blocks
+    rows = np.vstack([counts, counts]) if len(counts) == 1 else counts
+    m1 = (rows @ r1)[:len(counts)] / sizes
+    if not m1.all():
+        shell = first + int(np.flatnonzero(m1 == 0.0)[0])
+        raise SingularShellError(f"sampled shell {shell} has vanishing inverse mean", shell=shell)
+    w = (rows @ r2)[:len(counts)] / sizes / (m1 * m1) if with_w else None
+    return 1.0 / m1, w
+
+
 def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, seed: int,
                             domain: int, *, reverse: bool = False, with_w: bool = False):
     """``engine._shell_blocks``'s blocks one column at a time: each column's
-    entries A = 1/m1 and W = m2/m1^2 from its own ``_shell_stats_block`` call
-    on the full atom counts (no entry table), written column by column."""
+    entries A = 1/m1 and W = m2/m1^2 from its own ``shell_entries`` call on
+    the full atom counts (no entry table), written column by column."""
     dtype = np.result_type(float, *[E for E, _, _ in columns])
     nblocks = -(-N // BLOCK)
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
@@ -124,9 +192,8 @@ def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, s
             if lam == 0.0:
                 A[:, j] = E
                 continue
-            a, w = _shell_stats_block(dist, E, lam, sizes,
-                                      block_stream(seed, domain, cell, trial, b),
-                                      with_w=with_w, first=n0)
+            a, w = shell_entries(dist, E, lam, sizes, block_stream(seed, domain, cell, trial, b),
+                                 with_w=with_w, first=n0)
             A[:, j] = a
             if with_w:
                 W[:, j] = w
