@@ -200,15 +200,15 @@ def _fair_first(probs) -> bool:
 class _FairLayout:
     """How a fair first step draws each shell of a block, from the sizes alone.
 
-    The ``fair`` shells, of at most _ALIAS_MAX draws (None when that is every
-    shell), take one raw 64-bit word each, in shell order, and read the
-    alias table of their size (_alias_table): the tables of the block's sizes
-    are concatenated in ``cut`` and ``counts``, a shell's starting at slot
-    ``base`` and drawing its slot as the top 64 - ``shift`` bits of its
-    word.  The ``large`` shells go through the binomial after them.
+    The ``fair`` shells, of at most _ALIAS_MAX draws, take one raw 64-bit
+    word each, in shell order, and read the alias table of their size
+    (_alias_table): the tables of the block's sizes are concatenated in
+    ``cut`` and ``counts``, a shell's starting at slot ``base`` and drawing
+    its slot as the top 64 - ``shift`` bits of its word.  The ``large``
+    shells go through the binomial after them.
     """
 
-    fair: np.ndarray | None
+    fair: np.ndarray
     shift: np.ndarray
     base: np.ndarray
     cut: np.ndarray
@@ -224,11 +224,25 @@ def _fair_layout(sizes: np.ndarray) -> _FairLayout:
     bits = np.array([t[0] for t in tables], dtype=np.int64)
     slots = 1 << bits
     return _FairLayout(
-        fair=None if fair.all() else np.flatnonzero(fair),
+        fair=np.flatnonzero(fair),
         shift=(64 - bits)[inverse].astype(np.uint64), base=(np.cumsum(slots) - slots)[inverse],
         cut=np.concatenate([np.empty(0, np.uint64)] + [t[1] for t in tables]),
         counts=np.concatenate([np.empty(0, np.int16)] + [t[2] for t in tables]),
         large=np.flatnonzero(~fair))
+
+
+def _alias_counts(gen: np.random.Generator, layout: _FairLayout) -> np.ndarray:
+    """The first-atom counts of the ``fair`` shells of ``layout``, from one
+    raw word each: the word's top bits pick a slot of the shell's table and
+    the slot's cut decides between its own count and its alias."""
+    words = gen.bit_generator.random_raw(len(layout.fair))
+    slot = np.right_shift(words, layout.shift).view(np.int64)
+    slot += layout.base
+    alias = np.greater_equal(words, layout.cut.take(slot))
+    # slot 2i + 1 of the (own, alias) pairs when the coin picks the alias
+    slot += slot
+    slot += alias
+    return layout.counts.take(slot)
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
@@ -239,8 +253,7 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
     The counts follow a binomial chain, atom by atom.  When its first step is
     fair (_fair_first), each row of at most _ALIAS_MAX draws takes that count
     from one raw SFC64 word, in row order, through its size's alias table
-    (_alias_table): the word's top bits pick a slot and the rest decide the
-    slot's coin.  The binomials of the larger rows follow the words.
+    (_alias_counts); the binomials of the larger rows follow the words.
     ``layout`` is ``_fair_layout(n_arr)``, built here when not given.
     ``first_only`` stops the chain after its first step and returns the
     first atom's counts alone, as a 1-D array.
@@ -254,17 +267,14 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
         if i == 0 and _fair_first(probs):
             if layout is None:
                 layout = _fair_layout(remaining)
-            words = gen.bit_generator.random_raw(len(layout.base))
-            slot = np.right_shift(words, layout.shift).view(np.int64)
-            slot += layout.base
-            alias = np.greater_equal(words, layout.cut.take(slot))
-            # slot 2i + 1 of the (own, alias) pairs when the coin picks the alias
-            slot += slot
-            slot += alias
-            c = layout.counts.take(slot)
-            if layout.fair is not None:
-                c, fair = np.empty(len(remaining), dtype=np.int64), c
-                c[layout.fair] = fair
+            # a block of one kind of shell skips the other's gather and scatter
+            if not len(layout.large):
+                c = _alias_counts(gen, layout)
+            elif not len(layout.fair):
+                c = gen.binomial(remaining, p)
+            else:
+                c = np.empty(len(remaining), dtype=np.int64)
+                c[layout.fair] = _alias_counts(gen, layout)
                 c[layout.large] = gen.binomial(remaining[layout.large], p)
         else:
             c = gen.binomial(remaining, p)
