@@ -171,21 +171,21 @@ def _alias_table(s: int):
     bits = (s - 2 * lo).bit_length()
     unit = 1 << (64 - bits)
     left = mass[lo:s - lo + 1] + [0] * ((1 << bits) - (s - 2 * lo + 1))
-    own = [0] * len(left)
+    units = [0] * len(left)      # of each slot's own count
     alias = list(range(len(left)))
     small = [i for i, m in enumerate(left) if m < unit]
     large = [i for i, m in enumerate(left) if m >= unit]
     while small and large:
         i, g = small.pop(), large[-1]
-        own[i], alias[i] = left[i], g
+        units[i], alias[i] = left[i], g
         left[g] -= unit - left[i]
         if left[g] < unit:
             small.append(large.pop())
     # exact arithmetic leaves every remaining slot holding exactly its own
     # count, which its alias then names
-    cut = np.arange(len(left), dtype=np.uint64) * np.uint64(unit) + np.array(own, np.uint64)
-    counts = np.array([(lo + i if units else lo + a, lo + a)
-                       for i, (units, a) in enumerate(zip(own, alias))], dtype=np.int16).ravel()
+    cut = np.arange(len(left), dtype=np.uint64) * np.uint64(unit) + np.array(units, np.uint64)
+    counts = np.array([(lo + i if u else lo + a, lo + a)
+                       for i, (u, a) in enumerate(zip(units, alias))], dtype=np.int16).ravel()
     cut.flags.writeable = counts.flags.writeable = False
     return bits, cut, counts
 
