@@ -296,8 +296,8 @@ def test_fold_keeps_the_determinant_of_the_fundamental_pair(dist, lam, where, pi
     try:
         h = effective_quantities(dist, E, lam).h
     except DomainError:
-        # within the support's edge margin, which every driver refuses; the
-        # uniform law's I(lam) is about 1e-7 wide near lam = 20
+        # within the support's edge margin, which every entry point
+        # refuses; the uniform law's I(lam) is about 1e-7 wide near lam = 20
         assume(False)
     law = GrowthLaw.uniform_power(d if dist is BERN else min(d, 1.5), 1.0)
     N = blocks * eng.BLOCK + extra
