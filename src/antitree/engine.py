@@ -81,7 +81,7 @@ from .streams import (
     DOMAIN_WEYL,
     _block_states,
     _restate,
-    _stream_key,
+    _whole_count,
     seed_stream,
 )
 
@@ -217,9 +217,8 @@ class _FairLayout:
 
 
 def _fair_layout(sizes: np.ndarray) -> _FairLayout:
-    s_int = sizes.astype(np.int64, copy=False)
-    fair = s_int <= _ALIAS_MAX
-    sizes_u, inverse = np.unique(s_int[fair], return_inverse=True)
+    fair = sizes <= _ALIAS_MAX
+    sizes_u, inverse = np.unique(sizes[fair], return_inverse=True)
     tables = [_alias_table(int(s)) for s in sizes_u]
     bits = np.array([t[0] for t in tables], dtype=np.int64)
     slots = 1 << bits
@@ -313,11 +312,12 @@ def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -
     E; so the tables take no more memory than the block itself.
     """
     sizes_u, inverse = np.unique(sizes, return_inverse=True)
-    rows = sizes_u + 1
-    nrows = int(rows.sum())
+    # in float, as sizes near 2^63 overflow int64; exact for a table that fits
+    nrows = int(sizes_u.sum(dtype=np.float64)) + len(sizes_u)
     fits = [E for E in tables if nrows <= len(sizes) * widths[E]]
     if not fits:
         return {}
+    rows = sizes_u + 1
     first = np.cumsum(rows) - rows
     s = np.repeat(sizes_u, rows)
     c = np.arange(nrows) - np.repeat(first, rows)
@@ -344,11 +344,11 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
                        tables=None, entries: _EntryTable | None = None, out=None,
                        first: int = 0):
     """Per-shell harmonic entries a = 1/m1 and, ``with_w``, squared norms
-    w = m2/(m1*m1) for one trial, m1 and m2 being the shell means of
-    1/(E-lam*v) and 1/(E-lam*v)^2; w is None without weights.  ``out``, a
-    pair of rows (the second None without weights), receives them when
-    given.  A vanishing mean raises SingularShellError naming its shell,
-    ``first`` being the index of the block's first one.
+    w = m2/(m1*m1) for one trial, m1 and m2 being the means of 1/(E-lam*v)
+    and 1/(E-lam*v)^2 over shells of the int64 ``sizes``; w is None without
+    weights.  ``out``, a pair of rows (the second None without weights),
+    receives them when given.  A vanishing mean raises SingularShellError
+    naming its shell, ``first`` being the index of the block's first one.
 
     Discrete laws reduce to multinomial atom counts (``layout`` is passed on
     to _multinomial_counts, ``tables`` is ``_atom_tables(dist, E, lam)``,
@@ -359,12 +359,11 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     _DRAW_CHUNK draws that continue one stream, so they reproduce one draw
     bit for bit (a split shell would be summed in a different order).
     """
-    s_int = sizes.astype(np.int64, copy=False)
     out1, out2 = (None, None) if out is None else out
     if dist.is_discrete:
         probs, r1, r2 = _atom_tables(dist, E, lam) if tables is None else tables
     if entries is not None:
-        idx = entries.start + _multinomial_counts(gen, s_int, probs, layout=layout,
+        idx = entries.start + _multinomial_counts(gen, sizes, probs, layout=layout,
                                                   first_only=True)
         if entries.zero is not None and entries.zero[idx].any():
             _raise_singular(first, entries.zero[idx])
@@ -372,7 +371,7 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
         w = np.take(entries.w, idx, out=out2, mode="clip") if with_w else None
         return a, w
     if dist.is_discrete:
-        counts = _multinomial_counts(gen, s_int, probs, layout=layout)
+        counts = _multinomial_counts(gen, sizes, probs, layout=layout)
         # numpy forms a one-row product with a dot, which can round
         # differently from the gemv of longer blocks: a lone shell is
         # padded to two rows
@@ -380,14 +379,14 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
         sum1 = (rows @ r1)[:len(counts)]
         sum2 = (rows @ r2)[:len(counts)] if with_w else None
     else:
-        ends = np.cumsum(s_int)
+        ends = np.cumsum(sizes)
         # every chunk is drawn into one buffer: a chunk holds at most
         # _DRAW_CHUNK draws or a single shell
-        buf = np.empty(int(min(ends[-1], max(_DRAW_CHUNK, s_int.max()))))
+        buf = np.empty(int(min(ends[-1], max(_DRAW_CHUNK, sizes.max()))))
         sum1, sum2 = [], []
         i0 = 0
-        while i0 < len(s_int):
-            base = ends[i0] - s_int[i0]
+        while i0 < len(sizes):
+            base = ends[i0] - sizes[i0]
             i1 = max(i0 + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
             # r = 1/(E - lam v), then r^2, formed in the sample's buffer
             r = sample(dist, gen, out=buf[:int(ends[i1 - 1] - base)])
@@ -395,7 +394,7 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
             np.multiply(r, -lam, out=r)
             r += E
             np.divide(1.0, r, out=r)
-            starts = ends[i0:i1] - s_int[i0:i1] - base
+            starts = ends[i0:i1] - sizes[i0:i1] - base
             sum1.append(np.add.reduceat(r, starts))
             if with_w:
                 np.multiply(r, r, out=r)
@@ -449,7 +448,8 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
         total = largest = 0.0
         for n0 in range(0, N, BLOCK):
             sizes = law.sizes_block(n0, min(N, n0 + BLOCK))
-            total += float(sizes.sum())
+            # in float: a block of sizes near 2^62 overflows an int64 sum
+            total += float(sizes.sum(dtype=np.float64))
             largest = max(largest, float(sizes.max()))
         if total > _DRAW_BUDGET or largest > _DRAW_CHUNK:
             raise SizeLimitError(f"{total:.0f} potential draws per trial, {largest:.0f} in "
@@ -476,7 +476,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
         n0 = b * BLOCK
         n1 = min(N, n0 + BLOCK)
-        sizes = law.sizes_block(n0, n1).astype(np.int64)
+        sizes = law.sizes_block(n0, n1)
         A = np.empty((n1 - n0, len(columns)), dtype=dtype)
         W = np.empty_like(A) if with_w else None
         if lam == 0.0:
@@ -880,20 +880,6 @@ class _FoldReplay:
                 out_dom[:, trials], out_grid[:, trials] = dom, grid
 
 
-def _whole_count(value, least: int = 1, what: str = "N") -> int:
-    """A count such as N as an int, integral floats included; DomainError
-    (reason ``what``) unless it is a whole number >= ``least``, non-numbers
-    and integers too large for a float included."""
-    try:
-        whole = (not isinstance(value, bool) and math.isfinite(value)
-                 and value == int(value) >= least)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise DomainError(f"need a whole count {what} >= {least}, got {value!r}", reason=what)
-    return int(value)
-
-
 def _shell_count(N, least: int = 1) -> int:
     """N as a whole shell count >= ``least`` (``_whole_count``), raising
     SizeLimitError beyond _SHELL_BUDGET shells, before any work is done."""
@@ -987,15 +973,21 @@ def lyapunov_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam: f
     """
     N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
-    return _forward_polar_pass(dist, law, eff, N, list(map(_stream_key, trial_ids)), seed, cell)
+    trial_ids = [_whole_count(t, 0, "seed") for t in trial_ids]
+    return _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell)
 
 
 def lyapunov_estimate(records) -> tuple[float, float]:
     """Ensemble mean and standard error of log R / sum(1/s) over trials."""
-    if len(records) < 2:
-        raise InsufficientTrialsError("need at least 2 trajectory records")
-    slopes = np.array([r.slope for r in records])
-    return float(slopes.mean()), float(slopes.std(ddof=1) / math.sqrt(len(slopes)))
+    return _mean_stderr([r.slope for r in records])
+
+
+def _mean_stderr(values) -> tuple[float, float]:
+    """Mean and standard error of two or more per-trial values."""
+    if len(values) < 2:
+        raise InsufficientTrialsError(f"need at least 2 trials, got {len(values)}")
+    v = np.asarray(values, dtype=np.float64)
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -1210,7 +1202,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     N = _shell_count(N)
     eff = effective_quantities(dist, E, lam)
     ck = math.cos(eff.k)
-    trial_ids = list(map(_stream_key, trial_ids))
+    trial_ids = [_whole_count(t, 0, "seed") for t in trial_ids]
     T = len(trial_ids)
     cps = checkpoints_geometric(N)
     ncp = len(cps)

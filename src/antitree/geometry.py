@@ -55,6 +55,8 @@ class GrowthLaw:
                 raise InvalidLawError("custom law needs a nonempty sequence")
             if any(s < 1 for s in self.custom):
                 raise InvalidLawError("custom shell sizes must be >= 1")
+            if max(self.custom) >= 2 ** 63:
+                raise SizeLimitError("custom shell sizes must be below 2^63 (int64)")
 
     @staticmethod
     def uniform_power(d: float, C: float = 1.0) -> "GrowthLaw":
@@ -69,17 +71,21 @@ class GrowthLaw:
         return int(self.sizes_block(n, n + 1)[0])
 
     def sizes_block(self, n0: int, n1: int) -> np.ndarray:
-        """s_n for n in [n0, n1) as a float array, streamed (no global table)."""
+        """s_n for n in [n0, n1) as int64, streamed (no global table); a size
+        of 2^63 or more, which int64 cannot hold, raises SizeLimitError."""
         if self.mode == "custom":
             if n1 > len(self.custom):
                 raise InvalidLawError(f"custom sequence shorter than {n1} shells")
-            return np.asarray(self.custom[n0:n1], dtype=np.float64)
+            return np.array(self.custom[n0:n1], dtype=np.int64)
         n = np.arange(n0, n1, dtype=np.float64)
-        s = np.floor(self.C * n ** (self.d - 1.0) + 0.5)
+        with np.errstate(over="ignore"):   # a size that overflows is inf, refused below
+            s = np.floor(self.C * n ** (self.d - 1.0) + 0.5)
         np.maximum(s, 1.0, out=s)
         if n0 == 0 and n1 > 0:
             s[0] = 1.0
-        return s
+        if s.max(initial=0.0) >= 2.0 ** 63:
+            raise SizeLimitError(f"shell sizes up to {s.max():.4g} in shells {n0}..{n1 - 1}")
+        return s.astype(np.int64)
 
 
 def load_custom_sizes(path) -> GrowthLaw:

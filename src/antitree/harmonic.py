@@ -31,7 +31,7 @@ from .potentials import (
     _inverse_variance,
     inverse_moment,
 )
-from .streams import DOMAIN_MOMENT, seed_stream
+from .streams import DOMAIN_MOMENT, _whole_count, seed_stream
 
 _ENUM_GUARD = 10 ** 7
 _JACKKNIFE_BLOCK = 100   # values per leave-one-out block of the jackknife
@@ -62,9 +62,8 @@ class MomentBounds:
 
 
 def moment_bounds(dist: PotentialDistribution, E: float, lam: float, n: int) -> MomentBounds:
-    """Theoretical moment envelopes for the shell harmonic mean at size n."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    """Theoretical moment envelopes for the shell harmonic mean at size n >= 1."""
+    n = _whole_count(n, what="n")
     sign = _hull_side(dist, E, lam)
     if sign == 0.0:
         raise DomainError("E inside the scaled support hull: X changes sign",
@@ -109,8 +108,10 @@ def enumerate_moments(dist: PotentialDistribution, E: float, lam: float, n: int)
     """
     if not dist.is_discrete:
         raise DomainError("exact enumeration needs a discrete law")
+    n = _whole_count(n, what="n")
     k = len(dist.atoms)
-    if k ** n > _ENUM_GUARD:
+    # capped, as k^n at a large n takes minutes to form; k^64 > guard for k >= 2
+    if k ** min(n, 64) > _ENUM_GUARD:
         raise SizeLimitError(f"{k}^{n} outcome tuples exceed the enumeration guard")
     h = moment_bounds(dist, E, lam, n).h
     rates = [1.0 / (E - lam * v) for v, _ in dist.atoms]
@@ -173,7 +174,7 @@ def _harmonic_means(dist: PotentialDistribution, E: float, lam: float, n: int,
     DOMAIN_MOMENT, n), sampled in blocks of at most BLOCK shells that
     continue the stream, so memory stays bounded in ``trials``."""
     gen = seed_stream(seed, DOMAIN_MOMENT, n)
-    sizes = np.full(min(trials, BLOCK), float(n))
+    sizes = np.full(min(trials, BLOCK), n, dtype=np.int64)
     out = np.empty(trials)
     for t0 in range(0, trials, BLOCK):
         t1 = min(trials, t0 + BLOCK)
@@ -183,11 +184,10 @@ def _harmonic_means(dist: PotentialDistribution, E: float, lam: float, n: int,
 
 def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
                trials: int, seed: int) -> MomentReport:
-    """Sample `trials` harmonic means of size n and report centered moments,
-    with exact moments when the enumeration guard allows.  The shells are
-    drawn by the engine's shell sampler (``_harmonic_means``)."""
-    if trials < 10 ** 3:
-        raise DomainError("need at least 1000 trials")
+    """Sample `trials` >= 1000 harmonic means of size n and report centered
+    moments, with exact moments when the enumeration guard allows.  The
+    shells are drawn by the engine's shell sampler (``_harmonic_means``)."""
+    trials = _whole_count(trials, 10 ** 3, "trials")
     bounds = moment_bounds(dist, E, lam, n)
     h = bounds.h
     dev = _harmonic_means(dist, E, lam, n, trials, seed) - h
@@ -195,7 +195,7 @@ def mc_moments(dist: PotentialDistribution, E: float, lam: float, n: int,
     m2, se2 = _jackknife(dev * dev)
     m3, se3 = _jackknife(dev ** 3)
     exact = None
-    if dist.is_discrete and len(dist.atoms) ** n <= _ENUM_GUARD:
+    if dist.is_discrete and len(dist.atoms) ** min(n, 64) <= _ENUM_GUARD:
         exact = enumerate_moments(dist, E, lam, n)
     flags = {
         "first_moment_positive": bounds.sign * m1 > 0.0,

@@ -35,13 +35,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import AntitreeError, ConfigError
-from .engine import (
-    TrajectoryRecord,
-    dirichlet_window_average,
-    lyapunov_batch,
-    lyapunov_estimate,
-)
+from .errors import AntitreeError, ConfigError, DomainError
+from .engine import _mean_stderr, dirichlet_window_average, lyapunov_batch
 from .geometry import GrowthLaw, load_custom_sizes, zd_brute_force, zd_printed_variant_count, zd_shell_counts
 from .harmonic import mc_moments
 from .potentials import PotentialDistribution, effective_quantities, i_lambda, j_lambda
@@ -52,6 +47,7 @@ from .spectral import (
     free_density_theory,
     grid_halfwidth,
 )
+from .streams import _whole_count
 
 # widest pack: the kernel's cost per block hardly depends on its columns,
 # while each one holds about 87 KiB of blocks and scratch
@@ -104,13 +100,6 @@ def build_growth(block: dict, base_dir: Path) -> GrowthLaw:
         raise ConfigError(f"bad growth law: {exc}") from exc
 
 
-def _whole(value, what: str) -> int:
-    """An integer config value; integral floats such as JSON 1e6 count."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def normalize_config(cfg: dict, *, experiment: str | None = None,
                      seed: int | None = None, out_dir: str | None = None) -> dict:
     """Validate, apply CLI overrides, and return the canonical config dict."""
@@ -129,10 +118,10 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
     lam = cfg.get("lambda", 1.0)
     try:
         lambdas = [float(x) for x in (lam if isinstance(lam, (list, tuple)) else [lam])]
-        N = _whole(cfg.get("N", 1000), "N")
-        trials = _whole(cfg.get("trials", 1), "trials")
-        seed_val = _whole(cfg.get("seed", 0), "seed")
-    except (TypeError, ValueError, OverflowError) as exc:
+        N = _whole_count(cfg.get("N", 1000), 1, "N")
+        trials = _whole_count(cfg.get("trials", 1), 1, "trials")
+        seed_val = _whole_count(cfg.get("seed", 0), 0, "seed")
+    except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"lambda, N, trials and seed must be numbers: {exc}") from exc
     if not lambdas:
         raise ConfigError("lambda grid is empty")
@@ -142,16 +131,14 @@ def normalize_config(cfg: dict, *, experiment: str | None = None,
     energy = cfg.get("energy", {"min": 0.0, "max": 0.0, "steps": 1})
     try:
         e_min, e_max = float(energy["min"]), float(energy["max"])
-        steps = _whole(energy.get("steps", 1), "energy.steps")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        steps = _whole_count(energy.get("steps", 1), 1, "energy.steps")
+    except (DomainError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad energy grid: {exc}") from exc
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ConfigError("energy bounds must be finite")
-    if steps < 1 or (steps > 1 and not e_min < e_max):
-        raise ConfigError("energy grid needs steps >= 1 and min < max for steps > 1")
+    if steps > 1 and not e_min < e_max:
+        raise ConfigError("energy grid needs min < max for steps > 1")
 
-    if N < 1 or trials < 1:
-        raise ConfigError("need N >= 1 and trials >= 1")
     if exp == "lyapunov" and trials < 2:
         raise ConfigError("lyapunov needs trials >= 2 for the slope standard error")
     if exp == "density" and N < DENSITY_MIN_N:
@@ -247,20 +234,21 @@ def _lyapunov_cells(cfg: dict, base_dir: Path):
             for key, lam, E in _grid(cfg)]
 
 
-def _lyapunov_pack(tasks: list[dict]) -> list[TrajectoryRecord]:
-    """The trials' records, one lyapunov_batch call per cell of the pack."""
-    records = []
+def _lyapunov_pack(tasks: list[dict]) -> list[float]:
+    """The trials' slopes, one lyapunov_batch call per cell of the pack."""
+    slopes = []
     for cell in _by_cell(tasks):
         t = cell[0]
-        records += lyapunov_batch(t["dist"], t["law"], t["E"], t["lam"], t["N"],
-                                  [s["trial"] for s in cell], t["seed"], cell=t["cell"])
-    return records
+        slopes += [r.slope for r in lyapunov_batch(t["dist"], t["law"], t["E"], t["lam"],
+                                                   t["N"], [s["trial"] for s in cell],
+                                                   t["seed"], cell=t["cell"])]
+    return slopes
 
 
 def _lyapunov_rows(cfg: dict, task: dict, values: list):
     d, C = _growth_params(cfg)
     gamma = effective_quantities(task["dist"], task["E"], task["lam"]).gamma
-    mean, stderr = lyapunov_estimate(values)
+    mean, stderr = _mean_stderr(values)
     return ([[task["E"], task["lam"], d, C, cfg["N"], len(values), mean, stderr, gamma]],)
 
 
@@ -561,7 +549,9 @@ def run_experiment(config: dict, *, threads: int = 1, base_dir: Path | str = "."
         "config_digest": config_digest(config),
         "seed": config["seed"],
         "stream_scheme": "sfc64 block b: words [4b, 4b + 4) of seed_sequence("
-                         "entropy=seed, spawn_key=(domain, cell, trial)).generate_state",
+                         "entropy=seed, spawn_key=(domain, cell, trial)).generate_state; "
+                         "harmonic-check: one sfc64 stream of seed_sequence(entropy=seed, "
+                         "spawn_key=(5, n)), continued across its blocks",
         "threads": threads,
         "wall_time_s": time.monotonic() - t_start,
         "files": file_entries,

@@ -388,27 +388,27 @@ class IntervalSet:
         return sum(iv.length for iv in self.intervals)
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Root of a function with f(lo), f(hi) of opposite sign (monotone use)."""
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Root of a monotone f with f(lo), f(hi) of opposite sign: the final
+    bracket's midpoint, and its end on lo's side.  hi may lie below lo; the
+    midpoints do not depend on their order."""
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
+        if abs(hi - lo) <= tol or (fm := f(mid)) == 0.0:
+            return mid, lo
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), lo
 
 
-def _band_pieces(dist: PotentialDistribution, lam: float) -> list[Interval]:
+def _band_pieces(dist: PotentialDistribution, lam: float, band_side=False) -> list[Interval]:
     """Closed pieces of {E outside lam*supp : |h| <= 2}, one bisection per
     crossing of the inverse moment through +-1/2 on each complement
-    component (the inverse moment is strictly decreasing there).
+    component (the inverse moment is strictly decreasing there); a crossing
+    is its final bracket's midpoint, or with ``band_side`` its end in the band.
 
     Brackets sit four edge margins from the support: at one margin, the
     rounded sum edge + margin can land inside the margin inverse_moment
@@ -438,15 +438,16 @@ def _band_pieces(dist: PotentialDistribution, lam: float) -> list[Interval]:
                 right = bhi
             else:
                 right = _bisect(lambda e: inverse_moment(dist, e, lam) - 0.5,
-                                blo, bhi, _BISECT_TOL_BAND)
+                                blo, bhi, _BISECT_TOL_BAND)[band_side]
             left = lo if math.isfinite(lo) else blo
             pieces.append(Interval(left, right, lo_closed=True, hi_closed=True))
         if m_hi <= -0.5:
             if m_lo <= -0.5:
                 left = blo
             else:
+                # bracketed from the band's side, whose end _bisect returns second
                 left = _bisect(lambda e: inverse_moment(dist, e, lam) + 0.5,
-                               blo, bhi, _BISECT_TOL_BAND)
+                               bhi, blo, _BISECT_TOL_BAND)[band_side]
             right = hi if math.isfinite(hi) else bhi
             pieces.append(Interval(left, right, lo_closed=True, hi_closed=True))
     return pieces
@@ -458,12 +459,16 @@ def i_lambda(dist: PotentialDistribution, lam: float) -> IntervalSet:
     The window consists of at most two open intervals hugging the scaled
     support; either may be empty at large disorder.  They are the band
     pieces on the two unbounded components of the complement of the
-    support, opened.
+    support, opened at the nearest energies that _hull_side accepts and at
+    the band side of their edge brackets: every energy inside passes
+    effective_quantities.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError("i_lambda needs a finite lam > 0", reason="lambda")
-    return IntervalSet(tuple(Interval(iv.lo, iv.hi) for iv in _band_pieces(dist, lam)
-                             if iv.hi <= lam * dist.v_minus or iv.lo >= lam * dist.v_plus))
+    lo, hi, margin = lam * dist.v_minus, lam * dist.v_plus, EDGE_MARGIN * max(1.0, lam)
+    pieces = _band_pieces(dist, lam, band_side=True)
+    return IntervalSet(tuple([Interval(iv.lo, lo - margin) for iv in pieces if iv.hi <= lo]
+                             + [Interval(hi + margin, iv.hi) for iv in pieces if iv.lo >= hi]))
 
 
 def j_lambda(dist: PotentialDistribution, lam: float, C: float) -> IntervalSet:
@@ -478,8 +483,7 @@ def j_lambda(dist: PotentialDistribution, lam: float, C: float) -> IntervalSet:
     half = 0.5 * C
     out = []
     for iv in window.intervals:
-        inset = max(1e-12 * max(1.0, abs(iv.lo), abs(iv.hi)), EDGE_MARGIN * max(1.0, lam))
-        grid = np.linspace(iv.lo + inset, iv.hi - inset, 2001)
+        grid = np.linspace(iv.lo, iv.hi, 2001)
         vals = np.array([effective_quantities(dist, float(e), lam).gamma for e in grid])
         below = vals <= half
 
@@ -500,11 +504,11 @@ def j_lambda(dist: PotentialDistribution, lam: float, C: float) -> IntervalSet:
             if i == 0:
                 lo, lo_closed = iv.lo, False
             else:
-                lo, lo_closed = _bisect(gamma_minus, grid[i - 1], grid[i], _BISECT_TOL_J), True
+                lo, lo_closed = _bisect(gamma_minus, grid[i - 1], grid[i], _BISECT_TOL_J)[0], True
             if j == n - 1:
                 hi, hi_closed = iv.hi, False
             else:
-                hi, hi_closed = _bisect(gamma_minus, grid[j], grid[j + 1], _BISECT_TOL_J), True
+                hi, hi_closed = _bisect(gamma_minus, grid[j], grid[j + 1], _BISECT_TOL_J)[0], True
             if lo < hi:
                 out.append(Interval(float(lo), float(hi),
                                     lo_closed=lo_closed, hi_closed=hi_closed))

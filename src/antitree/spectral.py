@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _shell_count, _whole_count, dirichlet_window_average, subordinacy_batch
+from .engine import _mean_stderr, _shell_count, dirichlet_window_average, subordinacy_batch
 from .errors import DomainError
 from .geometry import GrowthLaw
 from .potentials import (
@@ -32,6 +32,7 @@ from .potentials import (
     _band_pieces,
     effective_quantities,
 )
+from .streams import _whole_count
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,12 @@ def decay_check(dist: PotentialDistribution, lam: float, d: float, C: float,
     n^(2-d) for d < 2 or on log n at d = 2; the slope estimates the decay
     constant -gamma/(C(2-d)) resp. -gamma/C.  The fit window drops n < 100
     and the contaminated top range where the dominant solution admixture
-    exceeds exp(-5).
+    exceeds exp(-5).  The slopes' standard error needs trials >= 2.
     """
     if not 1.0 < d <= 2.0:
         raise DomainError("decay fit covers 1 < d <= 2")
     N = _shell_count(N)
+    trials = _whole_count(trials, 2, "trials")
     eff = effective_quantities(dist, E, lam)
     law = GrowthLaw.uniform_power(d, C)
     records = subordinacy_batch(dist, law, E, lam, N, range(trials), seed,
@@ -225,9 +227,9 @@ def decay_check(dist: PotentialDistribution, lam: float, d: float, C: float,
     Y = np.stack([r.log_sub[mask] for r in records], axis=1)
     coef, *_ = np.linalg.lstsq(design, Y, rcond=None)
     fits = coef[0]
-    stderr = float(fits.std(ddof=1) / math.sqrt(len(fits))) if len(fits) > 1 else math.nan
+    mean, stderr = _mean_stderr(fits)
     return DecayReport(
         E=E, lam=lam, d=d, C=C, N=N, trials=trials, regressor=regressor,
-        fitted_mean=float(fits.mean()), fitted_stderr=stderr, theory=theory,
+        fitted_mean=mean, fitted_stderr=stderr, theory=theory,
         per_trial=np.asarray(fits), window=(int(ns[mask][0]), int(ns[mask][-1])),
     )

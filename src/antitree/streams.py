@@ -19,6 +19,8 @@ column's key and the block index, not on the trajectory's length.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -32,27 +34,30 @@ DOMAIN_WEYL = 4
 DOMAIN_MOMENT = 5
 
 
-def _stream_key(x) -> int:
-    """``x`` as one component of a stream key: a whole number >= 0, numpy
-    integers and integral floats included; DomainError (reason "seed")
-    otherwise, rather than a truncated key that aliases another stream."""
+def _whole_count(value, least: int = 1, what: str = "N") -> int:
+    """A count, or a stream key, as an int, integral floats included;
+    DomainError (reason ``what``) unless it is a whole number >= ``least``,
+    non-numbers, booleans and integers too large for a float included."""
     try:
-        k = int(x)
+        whole = (not isinstance(value, bool) and math.isfinite(value)
+                 and value == int(value) >= least)
     except (TypeError, ValueError, OverflowError):
-        k = -1
-    if k < 0 or k != x:
-        raise DomainError(f"stream keys are whole numbers >= 0, got {x!r}", reason="seed")
-    return k
+        whole = False
+    if not whole:
+        raise DomainError(f"need a whole count {what} >= {least}, got {value!r}", reason=what)
+    return int(value)
 
 
 def seed_stream(master_seed: int, *ids: int) -> np.random.Generator:
-    """Return the SFC64 generator keyed by ``(master_seed, ids...)``.
+    """Return the SFC64 generator keyed by ``(master_seed, ids...)``, whole
+    numbers >= 0 (DomainError, reason "seed", otherwise).
 
     Calling twice with equal arguments yields identical streams; changing any
     component of the key decorrelates the output.
     """
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-        entropy=_stream_key(master_seed), spawn_key=tuple(map(_stream_key, ids)))))
+        entropy=_whole_count(master_seed, 0, "seed"),
+        spawn_key=tuple(_whole_count(i, 0, "seed") for i in ids))))
 
 
 def _block_states(gen: np.random.Generator, nblocks: int) -> np.ndarray:

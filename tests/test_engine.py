@@ -23,10 +23,13 @@ from antitree import (
     decay_check,
     density_estimate,
     effective_quantities,
+    enumerate_moments,
     i_lambda,
     lyapunov_batch,
     lyapunov_estimate,
     m_function,
+    mc_moments,
+    moment_bounds,
     seed_stream,
     subordinacy_batch,
 )
@@ -293,12 +296,7 @@ def test_fold_keeps_the_determinant_of_the_fundamental_pair(dist, lam, where, pi
     assume(pieces)
     iv = pieces[piece % len(pieces)]
     E = iv.lo + where * (iv.hi - iv.lo)
-    try:
-        h = effective_quantities(dist, E, lam).h
-    except DomainError:
-        # within the support's edge margin, which every entry point
-        # refuses; the uniform law's I(lam) is about 1e-7 wide near lam = 20
-        assume(False)
+    h = effective_quantities(dist, E, lam).h
     law = GrowthLaw.uniform_power(d if dist is BERN else min(d, 1.5), 1.0)
     N = blocks * eng.BLOCK + extra
     scan = eng._FoldReplay(2, 0.5 * h if centred else 0.0)
@@ -1512,6 +1510,107 @@ def test_an_integral_float_trial_count_is_the_whole_number(driver):
     # down to the estimate's trial count
     call = TRIAL_COUNT_DRIVERS[driver]
     assert repr(call(3.0)) == repr(call(3))
+
+
+# public counts with a least value of their own, checked by the one
+# whole-count check of every count and stream key: (call, least, reason)
+LEAST_COUNTS = {
+    "moment-bounds-n": (lambda n: moment_bounds(BERN, 2.0, 1.0, n), 1, "n"),
+    "enumerate-n": (lambda n: enumerate_moments(BERN, 2.0, 1.0, n), 1, "n"),
+    "mc-trials": (lambda t: mc_moments(BERN, 2.0, 1.0, 4, t, 1), 1000, "trials"),
+    "decay-trials": (lambda t: decay_check(BERN, 1.0, 1.5, 1.0, 2.0, 1000, t, 1), 2, "trials"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_COUNTS))
+def test_public_counts_below_their_least_or_fractional_raise_domain_errors(name):
+    # decay_check at one trial had returned a nan standard error; fractional
+    # counts had raised a bare TypeError, or for moment_bounds returned bounds
+    call, least, reason = LEAST_COUNTS[name]
+    for bad in (least - 1, least + 0.5, math.nan, True, str(least), None, 10 ** 400):
+        with pytest.raises(DomainError) as err:
+            call(bad)
+        assert err.value.reason == reason
+    # an integral float is the whole number
+    assert repr(call(float(least))) == repr(call(least))
+
+
+# laws whose shell sizes reach 2^63 past shell 0: d = 1000 overflows the
+# power itself (a custom sequence with such a size is refused when built)
+HUGE_SIZES = [GrowthLaw.uniform_power(1.5, 1e19), GrowthLaw.uniform_power(1000.0, 1.0)]
+THREE_ATOMS = PotentialDistribution.discrete([(-0.5, 0.4), (0.25, 0.4), (0.5, 0.2)])
+
+
+@pytest.mark.parametrize("law", HUGE_SIZES, ids=["C-1e19", "d-1000"])
+@pytest.mark.parametrize("dist", [BERN, THREE_ATOMS], ids=["bernoulli", "three-atom"])
+def test_shell_sizes_beyond_int64_raise_size_limit_errors(dist, law):
+    # they had been cast to -2^63 and raised MemoryError in the alias table,
+    # or numpy's ValueError in the binomial
+    E = 2.0 if dist is BERN else 1.5
+    calls = [lambda: lyapunov_batch(dist, law, E, 1.0, 3, [0, 1], 1),
+             lambda: subordinacy_batch(dist, law, E, 1.0, 3, [0, 1], 1),
+             lambda: density_estimate(dist, 1.0, law, [E], 1000, 2, 1),
+             lambda: m_function(E + 0.01j, 3, 0.0, dist=dist, lam=1.0, law=law, seed=1)]
+    for call in calls:
+        with pytest.raises(SizeLimitError):
+            call()
+
+
+def _finite(values) -> bool:
+    return all(np.isfinite(np.asarray(v)).all() for v in values)
+
+
+# each driver's numbers at one window energy, with two trials where it takes trials
+DOMAIN_DRIVERS = {
+    "lyapunov": lambda dist, law, E, lam, N: [
+        r.log_r for r in lyapunov_batch(dist, law, E, lam, N, [0, 1], 1)],
+    "subordinacy": lambda dist, law, E, lam, N: [
+        getattr(r, f) for r in subordinacy_batch(dist, law, E, lam, N, [0, 1], 1)
+        for f in ("log_ratio", "log_ratio_grid", "log_sub", "log_dom")],
+    "window": lambda dist, law, E, lam, N: [
+        eng.dirichlet_window_average(dist, lam, law, [E], N, 2, 1, 0.0)],
+    "m_function": lambda dist, law, E, lam, N: [
+        m_function(E + 0.01j, N, 0.0, dist=dist, lam=lam, law=law, seed=1).m],
+}
+
+
+@pytest.mark.parametrize("dist", [BERN, THREE_ATOMS], ids=["bernoulli", "three-atom"])
+def test_the_largest_int64_shell_sizes_give_finite_numbers(dist):
+    # a two-atom law's entry table has s + 1 rows per size s, which int64
+    # cannot count at s = 2^63 - 1
+    law = GrowthLaw.from_sizes([1, 2 ** 63 - 1, 2 ** 63 - 1, 5, 7])
+    E = 2.0 if dist is BERN else 1.5
+    for driver in DOMAIN_DRIVERS.values():
+        assert _finite(driver(dist, law, E, 1.0, 4))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dist=st.sampled_from([BERN, UNIF, TRI, THREE_ATOMS]), lam=st.floats(1e-3, 20.0),
+       piece=st.integers(0, 1),
+       where=st.one_of(st.sampled_from(["lo", "hi"]), st.floats(0.0, 1.0)),
+       d=st.floats(1.0, 40.0), log_c=st.floats(-3.0, 25.0), N=st.integers(1, 50))
+def test_every_input_of_the_documented_domain_is_finite_or_a_typed_error(dist, lam, piece,
+                                                                          where, d, log_c, N):
+    # E in a component of I(lam), the floats next to its ends included: every
+    # driver takes it, and returns finite numbers or raises AntitreeError
+    pieces = i_lambda(dist, lam).intervals
+    assume(pieces)
+    iv = pieces[piece % len(pieces)]
+    if where == "lo":
+        E = float(np.nextafter(iv.lo, math.inf))
+    elif where == "hi":
+        E = float(np.nextafter(iv.hi, -math.inf))
+    else:
+        E = min(max(iv.lo + where * (iv.hi - iv.lo), np.nextafter(iv.lo, math.inf)),
+                np.nextafter(iv.hi, -math.inf))
+    effective_quantities(dist, E, lam)
+    law = GrowthLaw.uniform_power(d, 10.0 ** log_c)
+    for name, driver in DOMAIN_DRIVERS.items():
+        try:
+            values = driver(dist, law, E, lam, N)
+        except AntitreeError:
+            continue
+        assert _finite(values), (name, values)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -47,6 +47,21 @@ def test_custom_law_roundtrip(tmp_path):
         load_custom_sizes(bad)
 
 
+def test_sizes_block_is_int64_below_2_63_and_refuses_larger_sizes():
+    # the drivers take the sizes as they are: a size past int64 is a typed
+    # error, not a cast to -2^63
+    law = GrowthLaw.uniform_power(2.0, 2.0 ** 62)
+    assert law.sizes_block(0, 2).dtype == np.int64
+    assert law.sizes_block(0, 2).tolist() == [1, 2 ** 62]
+    custom = GrowthLaw.from_sizes([1, 2 ** 63 - 1])
+    assert custom.sizes_block(0, 2).tolist() == [1, 2 ** 63 - 1]
+    for law, n1 in ((law, 3), (GrowthLaw.uniform_power(1000.0, 1.0), 5)):
+        with pytest.raises(SizeLimitError):
+            law.sizes_block(0, n1)
+    with pytest.raises(SizeLimitError):
+        GrowthLaw.from_sizes([1, 2 ** 63])
+
+
 def test_sizes_block_matches_scalar():
     law = GrowthLaw.uniform_power(1.7, 0.9)
     blk = law.sizes_block(0, 50)

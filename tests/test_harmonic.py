@@ -173,9 +173,16 @@ def test_blocked_harmonic_means_match_one_draw(dist, n):
     # blocks of at most BLOCK shells continue one stream, so they reproduce
     # the unblocked draw bit for bit
     trials = BLOCK + 3
-    a, _ = _shell_stats_block(dist, 2.5, 1.0, np.full(trials, float(n)),
+    a, _ = _shell_stats_block(dist, 2.5, 1.0, np.full(trials, n, dtype=np.int64),
                               seed_stream(9, DOMAIN_MOMENT, n))
     assert np.array_equal(_harmonic_means(dist, 2.5, 1.0, n, trials, 9), a)
+
+
+def test_enumeration_guard_refuses_a_large_n_without_forming_k_to_the_n():
+    # 2^(2^62) as an exact integer had taken minutes and gigabytes
+    with pytest.raises(SizeLimitError):
+        enumerate_moments(BERN, 2.0, 1.0, 2 ** 62)
+    assert mc_moments(BERN, 2.0, 1.0, 2 ** 62, 1000, seed=1).exact is None
 
 
 def test_mc_requires_enough_trials():

