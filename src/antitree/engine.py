@@ -43,16 +43,20 @@ shell entries a = 1/m1 and w = m2/m1^2 depend only on the size s and the
 first-atom count c: per block and energy they are tabulated for every (s, c)
 of the block's sizes, while the table has no more entries than the block has
 shell x column pairs, and each column draws c alone and gathers its entries.
-The entries of a tile of _TILE columns are staged contiguously and copied
-into the block once per tile.  Subordinate solutions are extracted by
-backward propagation, stable because the forward-decaying direction
-dominates in reverse; weighted-norm extremes over all solution directions
-come from a rank-one updated Cholesky factor of the 2x2 Gram matrix, whose
-determinant is a product of diagonals and therefore immune to the
-cancellation that makes the raw min/max hopeless at depth.  A block's
-segment maps and segment factors are combined by one shared Hillis-Steele
-prefix scan (Blelloch 1990), and the backward pass's weighted sums between
-checkpoints are closed at all cuts of a block at once.
+When every shell of the block draws by an alias table, the entries of each
+slot's own and alias counts are gathered into a slot table, under the same
+bound, and a column gathers each shell's entries at the alias pair its word
+draws, without forming c.  Continuous laws draw and sum their potentials in
+chunks of whole shells that fit a core's L2 cache.  The entries of a tile of
+_TILE columns are staged contiguously and copied into the block once per
+tile.  Subordinate solutions are extracted by backward propagation, stable
+because the forward-decaying direction dominates in reverse; weighted-norm
+extremes over all solution directions come from a rank-one updated Cholesky
+factor of the 2x2 Gram matrix, whose determinant is a product of diagonals
+and therefore immune to the cancellation that makes the raw min/max hopeless
+at depth.  A block's segment maps and segment factors are combined by one
+shared Hillis-Steele prefix scan (Blelloch 1990), and the backward pass's
+weighted sums between checkpoints are closed at all cuts of a block at once.
 """
 
 from __future__ import annotations
@@ -98,7 +102,11 @@ GRID_ANGLES = 64       # fixed solution directions of the log_ratio_grid compari
 RESCALE_EXP = 256
 _RESCALE_AT = 2.0 ** RESCALE_EXP
 _MAX_STRIDE = 64
-_DRAW_CHUNK = 1 << 22     # continuous-law potentials held at once
+# continuous-law potentials summed at once: 512 KiB, inside a core's L2, so
+# the passes after the draw (scale, shift, invert, square, two segment sums)
+# read them from cache
+_DRAW_CHUNK = 1 << 16
+_SHELL_DRAWS = 1 << 22    # continuous-law potentials one shell may draw
 _DRAW_BUDGET = 1 << 32    # continuous-law potentials one column may draw
 # Shells one trajectory may step.  It keeps the checkpoints far inside int64
 # and a column's block states (32 bytes per block, _block_states) at 16 MiB;
@@ -204,8 +212,12 @@ class _FairLayout:
     word each, in shell order, and read the alias table of their size
     (_alias_table): the tables of the block's sizes are concatenated in
     ``cut`` and ``counts``, a shell's starting at slot ``base`` and drawing
-    its slot as the top 64 - ``shift`` bits of its word.  The ``large``
-    shells go through the binomial after them.
+    its slot as the top 64 - ``shift`` bits of its word, then the entry
+    p = 2 slot, or 2 slot + 1 when the coin picks the alias, of ``counts``,
+    the (own, alias) count pairs.  ``pair_sizes[p]`` is the size whose table
+    holds entry p, so a slot table indexed by p is read at a shell's drawn
+    pair (_entry_tables).  The ``large`` shells go through the binomial
+    after them.
     """
 
     fair: np.ndarray
@@ -213,6 +225,7 @@ class _FairLayout:
     base: np.ndarray
     cut: np.ndarray
     counts: np.ndarray
+    pair_sizes: np.ndarray
     large: np.ndarray
 
 
@@ -227,35 +240,37 @@ def _fair_layout(sizes: np.ndarray) -> _FairLayout:
         shift=(64 - bits)[inverse].astype(np.uint64), base=(np.cumsum(slots) - slots)[inverse],
         cut=np.concatenate([np.empty(0, np.uint64)] + [t[1] for t in tables]),
         counts=np.concatenate([np.empty(0, np.int16)] + [t[2] for t in tables]),
-        large=np.flatnonzero(~fair))
+        pair_sizes=np.repeat(sizes_u, 2 * slots), large=np.flatnonzero(~fair))
 
 
-def _alias_counts(gen: np.random.Generator, layout: _FairLayout) -> np.ndarray:
-    """The first-atom counts of the ``fair`` shells of ``layout``, from one
-    raw word each: the word's top bits pick a slot of the shell's table and
-    the slot's cut decides between its own count and its alias."""
+def _alias_pairs(gen: np.random.Generator, layout: _FairLayout) -> np.ndarray:
+    """The pairs p of ``layout.counts`` drawn by the ``fair`` shells of
+    ``layout``, from one raw word each: the word's top bits pick a slot of
+    the shell's table and the slot's cut decides between its own count, at
+    p = 2 slot, and its alias, at p = 2 slot + 1."""
     words = gen.bit_generator.random_raw(len(layout.fair))
     slot = np.right_shift(words, layout.shift).view(np.int64)
     slot += layout.base
     alias = np.greater_equal(words, layout.cut.take(slot))
-    # slot 2i + 1 of the (own, alias) pairs when the coin picks the alias
     slot += slot
     slot += alias
-    return layout.counts.take(slot)
+    return slot
 
 
 def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.ndarray, *,
-                        layout: _FairLayout | None = None,
-                        first_only: bool = False) -> np.ndarray:
+                        layout: _FairLayout | None = None, first_only: bool = False,
+                        pairs: bool = False) -> np.ndarray:
     """Exact multinomial counts for per-row totals.
 
     The counts follow a binomial chain, atom by atom.  When its first step is
     fair (_fair_first), each row of at most _ALIAS_MAX draws takes that count
     from one raw SFC64 word, in row order, through its size's alias table
-    (_alias_counts); the binomials of the larger rows follow the words.
+    (_alias_pairs); the binomials of the larger rows follow the words.
     ``layout`` is ``_fair_layout(n_arr)``, built here when not given.
     ``first_only`` stops the chain after its first step and returns the
-    first atom's counts alone, as a 1-D array.
+    first atom's counts alone, as a 1-D array; with ``pairs`` as well, on a
+    fair first step whose layout has no large rows, it returns each row's
+    drawn pair of ``layout.counts`` instead of its count.
     """
     k = len(probs)
     remaining = np.asarray(n_arr, dtype=np.int64)
@@ -268,12 +283,15 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
                 layout = _fair_layout(remaining)
             # a block of one kind of shell skips the other's gather and scatter
             if not len(layout.large):
-                c = _alias_counts(gen, layout)
+                c = _alias_pairs(gen, layout)
+                if pairs:
+                    return c
+                c = layout.counts.take(c)
             elif not len(layout.fair):
                 c = gen.binomial(remaining, p)
             else:
                 c = np.empty(len(remaining), dtype=np.int64)
-                c[layout.fair] = _alias_counts(gen, layout)
+                c[layout.fair] = layout.counts.take(_alias_pairs(gen, layout))
                 c[layout.large] = gen.binomial(remaining[layout.large], p)
         else:
             c = gen.binomial(remaining, p)
@@ -288,7 +306,8 @@ def _multinomial_counts(gen: np.random.Generator, n_arr: np.ndarray, probs: np.n
 @dataclass(frozen=True)
 class _EntryTable:
     """A two-atom law's shell entries at one energy, for every pair (s, c) of
-    a size s of a block and a first-atom count 0 <= c <= s.
+    a size s of a block and a first-atom count 0 <= c <= s, or for every
+    alias pair of the block's _FairLayout (a slot table).
 
     A shell with c first atoms reads row ``start[shell] + c`` of ``a``, the
     harmonic entry 1/m1, and of ``w``, the squared norm m2/(m1*m1) (None
@@ -296,20 +315,27 @@ class _EntryTable:
     1/(E - lam*v) and 1/(E - lam*v)^2, each formed as ``counts @ r / s`` on
     the row's counts (c, s - c), as a per-shell computation forms it.
     ``zero`` marks the rows whose m1 vanishes, whose entries are left 0; it
-    is None when there are none.
+    is None when there are none.  A slot table has ``start`` None: row p
+    holds the entries of the count of pair p of the layout's ``counts``, so
+    a shell reads the row its alias draw picks, with no count between.
     """
 
-    start: np.ndarray
+    start: np.ndarray | None
     a: np.ndarray
     w: np.ndarray | None
     zero: np.ndarray | None
 
 
-def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -> dict:
+def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool,
+                  layout: _FairLayout | None = None) -> dict:
     """``{E: _EntryTable}`` for one block of ``sizes`` (int64), for each energy
     E of ``tables`` (``_atom_tables`` of a two-atom law) whose table has no
     more rows than the block has shells times ``widths[E]``, the columns at
     E; so the tables take no more memory than the block itself.
+
+    With ``layout``, the block's _FairLayout, when every shell draws by an
+    alias table, an energy whose slot table fits the same bound gets the
+    slot table, gathered from its (s, c) rows, in place of them.
     """
     sizes_u, inverse = np.unique(sizes, return_inverse=True)
     # in float, as sizes near 2^63 overflow int64; exact for a table that fits
@@ -323,6 +349,9 @@ def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -
     c = np.arange(nrows) - np.repeat(first, rows)
     counts = np.stack([c, s - c], axis=1)
     start = first[inverse]
+    # the (s, c) row of each alias pair's count, for slot tables
+    pair_rows = (first[np.searchsorted(sizes_u, layout.pair_sizes)] + layout.counts
+                 if layout is not None and not len(layout.large) else None)
     out = {}
     for E in fits:
         _, r1, r2 = tables[E]
@@ -334,7 +363,13 @@ def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool) -
             m2 = counts @ r2 / s
             np.multiply(m1, m1, out=m1)
             w = np.divide(m2, m1, out=np.zeros_like(m2), where=nonzero)
-        out[E] = _EntryTable(start, a, w, None if nonzero.all() else ~nonzero)
+        zero = None if nonzero.all() else ~nonzero
+        if pair_rows is not None and len(pair_rows) <= len(sizes) * widths[E]:
+            out[E] = _EntryTable(None, a.take(pair_rows),
+                                 None if w is None else w.take(pair_rows),
+                                 None if zero is None else zero.take(pair_rows))
+        else:
+            out[E] = _EntryTable(start, a, w, zero)
     return out
 
 
@@ -354,17 +389,21 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     to _multinomial_counts, ``tables`` is ``_atom_tables(dist, E, lam)``,
     built here when not given).  With ``entries``, the block's _EntryTable at
     E, a two-atom law draws only the first atom's counts c and gathers each
-    shell's entries at ``entries.start + c``.  Continuous laws draw every
-    potential and segment-sum, in chunks of whole shells of at most
-    _DRAW_CHUNK draws that continue one stream, so they reproduce one draw
-    bit for bit (a split shell would be summed in a different order).
+    shell's entries at ``entries.start + c``, or, from a slot table, draws
+    only the alias pairs and gathers its entries at them.  Continuous laws
+    draw every potential and segment-sum, in chunks of whole shells of at
+    most _DRAW_CHUNK draws (or of one larger shell) that continue one
+    stream, so they reproduce one draw bit for bit (a split shell would be
+    summed in a different order); a chunk stays in cache across its passes.
     """
     out1, out2 = (None, None) if out is None else out
     if dist.is_discrete:
         probs, r1, r2 = _atom_tables(dist, E, lam) if tables is None else tables
     if entries is not None:
-        idx = entries.start + _multinomial_counts(gen, sizes, probs, layout=layout,
-                                                  first_only=True)
+        idx = _multinomial_counts(gen, sizes, probs, layout=layout, first_only=True,
+                                  pairs=entries.start is None)
+        if entries.start is not None:
+            idx = entries.start + idx
         if entries.zero is not None and entries.zero[idx].any():
             _raise_singular(first, entries.zero[idx])
         a = np.take(entries.a, idx, out=out1, mode="clip")
@@ -413,6 +452,15 @@ def _shell_stats_block(dist: PotentialDistribution, E: float, lam: float,
     return a, w
 
 
+def _check_draws(total: float, largest: float) -> None:
+    """Raise SizeLimitError when a continuous-law stream would draw ``total``
+    potentials, over _DRAW_BUDGET, or ``largest`` in one shell, over
+    _SHELL_DRAWS; callers check before drawing."""
+    if total > _DRAW_BUDGET or largest > _SHELL_DRAWS:
+        raise SizeLimitError(f"{total:.0f} potential draws per trial, {largest:.0f} in "
+                             f"one shell: over {_DRAW_BUDGET} or {_SHELL_DRAWS}")
+
+
 def _raise_singular(first: int, zero: np.ndarray):
     shell = first + int(np.flatnonzero(zero)[0])
     raise SingularShellError(f"sampled shell {shell} has vanishing inverse mean", shell=shell)
@@ -436,13 +484,15 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     complex when the energies are (the m-function's spectral parameter z);
     one call's energies are all real or all complex.  Raises SizeLimitError
     before drawing when a continuous-law column would exceed _DRAW_BUDGET
-    draws or one shell _DRAW_CHUNK.
+    draws or one shell _SHELL_DRAWS.
 
     Each column's entries come from one _shell_stats_block call, from the
     block's _EntryTable at its energy when a two-atom law's table fits
-    (_entry_tables).  The entries of a tile of up to _TILE columns are staged
-    as contiguous rows of A's dtype and copied, transposed, into A and W once
-    per tile rather than one strided column at a time.
+    (_entry_tables), a slot table when the law's first step is fair and
+    every shell of the block draws by an alias table.  The entries of a tile
+    of up to _TILE columns are staged as contiguous rows of A's dtype and
+    copied, transposed, into A and W once per tile rather than one strided
+    column at a time.
     """
     if lam != 0.0 and not dist.is_discrete:
         total = largest = 0.0
@@ -451,9 +501,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             # in float: a block of sizes near 2^62 overflows an int64 sum
             total += float(sizes.sum(dtype=np.float64))
             largest = max(largest, float(sizes.max()))
-        if total > _DRAW_BUDGET or largest > _DRAW_CHUNK:
-            raise SizeLimitError(f"{total:.0f} potential draws per trial, {largest:.0f} in "
-                                 f"one shell: over {_DRAW_BUDGET} or {_DRAW_CHUNK}")
+        _check_draws(total, largest)
     energies = [E for E, _, _ in columns]
     dtype = np.result_type(float, *energies)
     energies = np.array(energies, dtype=dtype)
@@ -485,7 +533,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
                 W[:] = 1.0
         else:
             layout = _fair_layout(sizes) if fair else None
-            entries = _entry_tables(sizes, tables, widths, with_w) if widths else {}
+            entries = _entry_tables(sizes, tables, widths, with_w, layout) if widths else {}
             for j0 in range(0, len(columns), _TILE):
                 j1 = min(j0 + _TILE, len(columns))
                 a = stage1[:j1 - j0, :n1 - n0]

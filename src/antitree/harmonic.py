@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import BLOCK, _shell_stats_block
+from .engine import BLOCK, _check_draws, _shell_stats_block
 from .errors import DomainError, SizeLimitError
 from .potentials import (
     PotentialDistribution,
@@ -172,7 +172,13 @@ def _harmonic_means(dist: PotentialDistribution, E: float, lam: float, n: int,
                     trials: int, seed: int) -> np.ndarray:
     """``trials`` harmonic means of n draws each, from the stream keyed (seed,
     DOMAIN_MOMENT, n), sampled in blocks of at most BLOCK shells that
-    continue the stream, so memory stays bounded in ``trials``."""
+    continue the stream, so memory stays bounded in ``trials``.  Raises
+    SizeLimitError before drawing when n is not an int64 shell size, or a
+    continuous law's shells pass the engine's draw bounds (_check_draws)."""
+    if n >= 1 << 63:
+        raise SizeLimitError(f"moment size {n}: shell sizes are int64, below 2^63")
+    if not dist.is_discrete:
+        _check_draws(float(n) * trials, n)
     gen = seed_stream(seed, DOMAIN_MOMENT, n)
     sizes = np.full(min(trials, BLOCK), n, dtype=np.int64)
     out = np.empty(trials)

@@ -9,8 +9,8 @@ their fold onto the state one segment after the other, the fold of two Gram
 factors by two rank-one updates, the segment-by-segment folds of the Gram
 pass and of the backward sums, and the per-shell complex loop of the
 truncated m-function.  The shell entries of a block are also formed one
-column at a time from the same draws, without the sampler's entry tables and
-tiles, each block's stream rebuilt from its column's key
+column at a time from the same draws, without the sampler's entry and slot
+tables and tiles, each block's stream rebuilt from its column's key
 (``block_stream``) and a discrete law's atom counts drawn from it as the
 sampler specifies them (``fair_counts``, ``multinomial_counts``).  The
 inverse moments of the continuous laws, which ``potentials`` takes from

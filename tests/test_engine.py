@@ -835,29 +835,43 @@ def test_continuous_draws_beyond_the_budget_raise_before_drawing(monkeypatch):
     with pytest.raises(SizeLimitError):
         lyapunov_batch(UNIF, GrowthLaw.uniform_power(2.5, 1.0), 2.0, 1.0, 2 * 10 ** 4, [0],
                        seed=1)
-    # a single shell of 55 draws exceeds a chunk of 16
-    monkeypatch.setattr(eng, "_DRAW_CHUNK", 16)
+    # a single shell of 55 draws exceeds a one-shell bound of 16
+    monkeypatch.setattr(eng, "_SHELL_DRAWS", 16)
     with pytest.raises(SizeLimitError):
         lyapunov_batch(UNIF, GrowthLaw.uniform_power(1.5, 1.0), 2.0, 1.0, 3000, [0], seed=1)
 
 
 @pytest.mark.parametrize("dist", [UNIF, TRI], ids=["uniform", "triangular"])
 def test_chunked_continuous_draws_are_bit_identical(dist, monkeypatch):
-    law = GrowthLaw.uniform_power(1.5, 1.0)
     columns = [(2.0, 0, t) for t in range(2)]   # the trajectories' own columns
+    calls = []
+    sample = eng.sample
+    monkeypatch.setattr(eng, "sample", lambda *args, **kw: calls.append(1) or sample(*args, **kw))
 
-    def draws():
-        return [(A, W) for _, _, A, W in eng._shell_blocks(dist, law, 1.0, 3000, columns, 4,
-                                                          DOMAIN_TRAJECTORY, with_w=True)]
+    def run(law, N):
+        calls.clear()
+        records = lyapunov_batch(dist, law, 2.0, 1.0, N, range(2), seed=4)
+        draws = [(A, W) for _, _, A, W in eng._shell_blocks(dist, law, 1.0, N, columns, 4,
+                                                            DOMAIN_TRAJECTORY, with_w=True)]
+        return records, draws, len(calls)
 
-    whole = lyapunov_batch(dist, law, 2.0, 1.0, 3000, range(2), seed=4)
-    whole_draws = draws()
-    monkeypatch.setattr(eng, "_DRAW_CHUNK", 100)   # shells reach 55 draws
-    chunked = lyapunov_batch(dist, law, 2.0, 1.0, 3000, range(2), seed=4)
-    for a, b in zip(whole, chunked, strict=True):
-        assert np.array_equal(a.log_r, b.log_r)
-    for (A, W), (B, V) in zip(whole_draws, draws(), strict=True):
-        assert np.array_equal(A, B) and np.array_equal(W, V)
+    # (law, N, loop chunk): shells of up to 55 draws in chunks of 100 draws
+    # or of one shell each; shells of 70,000 and 100,000 draws past the loop
+    # chunk, within the one-shell bound, between small ones
+    law15 = GrowthLaw.uniform_power(1.5, 1.0)
+    for law, N, chunk in [(law15, 3000, 100), (law15, 3000, 16),
+                          (GrowthLaw.from_sizes([3, 70_000, 5, 1, 100_000, 9, 2]), 7,
+                           eng._DRAW_CHUNK)]:
+        # each column's block in one draw
+        monkeypatch.setattr(eng, "_DRAW_CHUNK", eng._SHELL_DRAWS)
+        whole, whole_draws, whole_calls = run(law, N)
+        monkeypatch.setattr(eng, "_DRAW_CHUNK", chunk)
+        chunked, chunked_draws, chunked_calls = run(law, N)
+        assert chunked_calls > whole_calls
+        for a, b in zip(whole, chunked, strict=True):
+            assert np.array_equal(a.log_r, b.log_r)
+        for (A, W), (B, V) in zip(whole_draws, chunked_draws, strict=True):
+            assert np.array_equal(A, B) and np.array_equal(W, V)
 
 
 def test_empty_column_sets_give_empty_results():
@@ -912,47 +926,65 @@ def test_shell_blocks_reverse_is_forward_reversed():
 
 
 UNFAIR = PotentialDistribution.discrete([(-0.5, 0.6), (0.75, 0.4)])
+HALVES = PotentialDistribution.discrete([(-0.5, 0.5), (0.5, 0.5)])
 THREE = PotentialDistribution.discrete([(-0.75, 0.5), (0.5, 0.25), (1.0, 0.25)])
-# (dist, law, N, energies, with_w, reverse, whether some block reads an entry table);
-# 37, 21, 19, 17 and 11 columns are not multiples of the tile
+# every size 1 .. _ALIAS_MAX, each eight times in one block: its slot table
+# has 572,500 entries, which 71 columns at one energy allow
+ALIAS_SIZES = GrowthLaw.from_sizes(np.resize(seed_stream(6, 0).permutation(
+    np.arange(1, eng._ALIAS_MAX + 1)), eng.BLOCK))
+# (dist, law, N, energies, with_w, reverse, the kinds of entry table that some
+# block reads: "entries" by (size, count), "slots" by alias pair);
+# 71, 37, 21, 19, 17 and 11 columns are not multiples of the tile
 SAMPLER_CASES = {
-    "bernoulli-alias": (BERN, LAW15, eng.BLOCK + 808, [2.0] * 37, True, False, True),
+    "bernoulli-alias": (BERN, LAW15, eng.BLOCK + 808, [2.0] * 37, True, False, {"slots"}),
     "bernoulli-large-shells": (BERN, GrowthLaw.from_sizes(np.resize([600, 700, 513, 1000, 3, 64,
                                                                      1500], 3000)),
-                               3000, [2.0] * 21, True, True, True),
-    "unfair-two-atom": (UNFAIR, LAW15, eng.BLOCK + 808, [2.2] * 19, True, True, True),
-    "three-atom": (THREE, LAW15, 3000, [2.2] * 17, True, False, False),
-    "uniform": (UNIF, LAW15, 3000, [2.0] * 17, True, True, False),
-    "triangular": (TRI, LAW15, 3000, [2.0] * 17, False, False, False),
+                               3000, [2.0] * 21, True, True, {"entries"}),
+    "bernoulli-every-alias-size": (BERN, ALIAS_SIZES, eng.BLOCK, [2.0] * 71, True, False,
+                                   {"slots"}),
+    "fair-every-alias-size": (HALVES, ALIAS_SIZES, eng.BLOCK, [1.5] * 71, False, False, {"slots"}),
+    # shells at and either side of _ALIAS_MAX in one block keep the (size,
+    # count) rows
+    "fair-large-shells": (HALVES, GrowthLaw.from_sizes(np.resize([1024, 1025, 3, 700, 2048, 1],
+                                                               1500)),
+                          1500, [1.5] * 19, True, False, {"entries"}),
+    "unfair-two-atom": (UNFAIR, LAW15, eng.BLOCK + 808, [2.2] * 19, True, True, {"entries"}),
+    "three-atom": (THREE, LAW15, 3000, [2.2] * 17, True, False, set()),
+    "uniform": (UNIF, LAW15, 3000, [2.0] * 17, True, True, set()),
+    "triangular": (TRI, LAW15, 3000, [2.0] * 17, False, False, set()),
     "custom-past-the-table-bound": (BERN, GrowthLaw.from_sizes(np.arange(1, 1201)), 1200,
-                                    [2.0] * 3, True, False, False),
+                                    [2.0] * 3, True, False, set()),
+    # the last block's one shell of 9 draws has a 32-entry slot table, more
+    # than its 11 columns allow, and a 10-row (size, count) table
     "one-shell-block": (BERN, GrowthLaw.from_sizes(np.resize([5, 7, 9], eng.BLOCK + 1)),
-                        eng.BLOCK + 1, [2.3] * 11, True, False, True),
+                        eng.BLOCK + 1, [2.3] * 11, True, False, {"slots", "entries"}),
     "per-column-energies": (BERN, LAW15, eng.BLOCK + 808, [2.0 + 0.01 * j for j in range(19)],
-                            True, False, True),
+                            True, False, {"entries"}),
     # one call's energies are all complex, some of them on the real axis
     "complex-z": (BERN, LAW15, eng.BLOCK + 808,
-                  [2.0 + 0.5j] * 5 + [2.0 + 0j, 1.5 + 1.0j, 2.5 + 0j] * 4, True, True, True),
-    "bernoulli-one-column": (BERN, LAW15, 3000, [2.0], False, False, True),
+                  [2.0 + 0.5j] * 5 + [2.0 + 0j, 1.5 + 1.0j, 2.5 + 0j] * 4, True, True,
+                  {"slots"}),
+    "bernoulli-one-column": (BERN, LAW15, 3000, [2.0], False, False, {"entries"}),
     # sizes that fall and binomial shells between alias ones: the alias
     # counts and the binomials are scattered into the block's shells
     "non-monotone": (BERN, GrowthLaw.from_sizes(np.resize([300, 5, 130, 700, 64, 1100, 65, 1,
                                                            512, 200, 2000], eng.BLOCK + 500)),
-                     eng.BLOCK + 500, [2.0] * 13, True, False, True),
+                     eng.BLOCK + 500, [2.0] * 13, True, False, {"entries"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
 def test_shell_blocks_equal_the_per_column_reference(case, monkeypatch):
-    """Entry tables and tiled copies leave every bit of A and W as the
-    per-column computation gives them."""
-    dist, law, N, energies, with_w, reverse, tabled = SAMPLER_CASES[case]
+    """Entry tables, slot tables and tiled copies leave every bit of A and W
+    as the per-column computation gives them."""
+    dist, law, N, energies, with_w, reverse, kinds = SAMPLER_CASES[case]
     columns = [(E, j % 5, j) for j, E in enumerate(energies)]
-    built = []
+    built = set()
     entry_tables = eng._entry_tables
 
     def spy(*args):
-        built.append(bool(out := entry_tables(*args)))
+        out = entry_tables(*args)
+        built.update("slots" if t.start is None else "entries" for t in out.values())
         return out
 
     monkeypatch.setattr(eng, "_entry_tables", spy)
@@ -960,7 +992,7 @@ def test_shell_blocks_equal_the_per_column_reference(case, monkeypatch):
                                  reverse=reverse, with_w=with_w))
     want = list(shell_blocks_per_column(dist, law, 1.0, N, columns, 23, DOMAIN_SUBORDINACY,
                                         reverse=reverse, with_w=with_w))
-    assert any(built) == tabled
+    assert built == kinds
     for (n0, n1, A, W), (m0, m1, B, V) in zip(got, want, strict=True):
         assert (n0, n1) == (m0, m1)
         assert A.dtype == B.dtype and A.tobytes() == B.tobytes()

@@ -14,6 +14,7 @@ from antitree import (
     mc_moments,
     moment_bounds,
 )
+import antitree.engine as eng
 from antitree.engine import BLOCK, _shell_stats_block
 from antitree.harmonic import _harmonic_means, _jackknife
 from antitree.streams import DOMAIN_MOMENT, seed_stream
@@ -183,6 +184,26 @@ def test_enumeration_guard_refuses_a_large_n_without_forming_k_to_the_n():
     with pytest.raises(SizeLimitError):
         enumerate_moments(BERN, 2.0, 1.0, 2 ** 62)
     assert mc_moments(BERN, 2.0, 1.0, 2 ** 62, 1000, seed=1).exact is None
+
+
+UNIFORM = PotentialDistribution.uniform()
+
+
+@pytest.mark.parametrize("dist, n, trials", [
+    (BERN, 2 ** 63, 1000),                           # no int64 shell size
+    (UNIFORM, 2 ** 63, 1000),
+    (UNIFORM, 2 ** 40, 1000),                        # would allocate 8 TiB
+    (UNIFORM, eng._SHELL_DRAWS + 1, 1000),           # one shell past its bound
+    (UNIFORM, eng._SHELL_DRAWS, 1025),               # 2^32 + 2^22 draws in all
+], ids=["bernoulli-2^63", "uniform-2^63", "uniform-2^40", "uniform-shell", "uniform-budget"])
+def test_mc_moments_refuses_moment_sizes_past_the_draw_bounds(dist, n, trials, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("potentials were drawn")
+
+    monkeypatch.setattr(eng, "sample", no_draws)
+    monkeypatch.setattr(eng, "_multinomial_counts", no_draws)
+    with pytest.raises(SizeLimitError):
+        mc_moments(dist, 2.0, 1.0, n, trials, seed=1)
 
 
 def test_mc_requires_enough_trials():
