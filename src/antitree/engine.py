@@ -8,7 +8,9 @@ through the harmonic entry
 the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
 steps this raw pair, rescaled by exact powers of two, through one
 fold-and-replay kernel (``_FoldReplay``): per block, each column's rescale
-stride comes from its entries, ``stride`` vectorized steps form each
+stride comes from its entries, taken from where they are formed when that
+bounds them (the energy itself at lam = 0, a two-atom law's entry table) and
+measured on the block otherwise, ``stride`` vectorized steps form each
 segment's two solutions, a log-depth prefix scan of the segment maps writes
 every segment's start state at once, and each read replays the segments it
 needs from their start states in one pass.  The forward, density, backward
@@ -37,7 +39,8 @@ raw 64-bit word of its stream through the alias table of its size (Walker
 1977, with Vose 1991's construction): the word's top bits pick a slot and
 its low bits decide the slot's coin against an integer cut.  A table holds
 the fair binomial law with every mass rounded to a multiple of 2^-64; it is
-built once per process in integer arithmetic, and the tables a block reads
+built once per process in integer arithmetic, from the exact binomials of
+the counts that can hold mass, and the tables a block reads
 depend only on its sizes and are gathered once per block.  A two-atom law's
 shell entries a = 1/m1 and w = m2/m1^2 depend only on the size s and the
 first-atom count c: per block and energy they are tabulated for every (s, c)
@@ -137,7 +140,48 @@ def _atom_tables(dist: PotentialDistribution, E: float, lam: float):
     x = E - lam * vals
     if np.any(x == 0.0):
         raise DomainError("E - lam*v vanishes at an atom", reason="inside_support")
-    return probs, 1.0 / x, 1.0 / (x * x)
+    with np.errstate(over="ignore"):   # 1/x^2 is 0 where x^2 overflows
+        return probs, 1.0 / x, 1.0 / (x * x)
+
+
+# the exact binomial row that _binomial_window formed last: (s, k0, C(s, k0 .. s // 2))
+_BINOMIAL_ROW = (0, 0, [1])
+
+
+def _binomial_window(s: int, k0: int) -> list:
+    """C(s, k) for k0 <= k <= s // 2, exact.  From the row formed last, when
+    its size r is at most 8 below s, by Pascal's rule, which costs one
+    addition per entry and row (tables are built for a block's sizes in
+    increasing order); otherwise from math.comb(s, k0) by the ratio
+    C(s, k + 1) = C(s, k) (s - k) / (k + 1)."""
+    global _BINOMIAL_ROW
+    r, kr, row = _BINOMIAL_ROW
+    if 0 <= s - r <= 8:
+        for n in range(r + 1, s + 1):
+            # C(n, kr) by the ratio, then C(n, k) = C(n-1, k-1) + C(n-1, k) up
+            # to n // 2, which is 2 C(n-1, k-1) at k = n/2
+            row = ([row[0] * n // (n - kr)] + [a + b for a, b in zip(row, row[1:])]
+                   + ([2 * row[-1]] if n % 2 == 0 else []))
+        head = [row[0]]
+        for k in range(kr - 1, k0 - 1, -1):
+            head.append(head[-1] * (k + 1) // (s - k))
+        row = head[:0:-1] + row[max(0, k0 - kr):]
+    else:
+        row = [math.comb(s, k0)]
+        for k in range(k0, s // 2):
+            row.append(row[-1] * (s - k) // (k + 1))
+    _BINOMIAL_ROW = (s, k0, row)
+    return row
+
+
+@functools.cache
+def _slots(bits: int):
+    """The slot indices of an alias table of 2^bits slots, and the first of
+    each slot's 2^(64 - bits) units."""
+    slots = np.arange(1 << bits)
+    first = slots.astype(np.uint64) << np.uint64(64 - bits)
+    slots.flags.writeable = first.flags.writeable = False
+    return slots, first
 
 
 @functools.cache
@@ -159,41 +203,83 @@ def _alias_table(s: int):
     [2i, 2i + 1]; a slot that is always or never its own count holds one
     count twice.  The integer construction is exact, built on first use and
     kept, read-only, for the process.
+
+    Only the counts k0 .. s - k0 are formed, from a k0 whose binomial lies
+    below 2^(s - 67) by the Gaussian bound C(s, s/2 - x) <= C(s, s/2)
+    exp(-2 x^2 / s).  The binomials fall away from the middle, so when
+    neither end count gets a unit, no count outside has a remainder as large
+    as theirs, and the units go where ranking all s + 1 counts puts them;
+    otherwise k0 is halved.  Count k and its mirror s - k share a
+    remainder, so the half up to s/2 is ranked and each unit pair split
+    toward the smaller count, unless a tie between two halves straddles the
+    last unit, when all the counts are ranked.  Vose's pairing, which pops
+    the small slots and the large ones from the ends of their lists, is
+    followed in closed form: in pop order, with D the running deficits of
+    the small slots and F the running excesses of the large ones, small slot
+    t goes to the first large slot q with F_q >= D_(t-1), and large slot q
+    turns small, with unit + F_q - D_t left, at the first t with D_t > F_q.
     """
-    half = [1]
-    for k in range(s // 2):
-        half.append(half[-1] * (s - k) // (k + 1))
-    binom = half + half[::-1][1 - s % 2:]
-    if s <= 64:
-        mass = [b << (64 - s) for b in binom]
-    else:
-        drop = s - 64
-        mass = [b >> drop for b in binom]
-        rem = [b & ((1 << drop) - 1) for b in binom]
-        deficit = (1 << 64) - sum(mass)
-        for k in sorted(range(s + 1), key=rem.__getitem__, reverse=True)[:deficit]:
-            mass[k] += 1
+    drop = max(0, s - 64)
+    k0 = 0
+    if drop:
+        x = math.sqrt((67 - 0.5 * math.log2(math.pi * s / 2)) * s * LN2 / 2)
+        k0 = max(0, int(s / 2 - x) - 1)
+    mirror = slice(-2 + s % 2, None, -1)     # the half's counts above s/2, in order
+    while True:
+        half = _binomial_window(s, k0)
+        if not drop:
+            mass = [b << (64 - s) for b in half]
+            mass += mass[mirror]
+            break
+        mass = [b >> drop for b in half]
+        rem = [b & ((1 << drop) - 1) for b in half]
+        deficit = (1 << 64) - 2 * sum(mass) + (0 if s % 2 else mass[-1])
+        order = sorted(range(len(half)), key=rem.__getitem__, reverse=True)
+        # the middle count of an even s takes one unit, the others a pair
+        j, extra = divmod(deficit + (s % 2 == 0 and 2 * order.index(len(half) - 1) < deficit), 2)
+        last = rem[order[j]] if j < len(half) else None
+        if (0 < j < len(half) and rem[order[j - 1]] == last
+                or extra and j + 1 < len(half) and rem[order[j + 1]] == last):
+            mass += mass[mirror]
+            rem += rem[mirror]
+            for k in sorted(range(len(rem)), key=rem.__getitem__, reverse=True)[:deficit]:
+                mass[k] += 1
+        else:
+            for k in order[:j]:
+                mass[k] += 1
+            mass += mass[mirror]
+            if extra and j < len(half):   # else the end counts took units too
+                mass[order[j]] += 1
+        if not k0 or not (mass[0] or mass[-1]):
+            break
+        k0 //= 2
     # a count above s - lo has zero mass too: its mirror below lo got no unit,
     # and its remainder ties the mirror's, whose count is smaller
     lo = next(k for k, m in enumerate(mass) if m)
-    bits = (s - 2 * lo).bit_length()
-    unit = 1 << (64 - bits)
-    left = mass[lo:s - lo + 1] + [0] * ((1 << bits) - (s - 2 * lo + 1))
-    units = [0] * len(left)      # of each slot's own count
-    alias = list(range(len(left)))
-    small = [i for i, m in enumerate(left) if m < unit]
-    large = [i for i, m in enumerate(left) if m >= unit]
-    while small and large:
-        i, g = small.pop(), large[-1]
-        units[i], alias[i] = left[i], g
-        left[g] -= unit - left[i]
-        if left[g] < unit:
-            small.append(large.pop())
-    # exact arithmetic leaves every remaining slot holding exactly its own
-    # count, which its alias then names
-    cut = np.arange(len(left), dtype=np.uint64) * np.uint64(unit) + np.array(units, np.uint64)
-    counts = np.array([(lo + i if u else lo + a, lo + a)
-                       for i, (u, a) in enumerate(zip(units, alias))], dtype=np.int16).ravel()
+    bits = (s - 2 * (k0 + lo)).bit_length()
+    slots, first_unit = _slots(bits)
+    unit = first_unit[1]
+    left = np.zeros(len(slots), dtype=np.uint64)
+    left[:len(mass) - 2 * lo] = mass[lo:len(mass) - lo]
+    # the slots in pop order, and their running deficits and excesses
+    small = left < unit
+    S, L = small.nonzero()[0][::-1], (~small).nonzero()[0][::-1]
+    d = unit - left[S]
+    D, F = d.cumsum(), (left[L] - unit).cumsum()
+    units = np.where(small, left, 0)      # of each slot's own count
+    alias = slots.copy()
+    alias[S] = L[F.searchsorted(D - d)]
+    # the first nq large slots turn small; exact arithmetic leaves every
+    # other one holding exactly its own count, which its alias then names
+    nq = F.searchsorted(F[-1])
+    units[L[:nq]] = F[:nq] + unit - D[D.searchsorted(F[:nq], side="right")]
+    alias[L[:nq]] = L[1:nq + 1]
+    cut = first_unit + units
+    counts = np.empty((len(slots), 2), dtype=np.int16)
+    counts[:, 1] = alias
+    counts[:, 0] = np.where(units > 0, slots, alias)
+    counts += k0 + lo
+    counts = counts.reshape(-1)
     cut.flags.writeable = counts.flags.writeable = False
     return bits, cut, counts
 
@@ -318,12 +404,15 @@ class _EntryTable:
     is None when there are none.  A slot table has ``start`` None: row p
     holds the entries of the count of pair p of the layout's ``counts``, so
     a shell reads the row its alias draw picks, with no count between.
+    ``stride`` is the ``_rescale_stride`` of the table's largest |a|, which
+    bounds every entry a block gathers from it.
     """
 
     start: np.ndarray | None
     a: np.ndarray
     w: np.ndarray | None
     zero: np.ndarray | None
+    stride: int
 
 
 def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool,
@@ -364,12 +453,12 @@ def _entry_tables(sizes: np.ndarray, tables: dict, widths: dict, with_w: bool,
             np.multiply(m1, m1, out=m1)
             w = np.divide(m2, m1, out=np.zeros_like(m2), where=nonzero)
         zero = None if nonzero.all() else ~nonzero
+        at = start
         if pair_rows is not None and len(pair_rows) <= len(sizes) * widths[E]:
-            out[E] = _EntryTable(None, a.take(pair_rows),
-                                 None if w is None else w.take(pair_rows),
-                                 None if zero is None else zero.take(pair_rows))
-        else:
-            out[E] = _EntryTable(start, a, w, zero)
+            at, a = None, a.take(pair_rows)
+            w = None if w is None else w.take(pair_rows)
+            zero = None if zero is None else zero.take(pair_rows)
+        out[E] = _EntryTable(at, a, w, zero, int(_rescale_stride(np.abs(a).max(initial=0.0))))
     return out
 
 
@@ -469,7 +558,7 @@ def _raise_singular(first: int, zero: np.ndarray):
 def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: int,
                   columns, seed: int, domain: int, *, reverse: bool = False,
                   with_w: bool = False):
-    """Yield ``(n0, n1, A, W)`` for each block of shells n0 <= n < n1.
+    """Yield ``(n0, n1, A, W, strides)`` for each block of shells n0 <= n < n1.
 
     ``columns`` lists ``(E, cell, trial)``; column j of the fresh (n1 - n0,
     len(columns)) array A holds the harmonic entries 1/mean(1/(E - lam*v))
@@ -485,6 +574,13 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     one call's energies are all real or all complex.  Raises SizeLimitError
     before drawing when a continuous-law column would exceed _DRAW_BUDGET
     draws or one shell _SHELL_DRAWS.
+
+    ``strides`` is ``_column_strides(A)``, read-only, when the entries'
+    source fixes it, and None when the fold must measure A: at lam = 0 each
+    column's stride is its energy's, and a two-atom law's block is at
+    _MAX_STRIDE when every column gathers from an entry table at that
+    stride.  A table at a smaller stride holds entries that the block may
+    not draw, so such a block is measured.
 
     Each column's entries come from one _shell_stats_block call, from the
     block's _EntryTable at its energy when a two-atom law's table fits
@@ -513,6 +609,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     # columns per energy, which bound its _EntryTable, for a two-atom law
     two_atoms = bool(tables) and len(dist.atoms) == 2
     widths = collections.Counter(E for E, _, _ in columns) if two_atoms else {}
+    # the strides that the entries' source fixes: at lam = 0 each energy's,
+    # else _MAX_STRIDE, for the blocks whose entry tables all allow it
+    strides = (_rescale_stride(np.abs(energies)) if lam == 0.0
+               else np.full(len(columns), _MAX_STRIDE))
+    strides.flags.writeable = False
     if lam != 0.0:
         shape = (min(_TILE, len(columns)), min(BLOCK, N))
         stage1 = np.empty(shape, dtype=dtype)
@@ -552,7 +653,9 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
                 np.copyto(A[:, j0:j1], a.T)
                 if with_w:
                     np.copyto(W[:, j0:j1], w.T)
-        yield n0, n1, A, W
+        known = lam == 0.0 or (len(entries) == len(widths) > 0 and all(
+            t.stride == _MAX_STRIDE for t in entries.values()))
+        yield n0, n1, A, W, strides if known else None
         # a caller that drops its own references lets the block be freed
         # before the next one is allocated
         A = W = None
@@ -563,13 +666,15 @@ def _rescale_stride(a_abs_max):
     int64 array shaped like ``a_abs_max``, the largest |a| of each column.
 
     The largest power of two up to _MAX_STRIDE whose growth bound
-    (1 + max|a|)^stride stays within 2^(RESCALE_EXP/2).  Every stride
-    divides BLOCK, so each block ends on a check.  Taken per column, a
-    column's results do not depend on which columns share its call.
+    (1 + max|a|)^stride stays within 2^(RESCALE_EXP/2), and 0 where one
+    shell may grow entries by more, which no rescale stride can step.  Every
+    stride divides BLOCK, so each block ends on a check.  Taken per column,
+    a column's results do not depend on which columns share its call.
     """
-    growth = np.log2(1.0 + np.asarray(a_abs_max, dtype=np.float64))
+    # capped, so that an infinite |a| halves to 0 as well
+    growth = np.minimum(np.log2(1.0 + np.asarray(a_abs_max, dtype=np.float64)), RESCALE_EXP)
     stride = np.full(growth.shape, _MAX_STRIDE, dtype=np.int64)
-    while (over := (stride > 1) & (stride * growth > RESCALE_EXP / 2)).any():
+    while (over := (stride > 0) & (stride * growth > RESCALE_EXP / 2)).any():
         stride[over] //= 2
     return stride
 
@@ -648,9 +753,11 @@ class _FoldReplay:
     columns, seeded (1, 0) unless the caller sets ``u`` and ``p``, block by
     block.
 
-    ``fold(A)`` cuts a block of entries into segments of each column's
-    ``_column_strides`` stride, the last one shorter when the stride does not
-    divide the block; columns of one stride go together, gathered with
+    ``fold(A, strides)`` cuts a block of entries into segments of each
+    column's ``_column_strides`` stride, given by the block's source where it
+    fixes them (_shell_blocks) and measured on A otherwise, the last segment
+    shorter when the stride does not divide the block; columns of one stride
+    go together, gathered with
     np.take, and A is used as it is (copied only if strided) when they all
     share it.  The fold forms the segments' two solutions seeded (1, 0) and
     (c, 1) in ``stride`` steps vectorized over (segments x columns); a state
@@ -660,9 +767,11 @@ class _FoldReplay:
     at once and rescales them with one ``_rescale_where``
     (``_fold_segments``).  Each read replays every segment
     it needs from its start state in one pass, with the per-shell loop's own
-    steps: ``log_radius`` at checkpoints, ``window_sum`` over the density
-    window, ``weighted_sums`` between checkpoints (the backward subordinacy
-    pass) and ``gram`` (the weighted Gram factor of pairs of columns).  The
+    steps: ``log_radius`` at checkpoints, whose replay sets the pairs aside
+    and reads them all at once, ``window_sum`` over the density window, which
+    squares each shell's u once and reuses it as the next shell's p,
+    ``weighted_sums`` between checkpoints (the backward subordinacy pass) and
+    ``gram`` (the weighted Gram factor of pairs of columns).  The
     last two combine the segments' own sums without a loop over segments:
     ``_cut_logs`` adds each cut's segment sums at once, and ``_fold_scan``
     folds the segments' Gram factors in a prefix scan of log depth.
@@ -694,12 +803,13 @@ class _FoldReplay:
     def _reserve(self, size: int) -> None:
         """Hold ``size`` (segments + 1) x columns, summed over the groups.
         Work rows: the fold's leapfrog pair of both segment solutions, which
-        end as the segment maps, its product, then the scan's two buffers of
-        four entries of a 2x2 map and the product of its combine step; or the
-        replay's pairs, gathered entries and product, then the gathered
-        weights or the window's scale, and three accumulators or temporaries.
-        The two exponent rows are the scan's, or the window scale's.  Each
-        group views a prefix of the work buffers."""
+        end as the segment maps, its product and the step's entries, then the
+        scan's two buffers of four entries of a 2x2 map and the product of its
+        combine step; or the replay's pairs, gathered entries and product,
+        then the gathered weights or the window's scale, and up to four
+        accumulators or temporaries.  The two exponent rows are the scan's,
+        or the window scale's.  Each group views a prefix of the work
+        buffers."""
         if size > self._cap:
             self._cap = size
             self._start = np.empty(2 * size, dtype=self.u.dtype)   # (u, p) at segment starts
@@ -707,10 +817,17 @@ class _FoldReplay:
             self._work = np.empty(_WORK_ROWS * size, dtype=self.u.dtype)
             self._work_exp = np.empty(2 * size, dtype=np.int64)
 
-    def fold(self, A: np.ndarray) -> None:
+    def fold(self, A: np.ndarray, strides: np.ndarray | None = None) -> None:
         """Advance the state across the block A (shells x columns), each
-        column in segments of its own stride."""
-        strides = _column_strides(A)
+        column in segments of its own stride: ``strides``, which must be
+        ``_column_strides(A)``, measured from A when not given.  A stride of
+        0, of entries that one shell may grow past the rescale rule's bound,
+        raises DomainError."""
+        if strides is None:
+            strides = _column_strides(A)
+        if not strides.all():
+            raise DomainError(f"shell entries beyond 2^{RESCALE_EXP // 2} in magnitude: no rescale "
+                              "stride steps them", reason="entry_range")
         groups = [(np.flatnonzero(strides == s), s) for s in sorted(set(strides.tolist()))]
         sizes = [(-(-len(A) // s) + 1) * len(cols) for cols, s in groups]
         self._reserve(sum(sizes))
@@ -754,12 +871,13 @@ class _FoldReplay:
         # [parity][seed][segment][column]
         bufs = g.work[:4].reshape(2, 2, nseg, -1)
         bufs[0, 0], bufs[0, 1], bufs[1, 0], bufs[1, 1] = 0.0, 1.0, 1.0, self.c
-        tmp = g.work[4:6]
+        tmp, rows = g.work[4:6], g.work[6]
         for i in range(steps):
-            rows = g.A[i::stride]
-            m = len(rows)
+            # the step's entries copied contiguous, read once per seed
+            m = nseg - (i >= g.last)
+            np.copyto(rows[:m], g.A[i::stride])
             new, cur = bufs[i % 2, :, :m], bufs[1 - i % 2, :, :m]
-            np.multiply(rows, cur, out=tmp[:, :m])
+            np.multiply(rows[:m], cur, out=tmp[:, :m])
             np.subtract(tmp[:, :m], new, out=new)
         # after n steps the current entries sit at parity (n - 1) % 2; a short
         # last segment that stopped on the other parity swaps its row back
@@ -802,37 +920,47 @@ class _FoldReplay:
 
     def log_radius(self, shells: np.ndarray, ck: float, sk: float, out: np.ndarray) -> None:
         """Write log hypot(u - ck p, sk p) + exps ln 2 at the increasing shells
-        ``shells`` (1-based within the last fold) into the rows of ``out``."""
+        ``shells`` (1-based within the last fold) into the rows of ``out``.
+        Each group's replay copies the pair at every read shell aside, and
+        the reads are formed from those copies, one pass per operation."""
         for g in self._groups:
-            segs = np.unique((shells - 1) // g.stride)
+            seg = (shells - 1) // g.stride
+            segs = np.unique(seg)
             at = g.offsets(segs, shells)
+            u_at, p_at = np.empty((2, len(shells), len(g.cols)), dtype=self.u.dtype)
             for i, _, u, p, _ in g.replay(segs, max(at, default=0)):
                 if (hit := at.get(i + 1)) is not None:
                     k, r = hit
-                    out[np.ix_(k, g.cols)] = (np.log(np.hypot(u[r] - ck * p[r], sk * p[r]))
-                                              + g.start_exp[segs[r]] * LN2)
+                    u_at[k], p_at[k] = u[r], p[r]
+            out[:, g.cols] = (np.log(np.hypot(u_at - ck * p_at, sk * p_at))
+                              + g.start_exp[seg] * LN2)
 
     def window_sum(self, first: int) -> np.ndarray:
         """Sum of 2^(-2 exps) / (u^2 + p^2) over the shells from ``first``
         (1-based within the last fold) to the end of the block, per column:
-        per segment in shell order, then over the segments in order."""
+        per segment in shell order, then over the segments in order.  After
+        the first step p is the u of the step before, so each step squares
+        only u and keeps its square for the next."""
         total = np.zeros(len(self.u))
         for g in self._groups:
             j0 = (first - 1) // g.stride
             skip = first - 1 - j0 * g.stride   # shells of segment j0 before the window
             segs = np.arange(j0, g.nseg)
-            scale, acc, t1, t2 = (buf[:len(segs)] for buf in g.work[4:8])
+            scale, acc, t, u2, p2 = (buf[:len(segs)] for buf in g.work[4:9])
             scale_exp = g.work_exp[0, :len(segs)]
             np.multiply(g.start_exp[j0:g.nseg], -2, out=scale_exp)
             np.ldexp(1.0, scale_exp, out=scale)
             acc[:] = 0.0
             for i, m, u, p, _ in g.replay(segs, g.steps):
+                if not i:
+                    np.multiply(p, p, out=p2)
                 lo = 1 if i < skip else 0
-                np.multiply(u[lo:m], u[lo:m], out=t1[lo:m])
-                np.multiply(p[lo:m], p[lo:m], out=t2[lo:m])
-                t1[lo:m] += t2[lo:m]
-                np.divide(scale[lo:m], t1[lo:m], out=t1[lo:m])
-                acc[lo:m] += t1[lo:m]
+                # every row's square, as the next step reads it for p
+                np.multiply(u[:m], u[:m], out=u2[:m])
+                np.add(u2[lo:m], p2[lo:m], out=t[lo:m])
+                np.divide(scale[lo:m], t[lo:m], out=t[lo:m])
+                acc[lo:m] += t[lo:m]
+                u2, p2 = p2, u2
             np.add.accumulate(acc, axis=0, out=acc)   # over the segments in order
             total[g.cols] = acc[-1]
         return total
@@ -999,8 +1127,9 @@ def _forward_polar_pass(dist, law, eff, N, trial_ids, seed, cell):
     cp_logr = np.empty((len(cps), T))
     scan = _FoldReplay(T, ck)
     columns = [(E, cell, trial) for trial in trial_ids]
-    for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_TRAJECTORY):
-        scan.fold(A)
+    for n0, n1, A, _, strides in _shell_blocks(dist, law, lam, N, columns, seed,
+                                               DOMAIN_TRAJECTORY):
+        scan.fold(A, strides)
         c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
         if c1 > c0:
             scan.log_radius(cps[c0:c1] - n0, ck, sk, cp_logr[c0:c1])
@@ -1259,20 +1388,20 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     cp_logmax = np.full((ncp, T), math.nan)
     cp_ratio_grid = np.full((ncp, T), math.nan)
 
-    held = []   # the forward pass's latest (n0, n1, A, W), oldest first
+    held = []   # the forward pass's latest (n0, n1, A, W, strides), oldest first
     if with_gram:
         # columns [u | v] of one kernel; a checkpoint at c covers shells < c
         scan = _FoldReplay(2 * T, ck)
         scan.u[T:], scan.p[T:] = 0.0, 1.0
         factor = np.zeros((3, T))
         factor_exp = np.zeros(T, dtype=np.int64)
-        for n0, n1, A, W in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_SUBORDINACY,
-                                          with_w=True):
-            scan.fold(np.hstack([A, A]))
+        for n0, n1, A, W, strides in _shell_blocks(dist, law, lam, N, columns, seed,
+                                                   DOMAIN_SUBORDINACY, with_w=True):
+            scan.fold(np.hstack([A, A]), None if strides is None else np.hstack([strides] * 2))
             c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
             scan.gram(W, cps[c0:c1] - n0, factor, factor_exp, cp_logmax[c0:c1],
                       cp_ratio_grid[c0:c1])
-            held.append((n0, n1, A, W))
+            held.append((n0, n1, A, W, strides))
             while sum(blk[2].nbytes + blk[3].nbytes for blk in held) > _HOLD_BYTES:
                 held.pop(0)
 
@@ -1292,8 +1421,8 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
     blocks = itertools.chain((held.pop() for _ in range(len(held))),
                              _shell_blocks(dist, law, lam, first_held, columns, seed,
                                            DOMAIN_SUBORDINACY, reverse=True, with_w=with_gram))
-    for n0, n1, A, W in blocks:
-        back.fold(A[::-1])
+    for n0, n1, A, W, strides in blocks:
+        back.fold(A[::-1], strides)
         # a checkpoint n0 <= c < n1 sits n1 - c shells into the reversed block,
         # where the pair is (w_{c-1}, w_c) and the sum has just taken in w_c
         lo, hi = np.searchsorted(cps, [n0, n1])
@@ -1350,8 +1479,8 @@ def dirichlet_window_average(dist, lam: float, law: GrowthLaw, energies, N: int,
     scan = _FoldReplay(len(columns))
     acc = np.zeros(len(columns))
     w0 = N // 2
-    for n0, n1, A, _ in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY):
-        scan.fold(A)
+    for n0, n1, A, _, strides in _shell_blocks(dist, law, lam, N, columns, seed, DOMAIN_DENSITY):
+        scan.fold(A, strides)
         if n1 >= w0:
             acc += scan.window_sum(max(w0 - n0, 1))
         del A
@@ -1385,8 +1514,9 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     ratio.  Herglotz: Im z > 0 forces Im m > 0.  Random shells (``dist``
     with lam != 0) draw from the stream keyed (seed, DOMAIN_WEYL, 0, 0),
     re-stated for each block.  Raises DomainError unless z is finite with
-    Im z >= 0 and beta is finite, or N is not a whole number >= 0, and
-    SizeLimitError beyond _SHELL_BUDGET shells."""
+    Im z >= 0 and beta is finite, or N is not a whole number >= 0, or when
+    an entry passes 2^(RESCALE_EXP/2) in magnitude, and SizeLimitError
+    beyond _SHELL_BUDGET shells."""
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
@@ -1399,8 +1529,9 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
         law = GrowthLaw.uniform_power(1.0, 1.0)
     scan = _FoldReplay(2, 0j)
     scan.u[1], scan.p[1] = 0.0, 1.0   # (u_0, u_{-1}) = (1, 0), (v_0, v_{-1}) = (0, 1)
-    for _, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
-        scan.fold(np.hstack([A, A]))
+    for _, _, A, _, strides in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed,
+                                             DOMAIN_WEYL):
+        scan.fold(np.hstack([A, A]), None if strides is None else np.hstack([strides] * 2))
     # column 0 holds (u_{N+1}, u_N), column 1 (v_{N+1}, v_N)
     den = complex(beta * scan.p[0] + scan.u[0])
     num = complex(beta * scan.p[1] + scan.u[1])

@@ -12,10 +12,14 @@ truncated m-function.  The shell entries of a block are also formed one
 column at a time from the same draws, without the sampler's entry and slot
 tables and tiles, each block's stream rebuilt from its column's key
 (``block_stream``) and a discrete law's atom counts drawn from it as the
-sampler specifies them (``fair_counts``, ``multinomial_counts``).  The
-inverse moments of the continuous laws, which ``potentials`` takes from
-closed forms, are also computed here by adaptive quadrature of the laws'
-densities.
+sampler specifies them (``fair_counts``, ``multinomial_counts``), and the
+alias tables by Vose's loop over exact binomials of every count
+(``alias_table_vose``).  The kernel's reads at checkpoints and over the
+density window are also formed as the replay reaches each shell, squaring
+both entries of the pair at every shell (``log_radius_per_hit``,
+``window_sum_two_squares``).  The inverse moments of the continuous laws,
+which ``potentials`` takes from closed forms, are also computed here by
+adaptive quadrature of the laws' densities.
 """
 
 from __future__ import annotations
@@ -113,6 +117,44 @@ def block_stream(seed: int, domain: int, cell: int, trial: int, b: int) -> np.ra
     return gen
 
 
+def alias_table_vose(s: int):
+    """``engine._alias_table(s)`` by its definition: every binomial C(s, k),
+    the masses C(s, k) 2^(64 - s) rounded down and the missing units given to
+    the largest remainders (ties to the smaller count, by a stable sort of
+    all s + 1 counts), then Vose's pairing loop over the slots."""
+    half = [1]
+    for k in range(s // 2):
+        half.append(half[-1] * (s - k) // (k + 1))
+    binom = half + half[::-1][1 - s % 2:]
+    if s <= 64:
+        mass = [b << (64 - s) for b in binom]
+    else:
+        drop = s - 64
+        mass = [b >> drop for b in binom]
+        rem = [b & ((1 << drop) - 1) for b in binom]
+        deficit = (1 << 64) - sum(mass)
+        for k in sorted(range(s + 1), key=rem.__getitem__, reverse=True)[:deficit]:
+            mass[k] += 1
+    lo = next(k for k, m in enumerate(mass) if m)
+    bits = (s - 2 * lo).bit_length()
+    unit = 1 << (64 - bits)
+    left = mass[lo:s - lo + 1] + [0] * ((1 << bits) - (s - 2 * lo + 1))
+    units = [0] * len(left)
+    alias = list(range(len(left)))
+    small = [i for i, m in enumerate(left) if m < unit]
+    large = [i for i, m in enumerate(left) if m >= unit]
+    while small and large:
+        i, g = small.pop(), large[-1]
+        units[i], alias[i] = left[i], g
+        left[g] -= unit - left[i]
+        if left[g] < unit:
+            small.append(large.pop())
+    cut = np.arange(len(left), dtype=np.uint64) * np.uint64(unit) + np.array(units, np.uint64)
+    counts = np.array([(lo + i if u else lo + a, lo + a)
+                       for i, (u, a) in enumerate(zip(units, alias))], dtype=np.int16).ravel()
+    return bits, cut, counts
+
+
 def fair_counts(gen: np.random.Generator, sizes) -> np.ndarray:
     """The first atom's counts of a fair first step on shells of ``sizes``:
     one raw word per shell of at most _ALIAS_MAX draws, in shell order, whose
@@ -198,6 +240,46 @@ def shell_blocks_per_column(dist, law: GrowthLaw, lam: float, N: int, columns, s
             if with_w:
                 W[:, j] = w
         yield n0, n1, A, W
+
+
+# ---------------------------------------------------------------------------
+# the kernel's reads, shell by shell
+# ---------------------------------------------------------------------------
+
+def log_radius_per_hit(scan, shells: np.ndarray, ck: float, sk: float, out: np.ndarray) -> None:
+    """``engine._FoldReplay.log_radius`` after a fold of ``scan``, each
+    offset's reads formed and written as the replay reaches it:
+    log hypot(u - ck p, sk p) + exps ln 2 at the increasing ``shells``."""
+    for g in scan._groups:
+        segs = np.unique((shells - 1) // g.stride)
+        at = g.offsets(segs, shells)
+        for i, _, u, p, _ in g.replay(segs, max(at, default=0)):
+            if (hit := at.get(i + 1)) is not None:
+                k, r = hit
+                out[np.ix_(k, g.cols)] = (np.log(np.hypot(u[r] - ck * p[r], sk * p[r]))
+                                          + g.start_exp[segs[r]] * LN2)
+
+
+def window_sum_two_squares(scan, first: int) -> np.ndarray:
+    """``engine._FoldReplay.window_sum`` after a fold of ``scan``, squaring
+    both entries of the pair at every shell: the sum of 2^(-2 exps) /
+    (u^2 + p^2) from shell ``first`` to the end of the block, per segment in
+    shell order, then over the segments in order."""
+    total = np.zeros(len(scan.u))
+    for g in scan._groups:
+        j0 = (first - 1) // g.stride
+        skip = first - 1 - j0 * g.stride
+        segs = np.arange(j0, g.nseg)
+        scale = np.ldexp(1.0, -2 * g.start_exp[j0:g.nseg])
+        acc = np.zeros_like(scale)
+        for i, m, u, p, _ in g.replay(segs, g.steps):
+            lo = 1 if i < skip else 0
+            t1 = u[lo:m] * u[lo:m]
+            t1 += p[lo:m] * p[lo:m]
+            acc[lo:m] += scale[lo:m] / t1
+        np.add.accumulate(acc, axis=0, out=acc)
+        total[g.cols] = acc[-1]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +472,7 @@ def m_function_per_shell(z: complex, N: int, beta: float, *, dist=None, lam: flo
     u_cur, u_prev = 1.0 + 0.0j, 0.0 + 0.0j   # (u_0, u_{-1})
     v_cur, v_prev = 0.0 + 0.0j, 1.0 + 0.0j
     exps = np.zeros(1, dtype=np.int64)
-    for n0, _, A, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
+    for n0, _, A, _, _ in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed, DOMAIN_WEYL):
         stride = int(_rescale_stride(np.abs(A).max()))
         for n, a in enumerate(A[:, 0].tolist(), n0 + 1):
             u_cur, u_prev = a * u_cur - u_prev, u_cur

@@ -44,6 +44,7 @@ from antitree.streams import (
 import long_double
 from reference import (
     PrueferState,
+    alias_table_vose,
     block_stream,
     cut_logs_per_segment,
     fair_counts,
@@ -51,18 +52,22 @@ from reference import (
     fold_segments_per_segment,
     gram_fold_per_segment,
     harmonic_a,
+    log_radius_per_hit,
     m_function_per_shell,
     pruefer_step,
     psi_norm_sq,
     segment_maps,
     sheared_rotation,
     shell_blocks_per_column,
+    window_sum_two_squares,
     wronskian_drift,
 )
 
 BERN = PotentialDistribution.bernoulli()
 UNIF = PotentialDistribution.uniform()
 TRI = PotentialDistribution.triangular()
+UNFAIR = PotentialDistribution.discrete([(-0.5, 0.6), (0.75, 0.4)])
+HALVES = PotentialDistribution.discrete([(-0.5, 0.5), (0.5, 0.5)])
 EFF = effective_quantities(BERN, 2.0, 1.0)
 LAW15 = GrowthLaw.uniform_power(1.5, 1.0)
 
@@ -178,6 +183,42 @@ def test_alias_table_masses_are_the_binomial_law(s):
         assert abs(m * 2 ** s - math.comb(s, k) * 2 ** 64) <= 2 ** s
 
 
+def _same_table(a, b):
+    return a[0] == b[0] and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                                for x, y in zip(a[1:], b[1:]))
+
+
+@pytest.mark.parametrize("order", ["increasing", "shuffled"])
+def test_alias_tables_equal_the_vose_reference_for_every_size(order, monkeypatch):
+    # the tables from a window of counts, ranked by half and paired in closed
+    # form, are byte for byte those of Vose's loop over every count; built in
+    # increasing order, as a block's sizes are, the binomials come from the
+    # row before by Pascal's rule, and shuffled mostly from math.comb
+    sizes = list(range(1, eng._ALIAS_MAX + 1))
+    if order == "shuffled":
+        sizes = seed_stream(8, 0).permutation(sizes).tolist()
+    eng._alias_table.cache_clear()
+    monkeypatch.setattr(eng, "_BINOMIAL_ROW", (0, 0, [1]))
+    built = {s: eng._alias_table(s) for s in sizes}
+    for s in sizes:
+        assert _same_table(built[s], alias_table_vose(s)), s
+        assert not (built[s][1].flags.writeable or built[s][2].flags.writeable)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(start=st.integers(0, 1100),
+       calls=st.lists(st.tuples(st.integers(-20, 12), st.floats(0.0, 1.0)), min_size=1,
+                      max_size=12))
+def test_binomial_window_is_exact_in_any_call_order(start, calls):
+    # from the row formed last (a size up to 8 below, a window starting
+    # anywhere) or afresh, every entry is the exact binomial
+    s = start
+    for step, where in calls:
+        s = max(0, s + step)
+        k0 = int(where * (s // 2))
+        assert eng._binomial_window(s, k0) == [math.comb(s, k) for k in range(k0, s // 2 + 1)]
+
+
 def test_extreme_words_draw_counts_of_the_shell():
     # all-zero and all-ones words read a table's first and last slots, the
     # latter zero-mass padding for most sizes: both draw counts 0 <= c <= s
@@ -264,11 +305,11 @@ def test_shell_draws_ignore_column_grouping_and_direction(dist, pattern, extra, 
 
     whole = blocks(range(4))
     for cols in (part, rest):
-        for (n0, n1, A, W), (m0, m1, B, V) in zip(whole, blocks(cols), strict=True):
+        for (n0, n1, A, W, _), (m0, m1, B, V, _) in zip(whole, blocks(cols), strict=True):
             assert (n0, n1) == (m0, m1)
             assert np.array_equal(A[:, cols], B) and np.array_equal(W[:, cols], V)
-    for (n0, n1, A, W), (m0, m1, B, V) in zip(whole, reversed(blocks(range(4), True)),
-                                              strict=True):
+    for (n0, n1, A, W, _), (m0, m1, B, V, _) in zip(whole, reversed(blocks(range(4), True)),
+                                                    strict=True):
         assert (n0, n1) == (m0, m1)
         assert np.array_equal(A, B) and np.array_equal(W, V)
 
@@ -301,7 +342,7 @@ def test_fold_keeps_the_determinant_of_the_fundamental_pair(dist, lam, where, pi
     N = blocks * eng.BLOCK + extra
     scan = eng._FoldReplay(2, 0.5 * h if centred else 0.0)
     scan.u[1], scan.p[1] = 0.0, 1.0
-    for _, _, A, _ in eng._shell_blocks(dist, law, lam, N, [(E, 0, 0)], 3, DOMAIN_TRAJECTORY):
+    for _, _, A, _, _ in eng._shell_blocks(dist, law, lam, N, [(E, 0, 0)], 3, DOMAIN_TRAJECTORY):
         scan.fold(np.hstack([A, A]))
     (u0, u1), (p0, p1), e = scan.u, scan.p, int(scan.exps.sum())
     assert abs(u0 * p1 - u1 * p0 - math.ldexp(1.0, -e)) <= 1e-12 * (abs(u0 * p1) + abs(u1 * p0))
@@ -767,13 +808,115 @@ def test_mixed_stride_fold_keeps_groups_contiguous():
         assert np.array_equal(g.A, A[:, g.cols])
 
 
+def _fold_and_read_both_ways(A, ck, sk, shells, first):
+    """The kernel's log R at ``shells`` and window sum from ``first`` after
+    one fold of A, and the per-hit, two-square references on the same fold."""
+    scan = eng._FoldReplay(A.shape[1], ck)
+    scan.fold(A)
+    got, want = (np.full((len(shells), A.shape[1]), np.nan) for _ in range(2))
+    scan.log_radius(shells, ck, sk, got)
+    log_radius_per_hit(scan, shells, ck, sk, want)
+    return (got, scan.window_sum(first)), (want, window_sum_two_squares(scan, first)), scan
+
+
+def test_reads_equal_the_per_hit_references_bit_for_bit():
+    # 300 shells end on a short last segment at every stride; columns of
+    # scale 1, 20 and 1e4 fold in groups of 64, 16 and 8 shells; the window
+    # starts inside a segment of every group (skip 13, 13 and 5), and the
+    # reads fall on segment starts and ends and between them
+    A = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 6)) * [1, 1e4, 1, 20, 1e4, 1]
+    shells = np.array([1, 2, 8, 9, 16, 17, 63, 64, 65, 150, 256, 257, 299, 300])
+    first = 142
+    for ck, sk in ((0.3, math.sqrt(1 - 0.09)), (0.0, 1.0)):
+        got, want, scan = _fold_and_read_both_ways(A, ck, sk, shells, first)
+        assert [g.stride for g in scan._groups] == [8, 16, 64]
+        assert all(300 % g.stride and (first - 1) % g.stride for g in scan._groups)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(L=st.integers(1, 700), scales=st.lists(st.sampled_from([0.5, 3.0, 20.0, 1e4]),
+                                              min_size=1, max_size=5),
+       k=st.floats(0.1, math.pi - 0.1), where=st.floats(0.0, 1.0),
+       pick=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_reads_equal_the_per_hit_references_on_any_block(L, scales, k, where, pick, seed):
+    # any block length and mix of strides, any starting shell of the window
+    # and any set of read shells, the last one always among them
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (L, len(scales))) * scales
+    shells = np.flatnonzero(rng.random(L) < pick) + 1
+    shells = np.union1d(shells, [L])
+    first = 1 + int(where * (L - 1))
+    got, want, _ = _fold_and_read_both_ways(A, math.cos(k), math.sin(k), shells, first)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
+# (dist, law, lam, energies, N, which blocks must take their strides from
+# the entries' source, by index; None: every block)
+STRIDE_SOURCES = {
+    "lam0-real": (BERN, LAW15, 0.0, [0.5, -1.9, 3.0, -40.0, 1e4], 2 * eng.BLOCK + 30, None),
+    "lam0-complex": (BERN, LAW15, 0.0, [2.0 + 0.5j, -30.0 + 1.0j, 1e3j], eng.BLOCK + 30, None),
+    # block 0's slot table holds a = 3.000000000000001, from a shell of
+    # few draws all at v = -1: it keeps measuring, the later blocks do not
+    "bernoulli-2-1": (BERN, LAW15, 1.0, [2.0] * 16, 4 * eng.BLOCK + 100, {1, 2, 3, 4}),
+    "fair-two-atom": (HALVES, LAW15, 1.0, [1.5] * 16, 3 * eng.BLOCK, {0, 1, 2}),
+    "unfair-two-atom": (UNFAIR, LAW15, 1.0, [2.2] * 16, 3 * eng.BLOCK, {0, 1, 2}),
+    # entries up to about 20 allow segments of 16 shells only
+    "stride-16": (BERN, GrowthLaw.uniform_power(1.0, 1.0), 10.0, [10.5] * 8, 2 * eng.BLOCK,
+                  set()),
+    "uniform": (UNIF, LAW15, 1.0, [2.0] * 8, 2 * eng.BLOCK, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIDE_SOURCES))
+def test_block_strides_equal_the_measured_strides(case):
+    """A block's strides, where its entries' source fixes them, are
+    _column_strides of the block; elsewhere the fold measures."""
+    dist, law, lam, energies, N, known = STRIDE_SOURCES[case]
+    columns = [(E, 0, j) for j, E in enumerate(energies)]
+    fixed = set()
+    for b, (_, _, A, W, strides) in enumerate(eng._shell_blocks(dist, law, lam, N, columns, 3,
+                                                                DOMAIN_TRAJECTORY, with_w=True)):
+        if strides is not None:
+            fixed.add(b)
+            assert not strides.flags.writeable
+            assert strides.dtype == np.int64
+            assert np.array_equal(strides, eng._column_strides(A))
+    assert fixed == (set(range(-(-N // eng.BLOCK))) if known is None else known)
+
+
+def test_column_strides_runs_only_where_no_source_fixes_the_strides(monkeypatch):
+    # a lam = 0 call measures no block; the ensemble shape (100 trials at
+    # (E, lam) = (2, 1), N = 50,000) measures block 0 alone; the uniform law
+    # and the stride-16 cell measure every block of each pass
+    measured = []
+    strides = eng._column_strides
+    monkeypatch.setattr(eng, "_column_strides", lambda A: measured.append(len(A)) or strides(A))
+    eng.dirichlet_window_average(BERN, 0.0, LAW15, [-1.0, 0.5], 3 * eng.BLOCK, 4, 1, 0.01)
+    eng.m_function(0.3 + 0.1j, 3 * eng.BLOCK, 0.0)
+    subordinacy_batch(BERN, LAW15, 1.5, 0.0, 2 * eng.BLOCK, range(2), seed=1)
+    assert measured == []
+    lyapunov_batch(BERN, LAW15, 2.0, 1.0, 50_000, range(100), seed=1)
+    assert measured == [eng.BLOCK]
+    for dist, law, E, lam in ((UNIF, LAW15, 2.0, 1.0),
+                              (BERN, GrowthLaw.uniform_power(1.0, 1.0), 10.5, 10.0)):
+        measured.clear()
+        lyapunov_batch(dist, law, E, lam, 2 * eng.BLOCK + 5, range(4), seed=1)
+        assert measured == [eng.BLOCK, eng.BLOCK, 5]
+        measured.clear()
+        subordinacy_batch(dist, law, E, lam, eng.BLOCK + 5, range(2), seed=1)
+        assert measured == [eng.BLOCK, 5, 5, eng.BLOCK]   # forward, then backward
+
+
 def test_each_trial_alone_matches_the_joint_call():
     # |a| = |E - lam v| reaches 3.03: columns whose block passes 3 fold in
     # segments of 32 shells, the others of 64
     law = GrowthLaw.uniform_power(1.0, 1.0)
     args = (UNIF, law, -2.03, 1.0, 100)
-    (_, _, A, _), = eng._shell_blocks(UNIF, law, 1.0, 100, [(-2.03, 0, t) for t in range(32)],
-                                      3, DOMAIN_TRAJECTORY)
+    (_, _, A, _, _), = eng._shell_blocks(UNIF, law, 1.0, 100, [(-2.03, 0, t) for t in range(32)],
+                                         3, DOMAIN_TRAJECTORY)
     assert {int(eng._rescale_stride(x)) for x in np.abs(A).max(axis=0)} == {32, 64}
     joint = lyapunov_batch(*args, range(32), seed=3)
     joint_sub = subordinacy_batch(*args, range(32), seed=3)
@@ -851,8 +994,8 @@ def test_chunked_continuous_draws_are_bit_identical(dist, monkeypatch):
     def run(law, N):
         calls.clear()
         records = lyapunov_batch(dist, law, 2.0, 1.0, N, range(2), seed=4)
-        draws = [(A, W) for _, _, A, W in eng._shell_blocks(dist, law, 1.0, N, columns, 4,
-                                                            DOMAIN_TRAJECTORY, with_w=True)]
+        draws = [(A, W) for _, _, A, W, _ in eng._shell_blocks(dist, law, 1.0, N, columns, 4,
+                                                               DOMAIN_TRAJECTORY, with_w=True)]
         return records, draws, len(calls)
 
     # (law, N, loop chunk): shells of up to 55 draws in chunks of 100 draws
@@ -893,8 +1036,8 @@ def test_each_block_draws_from_its_column_stream_restated(monkeypatch):
     for N, reverse in ((eng.BLOCK + 1, False), (3 * eng.BLOCK + 50, False),
                        (3 * eng.BLOCK + 50, True)):
         keys.clear()
-        for n0, n1, A, _ in eng._shell_blocks(BERN, law, 1.0, N, columns, 7, DOMAIN_TRAJECTORY,
-                                              reverse=reverse):
+        for n0, n1, A, _, _ in eng._shell_blocks(BERN, law, 1.0, N, columns, 7, DOMAIN_TRAJECTORY,
+                                                 reverse=reverse):
             sizes = law.sizes_block(n0, n1).astype(np.int64)
             for j, (E, cell, trial) in enumerate(columns):
                 gen = block_stream(7, DOMAIN_TRAJECTORY, cell, trial, n0 // eng.BLOCK)
@@ -914,19 +1057,17 @@ def test_shell_blocks_reverse_is_forward_reversed():
     fwd = list(eng._shell_blocks(BERN, law, 1.0, N, columns, 9, 2, with_w=True))
     bwd = list(eng._shell_blocks(BERN, law, 1.0, N, columns, 9, 2, with_w=True,
                                  reverse=True))
-    assert [(n0, n1) for n0, n1, _, _ in fwd] == [(0, blk), (blk, 2 * blk), (2 * blk, N)]
+    assert [(n0, n1) for n0, n1, _, _, _ in fwd] == [(0, blk), (blk, 2 * blk), (2 * blk, N)]
     assert len(bwd) == len(fwd)
-    for (n0, n1, A, W), (m0, m1, B, V) in zip(fwd, reversed(bwd)):
+    for (n0, n1, A, W, _), (m0, m1, B, V, _) in zip(fwd, reversed(bwd)):
         assert (n0, n1) == (m0, m1)
         assert np.array_equal(A, B) and np.array_equal(W, V)
     # lam = 0 draws nothing: the entries are the energies themselves
-    for _, _, A, W in eng._shell_blocks(BERN, law, 0.0, N, [(-1.71, 0, 0)], 9, 2,
-                                        with_w=True):
+    for _, _, A, W, _ in eng._shell_blocks(BERN, law, 0.0, N, [(-1.71, 0, 0)], 9, 2,
+                                           with_w=True):
         assert np.all(A == -1.71) and np.all(W == 1.0)
 
 
-UNFAIR = PotentialDistribution.discrete([(-0.5, 0.6), (0.75, 0.4)])
-HALVES = PotentialDistribution.discrete([(-0.5, 0.5), (0.5, 0.5)])
 THREE = PotentialDistribution.discrete([(-0.75, 0.5), (0.5, 0.25), (1.0, 0.25)])
 # every size 1 .. _ALIAS_MAX, each eight times in one block: its slot table
 # has 572,500 entries, which 71 columns at one energy allow
@@ -993,7 +1134,7 @@ def test_shell_blocks_equal_the_per_column_reference(case, monkeypatch):
     want = list(shell_blocks_per_column(dist, law, 1.0, N, columns, 23, DOMAIN_SUBORDINACY,
                                         reverse=reverse, with_w=with_w))
     assert built == kinds
-    for (n0, n1, A, W), (m0, m1, B, V) in zip(got, want, strict=True):
+    for (n0, n1, A, W, _), (m0, m1, B, V) in zip(got, want, strict=True):
         assert (n0, n1) == (m0, m1)
         assert A.dtype == B.dtype and A.tobytes() == B.tobytes()
         assert W is V is None or W.tobytes() == V.tobytes()
@@ -1060,7 +1201,7 @@ def test_entries_of_trajectories_bounded():
     # a = 1/mean(1/(E - lam v)) over v = +-1 lies within [E - lam, E + lam]
     law = GrowthLaw.uniform_power(1.5, 1.0)
     columns = [(2.0, 0, t) for t in range(4)]
-    for _, _, A, _ in eng._shell_blocks(BERN, law, 1.0, 2000, columns, 8, DOMAIN_TRAJECTORY):
+    for _, _, A, _, _ in eng._shell_blocks(BERN, law, 1.0, 2000, columns, 8, DOMAIN_TRAJECTORY):
         assert A.min() >= 2.0 - 1.0 - 1e-12
         assert A.max() <= 2.0 + 1.0 + 1e-12
 
@@ -1659,6 +1800,19 @@ def test_singular_shell_is_named_by_its_index_past_the_first_block(reverse):
             eng.dirichlet_window_average(BERN, 1.0, law, [0.0], n + 200, 1, 5, 0.0)
     assert err.value.shell == n
     assert str(err.value) == f"sampled shell {n} has vanishing inverse mean"
+
+
+def test_entries_past_the_rescale_rule_raise_a_domain_error():
+    # one shell may grow an entry |a| > 2^128 past the rescale rule's bound,
+    # at any stride, so every pass refuses such a block rather than stepping
+    # it: the density at lam = 1e300 read nan before
+    assert eng._rescale_stride([2.0 ** 127, 2.0 ** 129, math.inf]).tolist() == [1, 0, 0]
+    for call in (lambda: eng.dirichlet_window_average(UNIF, 1e300, LAW15, [0.6], 1500, 1, 0, 0.0),
+                 lambda: eng.dirichlet_window_average(BERN, 0.0, LAW15, [1e200], 1500, 1, 0, 0.0),
+                 lambda: m_function(1e200 + 1j, 100, 0.0)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.reason == "entry_range"
 
 
 def test_m_function_degenerate_denominator():

@@ -1,5 +1,7 @@
 """Streams, config handling, experiment runs, and reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import multiprocessing
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import antitree.harness as harness
@@ -675,3 +677,130 @@ def test_cli_density_needs_the_estimators_shell_count(tmp_path, capsys):
 def test_cli_missing_config(tmp_path, capsys):
     code = cli_main(["lyapunov", "--config", str(tmp_path / "absent.json")])
     assert code == 1
+
+
+def test_density_past_the_rescale_rule_fails_its_cell(tmp_path):
+    # lambda = 1e300 makes entries near 1e300, which no rescale stride steps:
+    # the cell fails with a DomainError, where it wrote rho_hat nan and exit 0
+    cfg = {"experiment": "density", "distribution": {"kind": "bernoulli"}, "lambda": 1e300,
+           "growth": {"d": 2.0, "C": 0.001}, "energy": {"min": 0.6, "max": 0.6, "steps": 1},
+           "N": 1500, "trials": 1, "seed": 0, "output_dir": "o"}
+    manifest, code = _run(tmp_path, cfg)
+    assert code == 2
+    assert manifest["cells"][0]["error"].startswith("DomainError: shell entries beyond 2^128")
+    assert (tmp_path / "o" / "density.csv").read_text() == "E,rho_hat,rho_free_theory\n"
+
+
+# ---------------------------------------------------------------------------
+# the CLI over its whole config domain
+# ---------------------------------------------------------------------------
+
+# the columns of each CSV whose values name the row's cell (parsed as floats)
+# and the columns that may read "nan": phase_diagram.csv's gamma has no value
+# outside I(lam) (verdicts outside_I and open_region) and its decay_constant
+# none unless the verdict is pp
+ROW_KEYS = {"lyapunov.csv": ("lambda", "E"), "phase_diagram.csv": ("lambda", "E"),
+            "density.csv": ("E",), "harmonic_check.csv": ("n",),
+            "spectrum_sets.csv": ("lambda",), "geometry_counts.csv": ("d",),
+            "geometry_hopping.csv": ("d",)}
+NAN_FIELDS = {("phase_diagram.csv", "gamma"), ("phase_diagram.csv", "decay_constant")}
+ONE_ROW_PER_CELL = {"lyapunov", "phase-diagram", "density", "harmonic-check"}
+ATOMS = [[[0.0, 1.0]], [[-1e-300, 0.5], [1e-300, 0.5]], [[-1.0, 0.5], [1.0, 0.5]],
+         [[-0.5, 0.6], [0.75, 0.4]], [[-0.5, 0.4], [0.25, 0.4], [0.5, 0.2]], [[1.0, 1.0]]]
+LAMBDAS = [0.0, -0.0, 0.5, 1.0, 2.5, 10.0, 1e300]
+
+
+def _cell_key(key: str) -> tuple:
+    """The numbers of a manifest cell key such as "lambda=1.0,E=2.5"."""
+    return tuple(float(part.split("=")[1]) for part in key.split(","))
+
+
+def _check_csv(name: str, text: str) -> list[tuple]:
+    """Every field of the CSV ``name`` is empty (not applicable), a word, a
+    finite number or a documented "nan"; returns each row's cell key."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    keys = []
+    for row in rows:
+        assert len(row) == len(header)
+        for column, field in zip(header, row):
+            try:
+                value = float(field)
+            except ValueError:
+                continue   # empty, true/false, or a verdict, decay kind or set name
+            assert math.isfinite(value) or (field == "nan" and (name, column) in NAN_FIELDS), \
+                (name, column, field)
+        keys.append(tuple(float(row[header.index(c)]) for c in ROW_KEYS[name]))
+    return keys
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(experiment=st.sampled_from(harness.EXPERIMENTS),
+       dist=st.one_of(st.sampled_from(["bernoulli", "uniform", "triangular"])
+                      .map(lambda kind: {"kind": kind}),
+                      st.sampled_from(ATOMS).map(lambda a: {"kind": "discrete", "atoms": a})),
+       lam=st.one_of(st.sampled_from(LAMBDAS), st.lists(st.sampled_from(LAMBDAS), min_size=1,
+                                                        max_size=3)),
+       d=st.sampled_from([1e-3, 1.0, 1.5, 2.0, 40.0]), C=st.sampled_from([1e-3, 1.0, 1e6]),
+       e_min=st.floats(-3.0, 3.0), width=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+       steps=st.integers(1, 3), N=st.sampled_from([3, 1000, 1500]), trials=st.integers(1, 4),
+       seed=st.sampled_from([0, 1, 2 ** 63 - 1]))
+# every experiment once on a config it accepts (the lyapunov and spectrum-sets
+# ones with failing cells, exit 2), and the refusals the draws rarely reach:
+# an empty lambda grid, an unknown law, a seed past 64 bits
+@example(experiment="lyapunov", dist={"kind": "bernoulli"}, lam=[0.5, 1.0], d=1.5, C=1.0,
+         e_min=1.8, width=0.4, steps=3, N=1500, trials=3, seed=1)
+@example(experiment="density", dist={"kind": "discrete", "atoms": ATOMS[3]}, lam=1.0, d=1.5,
+         C=1.0, e_min=1.2, width=0.9, steps=3, N=1000, trials=2, seed=2)
+@example(experiment="phase-diagram", dist={"kind": "bernoulli"}, lam=[0.5, 1.0, 1e300],
+         d=2.0, C=1.0, e_min=-3.0, width=2.0, steps=3, N=3, trials=1, seed=0)
+@example(experiment="harmonic-check", dist={"kind": "uniform"}, lam=1.0, d=1.0, C=1.0,
+         e_min=2.0, width=0.0, steps=1, N=3, trials=1, seed=1)
+@example(experiment="geometry-audit", dist={"kind": "bernoulli"}, lam=1.0, d=1.0, C=1.0,
+         e_min=0.0, width=0.0, steps=1, N=3, trials=1, seed=0)
+@example(experiment="spectrum-sets", dist={"kind": "triangular"}, lam=[0.0, 2.5, 10.0],
+         d=2.0, C=1e6, e_min=0.0, width=0.0, steps=1, N=3, trials=1, seed=0)
+@example(experiment="lyapunov", dist={"kind": "bernoulli"}, lam=[], d=1.5, C=1.0,
+         e_min=2.0, width=0.0, steps=1, N=1000, trials=2, seed=0)
+@example(experiment="density", dist={"kind": "cauchy"}, lam=0.0, d=1.5, C=1.0,
+         e_min=0.0, width=0.5, steps=2, N=1000, trials=2, seed=0)
+@example(experiment="lyapunov", dist={"kind": "bernoulli"}, lam=1.0, d=1.5, C=1.0,
+         e_min=2.0, width=0.0, steps=1, N=1000, trials=2, seed=2 ** 64)
+def test_the_cli_either_writes_consistent_csvs_or_refuses_the_config(
+        tmp_path_factory, experiment, dist, lam, d, C, e_min, width, steps, N, trials, seed):
+    # exit 0 or 2: the manifest's cell statuses match the CSV rows, every
+    # field is finite or a documented marker, and the bytes do not depend on
+    # --threads; exit 1: a config error, and no output directory
+    cfg = {"experiment": experiment, "distribution": dist, "lambda": lam,
+           "growth": {"d": d, "C": C}, "energy": {"min": e_min, "max": e_min + width,
+                                                  "steps": steps},
+           "N": N, "trials": trials, "seed": seed}
+    base = tmp_path_factory.mktemp("cli")
+    (base / "cfg.json").write_text(json.dumps(cfg))
+    runs = []
+    for threads in (1, 2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([experiment, "--config", str(base / "cfg.json"), "--out",
+                             f"t{threads}", "--threads", str(threads)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        event(f"{experiment} exit {code}")
+        if code == 1:
+            assert "config error" in err
+            assert not (base / f"t{threads}").exists()
+            runs.append(None)
+            continue
+        out = base / f"t{threads}"
+        manifest = json.loads((out / "manifest.json").read_text())
+        cells = manifest["cells"]
+        assert (code == 2) == any(c["status"] != "ok" for c in cells)
+        csvs = {f["name"]: (out / f["name"]).read_text() for f in manifest["files"]}
+        ok = [_cell_key(c["key"]) for c in cells if c["status"] == "ok"]
+        for name, text in csvs.items():
+            rows = _check_csv(name, text)
+            if experiment in ONE_ROW_PER_CELL:
+                assert rows == ok, name
+            else:   # several rows per cell, or none
+                assert set(rows) <= set(ok), name
+        runs.append((code, cells, csvs))
+    assert runs[0] == runs[1]
