@@ -7,16 +7,16 @@ through the harmonic entry
 
 the 2x2 step matrix ((a, -1), (1, 0)) acting on (u_n, u_{n-1}); every pass
 steps this raw pair, rescaled by exact powers of two, through one
-fold-and-replay kernel (``_FoldReplay``): per block, each column's rescale
-stride comes from its entries, taken from where they are formed when that
-bounds them (the energy itself at lam = 0, a two-atom law's entry table) and
-measured on the block otherwise, ``stride`` vectorized steps form each
-segment's two solutions, a log-depth prefix scan of the segment maps writes
-every segment's start state at once, and each read replays the segments it
-needs from their start states in one pass.  The forward, density, backward
+fold-and-replay kernel (``_FoldReplay``): per block, ``_shell_blocks`` gives
+each column's rescale stride with the entries, taken from where they are
+formed when that bounds them (the energy itself at lam = 0, a two-atom law's
+entry table) and measured on the block otherwise, ``stride`` vectorized steps
+form each segment's two solutions, a log-depth prefix scan of the segment maps
+writes every segment's start state at once, and each read replays the segments
+it needs from their start states in one pass.  The forward, density, backward
 subordinacy and Gram passes differ only in their reads; the backward pass is
-the forward step on reversed entries, and the m-function folds its complex
-fundamental pair and reads the final state.  With x = (a - h)/sin k and
+the forward step on reversed entries, as is the m-function's, on the complex
+solution that meets its boundary condition at N.  With x = (a - h)/sin k and
 M = ((sin k, cos k), (0, 1)) the step conjugates to shear times rotation,
 ((a, -1), (1, 0)) M = M ((1, x), (0, 1)) Rot(k), and M e_1 = sin k (u_0, u_{-1})
 for the Dirichlet solution, so its polar radius is read off the raw pair:
@@ -64,6 +64,7 @@ weighted sums between checkpoints are closed at all cuts of a block at once.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import functools
 import itertools
@@ -564,10 +565,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     len(columns)) array A holds the harmonic entries 1/mean(1/(E - lam*v))
     of its shells.  Block b of a column is drawn from the column's stream,
     ``seed_stream(seed, domain, cell, trial)``, re-stated to row b of its
-    ``_block_states``; the one seed_stream call per column is made when the
-    column first draws, so lam = 0 derives nothing.  A column's draws
-    therefore do not depend on which other columns share the call, on N or
-    on the direction: ``reverse`` yields the same blocks last to first.  W
+    ``_block_states``; the one seed_stream call per column is made before
+    the first block, by a call that draws, so lam = 0 derives nothing.  A
+    column's draws therefore do not depend on which other columns share the
+    call, on N or on the direction: ``reverse`` yields the same blocks last
+    to first.  W
     holds the squared shell-vector norms a^2 * mean(1/(E - lam*v)^2) when
     ``with_w`` is set and is None otherwise.  lam = 0 draws nothing: A = E and W = 1 exactly.  A is
     complex when the energies are (the m-function's spectral parameter z);
@@ -575,12 +577,12 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     before drawing when a continuous-law column would exceed _DRAW_BUDGET
     draws or one shell _SHELL_DRAWS.
 
-    ``strides`` is ``_column_strides(A)``, read-only, when the entries'
-    source fixes it, and None when the fold must measure A: at lam = 0 each
-    column's stride is its energy's, and a two-atom law's block is at
-    _MAX_STRIDE when every column gathers from an entry table at that
-    stride.  A table at a smaller stride holds entries that the block may
-    not draw, so such a block is measured.
+    ``strides`` is ``_column_strides(A)``, formed here alone: read-only from
+    the entries' source where that fixes them, and measured on A otherwise.
+    At lam = 0 each column's stride is its energy's, and a two-atom law's
+    block is at _MAX_STRIDE when every column gathers from an entry table at
+    that stride.  A table at a smaller stride holds entries that the block
+    may not draw, so such a block is measured.
 
     Each column's entries come from one _shell_stats_block call, from the
     block's _EntryTable at its energy when a two-atom law's table fits
@@ -599,11 +601,11 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
             largest = max(largest, float(sizes.max()))
         _check_draws(total, largest)
     energies = [E for E, _, _ in columns]
+    # atom tables once per energy, not per column and block
+    tables = ({E: _atom_tables(dist, E, lam) for E in dict.fromkeys(energies)}
+              if lam != 0.0 and dist.is_discrete else {})
     dtype = np.result_type(float, *energies)
     energies = np.array(energies, dtype=dtype)
-    # atom tables once per energy, not per column and block
-    tables = ({E: _atom_tables(dist, E, lam) for E, _, _ in columns}
-              if lam != 0.0 and dist.is_discrete else {})
     # a fair first step draws by the block's _FairLayout
     fair = bool(tables) and _fair_first([w for _, w in dist.atoms])
     # columns per energy, which bound its _EntryTable, for a two-atom law
@@ -614,14 +616,14 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
     strides = (_rescale_stride(np.abs(energies)) if lam == 0.0
                else np.full(len(columns), _MAX_STRIDE))
     strides.flags.writeable = False
-    if lam != 0.0:
+    nblocks = (N + BLOCK - 1) // BLOCK
+    if lam != 0.0 and nblocks:
         shape = (min(_TILE, len(columns)), min(BLOCK, N))
         stage1 = np.empty(shape, dtype=dtype)
         stage2 = np.empty(shape, dtype=dtype) if with_w else None
-        # each column's generator and its blocks' states, from one seed_stream
-        # call when the column first draws
-        streams = [None] * len(columns)
-    nblocks = (N + BLOCK - 1) // BLOCK
+        # each column's generator and its blocks' states, from one seed_stream call
+        streams = [(gen, _block_states(gen, nblocks)) for gen in
+                   (seed_stream(seed, domain, cell, trial) for _, cell, trial in columns)]
     for b in (range(nblocks - 1, -1, -1) if reverse else range(nblocks)):
         n0 = b * BLOCK
         n1 = min(N, n0 + BLOCK)
@@ -640,10 +642,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
                 a = stage1[:j1 - j0, :n1 - n0]
                 w = stage2[:j1 - j0, :n1 - n0] if with_w else None
                 for j in range(j0, j1):
-                    E, cell, trial = columns[j]
-                    if streams[j] is None:
-                        gen = seed_stream(seed, domain, cell, trial)
-                        streams[j] = gen, _block_states(gen, nblocks)
+                    E = columns[j][0]
                     gen, states = streams[j]
                     _shell_stats_block(dist, E, lam, sizes, _restate(gen, states[b]),
                                        with_w=with_w, layout=layout, tables=tables.get(E),
@@ -655,7 +654,7 @@ def _shell_blocks(dist: PotentialDistribution, law: GrowthLaw, lam: float, N: in
                     np.copyto(W[:, j0:j1], w.T)
         known = lam == 0.0 or (len(entries) == len(widths) > 0 and all(
             t.stride == _MAX_STRIDE for t in entries.values()))
-        yield n0, n1, A, W, strides if known else None
+        yield n0, n1, A, W, strides if known else _column_strides(A)
         # a caller that drops its own references lets the block be freed
         # before the next one is allocated
         A = W = None
@@ -754,25 +753,24 @@ class _FoldReplay:
     block.
 
     ``fold(A, strides)`` cuts a block of entries into segments of each
-    column's ``_column_strides`` stride, given by the block's source where it
-    fixes them (_shell_blocks) and measured on A otherwise, the last segment
-    shorter when the stride does not divide the block; columns of one stride
-    go together, gathered with
-    np.take, and A is used as it is (copied only if strided) when they all
-    share it.  The fold forms the segments' two solutions seeded (1, 0) and
-    (c, 1) in ``stride`` steps vectorized over (segments x columns); a state
+    column's ``_column_strides`` stride, as ``_shell_blocks`` yields them,
+    the last segment shorter when the stride does not divide the block;
+    columns of one stride go together, gathered with np.take, and A is used
+    as it is (copied only if strided) when they all share it.  The fold
+    forms the segments' two solutions seeded (1, 0) and (c, 1) in ``stride``
+    steps vectorized over (segments x columns); a state
     (u, p) = (u - c p) (1, 0) + p (c, 1) has the coordinates y = (u - c p, p)
     in that seed basis.  A prefix scan of the segment maps in y, in
     ceil(log2(segments - 1)) levels, then writes every segment's start state
     at once and rescales them with one ``_rescale_where``
-    (``_fold_segments``).  Each read replays every segment
-    it needs from its start state in one pass, with the per-shell loop's own
-    steps: ``log_radius`` at checkpoints, whose replay sets the pairs aside
-    and reads them all at once, ``window_sum`` over the density window, which
+    (``_fold_segments``).  Each read replays every segment it needs from its
+    start state in one pass, with the per-shell loop's own steps:
+    ``log_radius`` at checkpoints, whose replay sets the pairs aside and
+    reads them all at once, ``window_sum`` over the density window, which
     squares each shell's u once and reuses it as the next shell's p,
     ``weighted_sums`` between checkpoints (the backward subordinacy pass) and
-    ``gram`` (the weighted Gram factor of pairs of columns).  The
-    last two combine the segments' own sums without a loop over segments:
+    ``gram`` (the weighted Gram factor of pairs of columns).  The last two
+    combine the segments' own sums without a loop over segments:
     ``_cut_logs`` adds each cut's segment sums at once, and ``_fold_scan``
     folds the segments' Gram factors in a prefix scan of log depth.
 
@@ -817,14 +815,12 @@ class _FoldReplay:
             self._work = np.empty(_WORK_ROWS * size, dtype=self.u.dtype)
             self._work_exp = np.empty(2 * size, dtype=np.int64)
 
-    def fold(self, A: np.ndarray, strides: np.ndarray | None = None) -> None:
+    def fold(self, A: np.ndarray, strides: np.ndarray) -> None:
         """Advance the state across the block A (shells x columns), each
         column in segments of its own stride: ``strides``, which must be
-        ``_column_strides(A)``, measured from A when not given.  A stride of
+        ``_column_strides(A)``, as ``_shell_blocks`` yields it.  A stride of
         0, of entries that one shell may grow past the rescale rule's bound,
         raises DomainError."""
-        if strides is None:
-            strides = _column_strides(A)
         if not strides.all():
             raise DomainError(f"shell entries beyond 2^{RESCALE_EXP // 2} in magnitude: no rescale "
                               "stride steps them", reason="entry_range")
@@ -1397,7 +1393,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         factor_exp = np.zeros(T, dtype=np.int64)
         for n0, n1, A, W, strides in _shell_blocks(dist, law, lam, N, columns, seed,
                                                    DOMAIN_SUBORDINACY, with_w=True):
-            scan.fold(np.hstack([A, A]), None if strides is None else np.hstack([strides] * 2))
+            scan.fold(np.hstack([A, A]), np.hstack([strides, strides]))
             c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
             scan.gram(W, cps[c0:c1] - n0, factor, factor_exp, cp_logmax[c0:c1],
                       cp_ratio_grid[c0:c1])
@@ -1508,15 +1504,17 @@ class WeylPoint:
 def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution | None = None,
                lam: float = 0.0, law: GrowthLaw | None = None,
                seed: int | None = None) -> WeylPoint:
-    """m = (beta*v_N + v_{N+1}) / (beta*u_N + u_{N+1}) from the fundamental
-    complex solution pair, folded as the columns [u | v] of one kernel; each
-    column carries its own power-of-two rescale, whose difference scales the
-    ratio.  Herglotz: Im z > 0 forces Im m > 0.  Random shells (``dist``
+    """m = -psi_0 / psi_{-1} for the solution psi seeded (psi_N, psi_{N+1}) =
+    (1, -beta), folded over the reversed entries as one complex kernel
+    column; by the Wronskian with the fundamental pair seeded (u_0, u_{-1})
+    = (1, 0), (v_0, v_{-1}) = (0, 1) it is (beta*v_N + v_{N+1}) / (beta*u_N
+    + u_{N+1}), and psi_0, psi_{-1} share one rescale exponent, which
+    cancels.  Herglotz: Im z > 0 forces Im m > 0.  Random shells (``dist``
     with lam != 0) draw from the stream keyed (seed, DOMAIN_WEYL, 0, 0),
     re-stated for each block.  Raises DomainError unless z is finite with
     Im z >= 0 and beta is finite, or N is not a whole number >= 0, or when
-    an entry passes 2^(RESCALE_EXP/2) in magnitude, and SizeLimitError
-    beyond _SHELL_BUDGET shells."""
+    an entry passes 2^(RESCALE_EXP/2) in magnitude, SizeLimitError beyond
+    _SHELL_BUDGET shells, and DegenerateDenominatorError unless m is finite."""
     z = complex(z)
     if not (z.imag >= 0.0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"need a finite z with Im z >= 0, got {z}", reason="z")
@@ -1527,17 +1525,15 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
         raise DomainError("random potentials need a dist and a seed", reason="seed")
     if law is None:
         law = GrowthLaw.uniform_power(1.0, 1.0)
-    scan = _FoldReplay(2, 0j)
-    scan.u[1], scan.p[1] = 0.0, 1.0   # (u_0, u_{-1}) = (1, 0), (v_0, v_{-1}) = (0, 1)
+    # the pair (psi_n, psi_{n+1}), stepped by psi_{n-1} = a_n psi_n - psi_{n+1}
+    scan = _FoldReplay(1, 0j)
+    scan.p[0] = -beta
+    _rescale_where([scan.u, scan.p], scan.exps)   # a beta past the rescale bound
     for _, _, A, _, strides in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed,
-                                             DOMAIN_WEYL):
-        scan.fold(np.hstack([A, A]), None if strides is None else np.hstack([strides] * 2))
-    # column 0 holds (u_{N+1}, u_N), column 1 (v_{N+1}, v_N)
-    den = complex(beta * scan.p[0] + scan.u[0])
-    num = complex(beta * scan.p[1] + scan.u[1])
-    if den == 0.0:
-        raise DegenerateDenominatorError(f"boundary denominator vanished at z = {z}")
-    ratio = num / den
-    shift = int(scan.exps[1] - scan.exps[0])
-    m = complex(math.ldexp(ratio.real, shift), math.ldexp(ratio.imag, shift))
+                                             DOMAIN_WEYL, reverse=True):
+        scan.fold(A[::-1], strides)
+    psi_m1, psi_0 = complex(scan.u[0]), complex(scan.p[0])
+    m = -psi_0 / psi_m1 if psi_m1 != 0.0 else math.inf
+    if not cmath.isfinite(m):
+        raise DegenerateDenominatorError(f"boundary denominator {psi_m1} at z = {z}")
     return WeylPoint(z=z, beta=float(beta), N=N, m=m)

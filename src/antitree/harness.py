@@ -49,8 +49,8 @@ from .spectral import (
 )
 from .streams import _whole_count
 
-# widest pack: the kernel's cost per block hardly depends on its columns,
-# while each one holds about 87 KiB of blocks and scratch
+# widest pack: each column holds about 87 KiB of blocks and scratch (the
+# kernel's cost per shell step against columns is tabled in ROADMAP, item 7)
 _PACK_COLUMNS = 64
 _HARMONIC_LADDER = (2, 4, 8, 100, 1000, 10000)
 _GEOMETRY_DIMS = (2, 3, 4)
