@@ -1397,6 +1397,7 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
             c0, c1 = np.searchsorted(cps, [n0, n1], side="right")
             scan.gram(W, cps[c0:c1] - n0, factor, factor_exp, cp_logmax[c0:c1],
                       cp_ratio_grid[c0:c1])
+            scan.release()
             held.append((n0, n1, A, W, strides))
             while sum(blk[2].nbytes + blk[3].nbytes for blk in held) > _HOLD_BYTES:
                 held.pop(0)
@@ -1426,6 +1427,8 @@ def subordinacy_batch(dist: PotentialDistribution, law: GrowthLaw, E: float, lam
         back.log_radius(at, 0.0, 1.0, cp_sub[lo:hi][::-1])
         if with_gram:
             back.weighted_sums(W[::-1], at, seg, seg_exp, cp_logseg[lo:hi][::-1])
+        del A, W
+        back.release()
     with np.errstate(divide="ignore"):
         log_bottom = np.log(seg) + 2.0 * seg_exp * LN2   # shells k < c_0
         log_coef = np.log(back.u * back.u + back.p * back.p) + 2.0 * back.exps * LN2
@@ -1532,6 +1535,8 @@ def m_function(z: complex, N: int, beta: float, *, dist: PotentialDistribution |
     for _, _, A, _, strides in _shell_blocks(dist, law, lam, N + 1, [(z, 0, 0)], seed,
                                              DOMAIN_WEYL, reverse=True):
         scan.fold(A[::-1], strides)
+        del A
+        scan.release()
     psi_m1, psi_0 = complex(scan.u[0]), complex(scan.p[0])
     m = -psi_0 / psi_m1 if psi_m1 != 0.0 else math.inf
     if not cmath.isfinite(m):

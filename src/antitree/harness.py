@@ -10,13 +10,12 @@ across reruns and across worker counts: every trial's randomness is keyed
 by (seed, cell, trial) and never by schedule.  A pack runs as one call: one
 kernel call for a density pack, one per cell for lyapunov, a loop over the
 cells otherwise.  A column's value does not depend on which columns share
-its call.  A cell whose inputs fail its experiment's domain check (for
-lyapunov, E outside I(lam)) takes that error without running; when the
-joint call of the other cells raises, they run one at a time, so each value
-and error is the cell's own.  Data files are written atomically (temp file
-+ rename) and a JSON manifest records the canonicalized config, its digest,
-and a SHA-256 digest per emitted file.  Cell failures are isolated: the
-sweep continues, the manifest marks the cell, and the run exits with code 2.
+its call.  If that call raises, each cell of the pack runs alone, so each
+value and error is the cell's own.  Data files are written atomically
+(temp file + rename) and a JSON manifest records the canonicalized config,
+its digest, and a SHA-256 digest per emitted file.  Cell failures are
+isolated: the sweep continues, the manifest marks the cell, and the run
+exits with code 2.
 """
 
 from __future__ import annotations
@@ -235,9 +234,15 @@ def _lyapunov_cells(cfg: dict, base_dir: Path):
 
 
 def _lyapunov_pack(tasks: list[dict]) -> list[float]:
-    """The trials' slopes, one lyapunov_batch call per cell of the pack."""
+    """The trials' slopes, one lyapunov_batch call per cell of the pack.
+    Every cell's (E, lam) passes effective_quantities before the first call,
+    so a cell outside I(lam) fails the pack before any trial is computed,
+    and the fallback to single cells computes no healthy trial twice."""
+    cells = _by_cell(tasks)
+    for cell in cells:
+        effective_quantities(cell[0]["dist"], cell[0]["E"], cell[0]["lam"])
     slopes = []
-    for cell in _by_cell(tasks):
+    for cell in cells:
         t = cell[0]
         slopes += [r.slope for r in lyapunov_batch(t["dist"], t["law"], t["E"], t["lam"],
                                                    t["N"], [s["trial"] for s in cell],
@@ -370,9 +375,8 @@ class _Experiment:
     task's cell alone would give it; ``rows(cfg, task, values)`` turns a
     cell's first task and the values of all its tasks, in task order, into
     one row list per entry of ``files``, which pairs each CSV name with its
-    header; ``notes(cfg)`` are the manifest's audit notes; ``check(task)``
-    raises, before anything is drawn, the typed error that the call of the
-    task's cell would raise from its inputs alone.
+    header; ``notes(cfg)`` are the manifest's audit notes.  A ``run`` that
+    raises for a pack of several cells is called again on each cell alone.
     """
 
     cells: Callable
@@ -380,7 +384,6 @@ class _Experiment:
     files: tuple[tuple[str, str], ...]
     rows: Callable
     notes: Callable = lambda cfg: []
-    check: Callable = lambda task: None
 
 
 _SPECS = {
@@ -392,8 +395,7 @@ _SPECS = {
     "lyapunov": _Experiment(
         _lyapunov_cells, _lyapunov_pack,
         (("lyapunov.csv", "E,lambda,d,C,N,trials,slope_mean,slope_stderr,gamma_theory"),),
-        _lyapunov_rows,
-        check=lambda t: effective_quantities(t["dist"], t["E"], t["lam"])),
+        _lyapunov_rows),
     "density": _Experiment(
         _density_cells, _density_pack,
         (("density.csv", "E,rho_hat,rho_free_theory"),),
@@ -461,33 +463,22 @@ def _error(exc: AntitreeError) -> dict:
 
 def _execute_task(pack: list[dict]) -> list[dict]:
     """Run one pack of tasks, one result per task; never raises (errors are
-    data for the manifest).  A cell whose ``check`` raises takes that error
-    without running; the other cells run as one joint call and, if that
-    raises, each alone, so each value or error is the cell's own."""
+    data for the manifest).  The pack runs as one call and, if that raises,
+    each cell alone, so each value or error is the cell's own."""
     spec = _SPECS[pack[0]["experiment"]]
     cells = _by_cell(pack)
-    results: list[list[dict] | None] = [None] * len(cells)
-    for i, cell in enumerate(cells):
+    if len(cells) > 1:
         try:
-            spec.check(cell[0])
-        except AntitreeError as exc:
-            results[i] = [_error(exc)] * len(cell)
-    todo = [i for i, res in enumerate(results) if res is None]
-    if len(todo) > 1:
-        try:
-            values = iter(spec.run([t for i in todo for t in cells[i]]))
+            return [{"value": v} for v in spec.run(pack)]
         except AntitreeError:
             pass
-        else:
-            for i in todo:
-                results[i] = [{"value": next(values)} for _ in cells[i]]
-            todo = []
-    for i in todo:
+    results = []
+    for cell in cells:
         try:
-            results[i] = [{"value": v} for v in spec.run(cells[i])]
+            results += [{"value": v} for v in spec.run(cell)]
         except AntitreeError as exc:
-            results[i] = [_error(exc)] * len(cells[i])
-    return [r for res in results for r in res]
+            results += [_error(exc)] * len(cell)
+    return results
 
 
 def _reduce(cfg: dict, tasks: list[dict], results: list[dict]):

@@ -26,8 +26,9 @@ consists of at most two intervals; its sub-window
 
 separates singular continuous from pure point behaviour at growth rate
 dimension 2.  All of these are computed here from closed forms for the
-continuous laws (uniform, triangular) and from exact weighted sums for the
-discrete ones, with bisection for the window endpoints.
+continuous laws (uniform, triangular), power series in lam/E at small
+disorder, and from exact weighted sums for the discrete ones, with
+bisection for the window endpoints.
 """
 
 from __future__ import annotations
@@ -216,7 +217,8 @@ def _hull_side(dist: PotentialDistribution, E: float, lam: float) -> float:
 
 
 def inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
-    """E_v[ 1/(E - lam*v) ], by closed form or exact weighted sum.
+    """E_v[ 1/(E - lam*v) ], by closed form (a series below |lam/E| =
+    _SERIES_T) or exact weighted sum.
 
     Outside the scaled support this is finite and strictly decreasing in E on
     every component of the complement; it may legitimately vanish inside a
@@ -227,6 +229,8 @@ def inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
         return 1.0 / E
     if dist.is_discrete:
         return math.fsum(w / (E - lam * v) for v, w in dist.atoms)
+    if abs(lam / E) < _SERIES_T:
+        return _horner(_SERIES[dist.kind]["m1"], (lam / E) ** 2) / E
     if dist.kind == "uniform":
         return math.log((E + lam) / (E - lam)) / (2.0 * lam)
     # triangular, density 1 - |v|
@@ -235,39 +239,54 @@ def inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
 
 
 def second_inverse_moment(dist: PotentialDistribution, E: float, lam: float) -> float:
-    """E_v[ 1/(E - lam*v)^2 ]."""
+    """E_v[ 1/(E - lam*v)^2 ], as inverse_moment computes the first."""
     _hull_side(dist, E, lam)
     if lam == 0.0:
         return 1.0 / (E * E)
     if dist.is_discrete:
         return math.fsum(w / (E - lam * v) ** 2 for v, w in dist.atoms)
+    if abs(lam / E) < _SERIES_T:
+        return _horner(_SERIES[dist.kind]["m2"], (lam / E) ** 2) / (E * E)
     if dist.kind == "uniform":
         return 1.0 / (E * E - lam * lam)
     return math.log(E * E / (E * E - lam * lam)) / (lam * lam)
 
 
-def _variance_series(even_moment) -> tuple[float, ...]:
-    """Coefficients c_1.._SERIES_TERMS of E^2 Var[1/(E - lam*v)] = sum c_n t^(2n),
-    t = lam/E, for a symmetric law with even moments mu_2n = even_moment(n).
+def _horner(coeffs: tuple[float, ...], t2: float) -> float:
+    """sum_n coeffs[n] t2^n, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t2 + c
+    return acc
+
+
+def _even_series(even_moment) -> dict[str, tuple[float, ...]]:
+    """Coefficients of E*m1, E^2*m2 and E^2 Var[1/(E - lam*v)] as power series
+    in t^2, t = lam/E, for a symmetric law with even moments mu_2n =
+    even_moment(n), by index n = 0.._SERIES_TERMS.
 
     Expanding 1/(E - lam*v) in powers of t v gives E*m1 = sum mu_2n t^(2n)
-    and E^2*m2 = sum (2n+1) mu_2n t^(2n), so c_n = (2n+1) mu_2n -
-    sum_{i+j=n} mu_2i mu_2j; c_0 = 0 and c_1 = mu_2 is the law's variance.
+    and E^2*m2 = sum (2n+1) mu_2n t^(2n), so the variance's coefficient is
+    (2n+1) mu_2n - sum_{i+j=n} mu_2i mu_2j; its first two are 0 and the
+    law's variance mu_2.
     """
     mu = [even_moment(n) for n in range(_SERIES_TERMS + 1)]
-    return tuple(math.fsum([(2 * n + 1) * mu[n]] + [-mu[i] * mu[n - i] for i in range(n + 1)])
-                 for n in range(1, _SERIES_TERMS + 1))
+    m2 = tuple((2 * n + 1) * mu[n] for n in range(_SERIES_TERMS + 1))
+    var = tuple(math.fsum([m2[n]] + [-mu[i] * mu[n - i] for i in range(n + 1)])
+                for n in range(_SERIES_TERMS + 1))
+    return {"m1": tuple(mu), "m2": m2, "var": var}
 
 
-# Below |lam/E| = _SERIES_T the closed-form m2 - m1^2 cancels (relative error
-# up to 2e-13 at t = 0.3; 1.7e-4 for the uniform law and 3.7 for the
-# triangular law at t = 1e-4), so continuous laws sum the series there; at
-# |t| = 0.4 its first omitted term is about 2e-19 of the first.
+# Below |lam/E| = _SERIES_T the continuous laws' closed forms cancel: m1
+# errs by about 1e-4 at |t| = 1e-12, and so does the triangular m2 at 1e-6;
+# m2 - m1^2 errs by up to 2e-13 at t = 0.3 and by 3.7 at t = 1e-4.  The
+# series are summed there; at |t| = 0.4 the first omitted term is about
+# 2e-19 of the first.
 _SERIES_T = 0.4
 _SERIES_TERMS = 24
-_VARIANCE_SERIES = {
-    "uniform": _variance_series(lambda n: 1.0 / (2 * n + 1)),
-    "triangular": _variance_series(lambda n: 1.0 / ((2 * n + 1) * (n + 1))),
+_SERIES = {
+    "uniform": _even_series(lambda n: 1.0 / (2 * n + 1)),
+    "triangular": _even_series(lambda n: 1.0 / ((2 * n + 1) * (n + 1))),
 }
 
 
@@ -281,12 +300,8 @@ def _inverse_variance(dist: PotentialDistribution, E: float, lam: float, m1: flo
     """
     if dist.is_discrete:
         return math.fsum(w * (1.0 / (E - lam * v) - m1) ** 2 for v, w in dist.atoms)
-    t2 = (lam / E) ** 2
-    if t2 < _SERIES_T ** 2:
-        acc = 0.0
-        for c in reversed(_VARIANCE_SERIES[dist.kind]):
-            acc = (acc + c) * t2
-        return acc / (E * E)
+    if abs(lam / E) < _SERIES_T:
+        return _horner(_SERIES[dist.kind]["var"], (lam / E) ** 2) / (E * E)
     return max(0.0, second_inverse_moment(dist, E, lam) - m1 * m1)
 
 

@@ -1215,6 +1215,23 @@ def test_forward_pass_frees_each_block_before_drawing_the_next():
     assert peak < 2 * eng.BLOCK * T * 8
 
 
+def test_backward_pass_frees_each_block_before_drawing_the_next():
+    # the same four blocks, every one drawn by the backward pass: the traced
+    # peak was 3.90 blocks while the last block and the kernel's contiguous
+    # copy of it stayed alive across the next draw, and 2.87 once freed
+    law = GrowthLaw.uniform_power(1.5, 1.0)
+    T = 64
+    N = 3 * eng.BLOCK + 100
+    subordinacy_batch(BERN, law, 2.0, 1.0, N, range(T), 5, with_gram=False)   # warm caches
+    tracemalloc.start()
+    try:
+        subordinacy_batch(BERN, law, 2.0, 1.0, N, range(T), 5, with_gram=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * eng.BLOCK * T * 8
+
+
 def test_entries_of_trajectories_bounded():
     # a = 1/mean(1/(E - lam v)) over v = +-1 lies within [E - lam, E + lam]
     law = GrowthLaw.uniform_power(1.5, 1.0)
@@ -1792,15 +1809,26 @@ def test_the_largest_int64_shell_sizes_give_finite_numbers(dist):
         assert _finite(driver(dist, law, E, 1.0, 4))
 
 
+# every law at lam in [1e-3, 20], and the continuous laws, whose moments
+# are series in lam/E at small disorder, at lam = 10^x down to 1e-300
+DOMAIN_LAWS = st.one_of(
+    st.tuples(st.sampled_from([BERN, UNIF, TRI, THREE_ATOMS]), st.floats(1e-3, 20.0)),
+    st.tuples(st.sampled_from([UNIF, TRI]), st.floats(-300.0, -3.0).map(lambda x: 10.0 ** x)))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(dist=st.sampled_from([BERN, UNIF, TRI, THREE_ATOMS]), lam=st.floats(1e-3, 20.0),
-       piece=st.integers(0, 1),
+@given(law=DOMAIN_LAWS, piece=st.integers(0, 1),
        where=st.one_of(st.sampled_from(["lo", "hi"]), st.floats(0.0, 1.0)),
        d=st.floats(1.0, 40.0), log_c=st.floats(-3.0, 25.0), N=st.integers(1, 50))
-def test_every_input_of_the_documented_domain_is_finite_or_a_typed_error(dist, lam, piece,
-                                                                          where, d, log_c, N):
+# the float below the outer end of I(1e-6) had failed effective_quantities
+# (h_too_large), and the triangular m1 raised ZeroDivisionError at 1e-200
+@example(law=(UNIF, 1e-6), piece=1, where="hi", d=2.0, log_c=0.0, N=10)
+@example(law=(TRI, 1e-200), piece=0, where=0.5, d=2.0, log_c=0.0, N=10)
+def test_every_input_of_the_documented_domain_is_finite_or_a_typed_error(law, piece, where,
+                                                                          d, log_c, N):
     # E in a component of I(lam), the floats next to its ends included: every
     # driver takes it, and returns finite numbers or raises AntitreeError
+    dist, lam = law
     pieces = i_lambda(dist, lam).intervals
     assume(pieces)
     iv = pieces[piece % len(pieces)]

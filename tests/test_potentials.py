@@ -174,12 +174,24 @@ def test_inverse_moment_rejects_support_region():
 
 
 @pytest.mark.parametrize("dist", [UNI, TRI])
-@pytest.mark.parametrize("E,lam", [(2.0, 1.0), (-2.5, 1.0), (1.8, 0.7), (-1.4, 0.9)])
+@pytest.mark.parametrize("E,lam", [(2.0, 1.0), (-2.5, 1.0), (1.8, 0.7), (-1.4, 0.9),
+                                   # lam/E = 1e-2 .. 1e-8, where the closed forms
+                                   # cancel (by 1.2 for the triangular m2 at 1e-8)
+                                   (1.0, 1e-2), (-1.0, 1e-4), (1.0, 1e-6), (2.0, 2e-8)])
 def test_closed_forms_match_quadrature(dist, E, lam):
     q1 = inverse_moment_quadrature(dist, E, lam, power=1)
     q2 = inverse_moment_quadrature(dist, E, lam, power=2)
-    assert inverse_moment(dist, E, lam) == pytest.approx(q1, rel=1e-8)
-    assert second_inverse_moment(dist, E, lam) == pytest.approx(q2, rel=1e-8)
+    assert inverse_moment(dist, E, lam) == pytest.approx(q1, rel=1e-12)
+    assert second_inverse_moment(dist, E, lam) == pytest.approx(q2, rel=1e-12)
+
+
+@pytest.mark.parametrize("dist", [UNI, TRI], ids=["uniform", "triangular"])
+def test_moments_at_vanishing_disorder_are_those_of_the_free_case(dist):
+    # here the uniform closed form for m1 reads log(1) = 0 (h infinite), and
+    # the triangular one divides by lam * x, which underflows to 0
+    assert inverse_moment(dist, 1.0, 1e-300) == 1.0
+    assert second_inverse_moment(dist, 1.0, 1e-300) == 1.0
+    assert effective_quantities(dist, 1.0, 1e-300).h == 1.0
 
 
 # ---------------------------------------------------------------------------
